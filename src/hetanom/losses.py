@@ -81,7 +81,11 @@ def base_loss(net: ScorerNet, X: np.ndarray, y: np.ndarray,
     """Reduced deviation loss of one scorer over a sample set."""
     if len(np.atleast_1d(y)) == 0:
         raise ContractError("base_loss over an empty sample set")
-    scores = net.forward(X)
+    return score_loss(net.forward(X), y, prior, reduction)
+
+
+def score_loss(scores, y, prior: DeviationPrior, reduction: str = "mean") -> float:
+    """Reduced deviation loss of scores already computed."""
     return _reduce(deviation_loss(scores, y, prior), reduction)
 
 
@@ -116,6 +120,8 @@ def cdl_loss(bases, weights, prior: DeviationPrior, reduction: str = "mean"):
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (n,):
             raise ContractError(f"weights length {w.shape} != number of bases {n}")
+        if not np.isfinite(w).all():
+            raise NumericError(f"cdl aggregation: non-finite weights {w.tolist()}")
         if (w < 0).any():
             raise ContractError("weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-9:

@@ -12,6 +12,7 @@ single array operations.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -22,12 +23,16 @@ CHECKPOINT_MAGIC = b"AHL1"
 
 
 def _sigmoid(x):
-    # piecewise form avoids overflow warnings for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) cannot overflow. The numerator is 1 where x >= 0 and e
+    # elsewhere (0 <= e <= 1, so a maximum picks it without a branch):
+    # bit for bit the piecewise 1/(1+exp(-x)) and exp(x)/(1+exp(x)).
+    # In-place steps keep it to one full-size temporary.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(e, x >= 0)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -113,25 +118,29 @@ class SequencePredictor:
     Input is (n, K, T); each of the two stacked layers runs one LSTM of
     hidden size 7 per direction, the final states of the last layer's two
     directions feed a 14-unit rectifier layer and a linear map back to T.
+
+    Both directions of a layer run in one recurrence: their parameters are
+    stacked on a leading axis of size 2 (forward, backward) and every step
+    is one batched matmul. Sequences are kept time-major, (2, K, n, ·),
+    with each direction's inputs in its own reading order.
     """
 
     HIDDEN = 7
     FC_HIDDEN = 2 * HIDDEN
+    INFER_ROWS = 512
 
     def __init__(self, t_dim: int, theta: np.ndarray):
         self.t_dim = t_dim
-        self._blocks = self._block_table(t_dim)
-        expected = sum(int(np.prod(shape)) for _, shape, _ in self._blocks)
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (expected,):
-            raise ShapeError(f"sequence net wants {expected} parameters, got {theta.shape}")
-        self.theta = theta
         self._offsets = {}
         pos = 0
-        for name, shape, _ in self._blocks:
-            size = int(np.prod(shape))
-            self._offsets[name] = (pos, shape)
+        for name, shape, _ in self._block_table(t_dim):
+            size = math.prod(shape)
+            self._offsets[name] = (pos, pos + size, shape)
             pos += size
+        theta = np.asarray(theta, dtype=np.float64)
+        if theta.shape != (pos,):
+            raise ShapeError(f"sequence net wants {pos} parameters, got {theta.shape}")
+        self.theta = theta
 
     @classmethod
     def _block_table(cls, t_dim):
@@ -158,129 +167,167 @@ class SequencePredictor:
         ]
         return cls(t_dim, np.concatenate(parts))
 
-    def copy(self) -> "SequencePredictor":
-        return SequencePredictor(self.t_dim, self.theta.copy())
-
     def block(self, name: str) -> np.ndarray:
-        pos, shape = self._offsets[name]
-        return self.theta[pos : pos + int(np.prod(shape))].reshape(shape)
+        return self._view(self.theta, name)
 
-    def _grad_block(self, grad, name):
-        pos, shape = self._offsets[name]
-        return grad[pos : pos + int(np.prod(shape))].reshape(shape)
+    def _view(self, flat, name):
+        start, stop, shape = self._offsets[name]
+        return flat[start:stop].reshape(shape)
+
+    def _stacked(self, layer, part):
+        """(2, ...) stack of one block of a layer's forward and backward LSTM."""
+        return np.stack([self.block(f"{layer}f.{part}"), self.block(f"{layer}b.{part}")])
 
     def forward(self, history: np.ndarray) -> np.ndarray:
         """(n, K, T) history -> (n, T) prediction; also accepts (K, T)."""
-        out, _ = self.forward_with_cache(history)
+        out, _ = self.forward_with_cache(history, keep=False)
         return out
 
-    def forward_with_cache(self, history):
+    def forward_with_cache(self, history, keep: bool = True):
+        """Prediction and the cache ``backward`` needs; with ``keep=False``
+        no per-step state is kept and the cache is None."""
         S = np.asarray(history, dtype=np.float64)
         single = S.ndim == 2
         if single:
             S = S[None, :, :]
         if S.ndim != 3 or S.shape[2] != self.t_dim:
             raise ShapeError(f"history must be (n, K, {self.t_dim}), got {S.shape}")
-        h1f, cache1f = self._lstm_forward(S, "l1f")
-        h1b, cache1b = self._lstm_forward(S[:, ::-1], "l1b")
-        u = np.concatenate([h1f, h1b[:, ::-1]], axis=2)
-        h2f, cache2f = self._lstm_forward(u, "l2f")
-        h2b, cache2b = self._lstm_forward(u[:, ::-1], "l2b")
-        head = np.concatenate([h2f[:, -1], h2b[:, -1]], axis=1)
+        if keep:
+            out, cache = self._forward(S, keep=True)
+            cache += (single,)
+        else:
+            # rows are independent: blocks of at most INFER_ROWS keep the
+            # temporaries small, and no block of a longer input has one row
+            blocks = np.array_split(S, max(1, -(-len(S) // self.INFER_ROWS)))
+            out = np.concatenate([self._forward(block, keep=False)[0] for block in blocks])
+            cache = None
+        return (out[0] if single else out), cache
+
+    def _forward(self, S, keep):
+        x = S.transpose(1, 0, 2)
+        h1, cache1 = self._lstm_forward(np.stack([x, x[::-1]]), "l1", keep)
+        u = np.concatenate([h1[0], h1[1, ::-1]], axis=2)
+        h2, cache2 = self._lstm_forward(np.stack([u, u[::-1]]), "l2", keep)
+        head = np.concatenate([h2[0, -1], h2[1, -1]], axis=1)
         wf, bf = self.block("fc.W"), self.block("fc.b")
         wo, bo = self.block("out.W"), self.block("out.b")
         zf = head @ wf.T + bf
         af = np.maximum(zf, 0.0)
         out = af @ wo.T + bo
-        cache = (S, cache1f, cache1b, u, cache2f, cache2b, head, zf, af, single)
-        return (out[0] if single else out), cache
+        return out, (cache1, cache2, head, zf, af)
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout . output) w.r.t. the flat parameters."""
-        S, cache1f, cache1b, u, cache2f, cache2b, head, zf, af, single = cache
+        cache1, cache2, head, zf, af, single = cache
         dout = np.asarray(dout, dtype=np.float64)
         if single:
             dout = dout[None, :]
         grad = np.zeros_like(self.theta)
         H = self.HIDDEN
-        n, K, _ = S.shape
+        n, K = head.shape[0], cache2[0].shape[1]
 
         wf, wo = self.block("fc.W"), self.block("out.W")
-        self._grad_block(grad, "out.W")[...] = dout.T @ af
-        self._grad_block(grad, "out.b")[...] = dout.sum(axis=0)
+        self._view(grad, "out.W")[...] = dout.T @ af
+        self._view(grad, "out.b")[...] = dout.sum(axis=0)
         daf = dout @ wo
         dzf = daf * (zf > 0)
-        self._grad_block(grad, "fc.W")[...] = dzf.T @ head
-        self._grad_block(grad, "fc.b")[...] = dzf.sum(axis=0)
+        self._view(grad, "fc.W")[...] = dzf.T @ head
+        self._view(grad, "fc.b")[...] = dzf.sum(axis=0)
         dhead = dzf @ wf
 
-        dh2f = np.zeros((n, K, H))
-        dh2f[:, -1] = dhead[:, :H]
-        dh2b = np.zeros((n, K, H))
-        dh2b[:, -1] = dhead[:, H:]
-        du_f = self._lstm_backward(cache2f, dh2f, grad, "l2f")
-        du_b = self._lstm_backward(cache2b, dh2b, grad, "l2b")
-        du = du_f + du_b[:, ::-1]
-
-        dh1f = du[:, :, :H]
-        dh1b = du[:, :, H:][:, ::-1]
-        self._lstm_backward(cache1f, dh1f, grad, "l1f")
-        self._lstm_backward(cache1b, dh1b, grad, "l1b")
+        dh2 = np.zeros((2, K, n, H))
+        dh2[0, -1] = dhead[:, :H]
+        dh2[1, -1] = dhead[:, H:]
+        dx2 = self._lstm_backward(cache2, dh2, grad, "l2", need_dx=True)
+        du = dx2[0] + dx2[1, ::-1]
+        dh1 = np.stack([du[:, :, :H], du[::-1, :, H:]])
+        self._lstm_backward(cache1, dh1, grad, "l1", need_dx=False)
         return grad
 
-    def _lstm_forward(self, x_seq, prefix):
-        W, U, b = self.block(f"{prefix}.W"), self.block(f"{prefix}.U"), self.block(f"{prefix}.b")
+    def _lstm_forward(self, xs, layer, keep):
+        """Both directions over (2, K, n, d) inputs -> (2, K, n, H) states.
+
+        Gates are kept gate-major, (4, 2, n, H) in the order i, f, g, o, so
+        every elementwise step runs on contiguous arrays.
+        """
         H = self.HIDDEN
-        n, K, _ = x_seq.shape
-        h = np.zeros((n, H))
-        c = np.zeros((n, H))
-        h_seq = np.empty((n, K, H))
+        _, K, n, _ = xs.shape
+        W = self._stacked(layer, "W")
+        Ut = self._stacked(layer, "U").transpose(0, 2, 1)
+        # per-step shapes (n, d) @ (d, 4H), as one call for all K steps
+        xw = np.matmul(xs, W.transpose(0, 2, 1)[:, None])
+        xw = np.ascontiguousarray(xw.reshape(2, K, n, 4, H).transpose(1, 3, 0, 2, 4))
+        # the bias is spread over all rows once, so each step's add is contiguous
+        b = self._stacked(layer, "b").reshape(2, 4, 1, H).transpose(1, 0, 2, 3)
+        b = np.ascontiguousarray(np.broadcast_to(b, (4, 2, n, H)))
+        hs = np.zeros((2, K + 1, n, H))  # hs[:, t] is the state entering step t
+        hu = np.empty((2, n, 4 * H))
+        z = np.empty((4, 2, n, H))
+        c = np.zeros((2, n, H))
         steps = []
         for t in range(K):
-            x_t = x_seq[:, t]
-            z = x_t @ W.T + h @ U.T + b
-            i = _sigmoid(z[:, :H])
-            f = _sigmoid(z[:, H : 2 * H])
-            g = np.tanh(z[:, 2 * H : 3 * H])
-            o = _sigmoid(z[:, 3 * H :])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            steps.append((x_t, h, c, i, f, g, o, tanh_c))
-            h, c = h_new, c_new
-            h_seq[:, t] = h_new
-        return h_seq, steps
+            np.matmul(hs[:, t], Ut, out=hu)
+            np.add(xw[t], hu.reshape(2, n, 4, H).transpose(2, 0, 1, 3), out=z)
+            z += b
+            gates = _sigmoid(z)  # i, f, o; the g block is overwritten
+            np.tanh(z[2], out=gates[2])
+            i, f, g, o = gates
+            c_prev, c = c, f * c
+            c += i * g
+            tanh_c = np.tanh(c)
+            np.multiply(o, tanh_c, out=hs[:, t + 1])
+            if keep:
+                steps.append((c_prev, gates, tanh_c))
+        return hs[:, 1:], ((xs, hs, steps) if keep else None)
 
-    def _lstm_backward(self, steps, dh_out, grad, prefix):
-        W = self.block(f"{prefix}.W")
-        U = self.block(f"{prefix}.U")
-        dW = self._grad_block(grad, f"{prefix}.W")
-        dU = self._grad_block(grad, f"{prefix}.U")
-        db = self._grad_block(grad, f"{prefix}.b")
+    def _lstm_backward(self, cache, dh_out, grad, layer, need_dx):
+        """Backpropagation through time for both directions. The loop keeps
+        only what the recurrence needs; the per-step weight gradients are
+        formed in one batched call after it and summed in the step order
+        of the recurrence (last step first)."""
+        xs, hs, steps = cache
         H = self.HIDDEN
-        n, K, _ = dh_out.shape
-        dx_seq = np.empty((n, K, W.shape[1]))
-        dh_next = np.zeros((n, H))
-        dc_next = np.zeros((n, H))
+        _, K, n, d = xs.shape
+        U = self._stacked(layer, "U")
+        dzs = np.empty((2, K, n, 4 * H))  # per-step dz, (n, 4H) per direction
+        dgates = np.empty((4, 2, n, H))
+        dh_next = np.zeros((2, n, H))
+        dc_next = np.zeros((2, n, H))
         for t in reversed(range(K)):
-            x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
+            c_prev, gates, tanh_c = steps[t]
+            i, f, g, o = gates
             dh = dh_out[:, t] + dh_next
-            do = dh * tanh_c
             dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prev
+            # sigmoid gates: (upstream * s) * (1 - s); the g block follows
+            np.multiply(dc, g, out=dgates[0])
+            np.multiply(dc, c_prev, out=dgates[1])
+            np.multiply(dh, tanh_c, out=dgates[3])
+            dgates *= gates
+            dgates *= 1.0 - gates
+            np.multiply(dc, i, out=dgates[2])
+            dgates[2] *= 1.0 - g ** 2
             dc_next = dc * f
-            dz = np.concatenate(
-                [di * i * (1 - i), df * f * (1 - f), dg * (1 - g ** 2), do * o * (1 - o)],
-                axis=1,
-            )
-            dW += dz.T @ x_t
-            dU += dz.T @ h_prev
-            db += dz.sum(axis=0)
-            dx_seq[:, t] = dz @ W
-            dh_next = dz @ U
-        return dx_seq
+            dz = dzs[:, t]
+            dz.reshape(2, n, 4, H)[...] = dgates.transpose(1, 2, 0, 3)
+            dh_next = np.matmul(dz, U)
+        dzsT = dzs.transpose(0, 1, 3, 2)
+        dW_steps = np.matmul(dzsT, xs)
+        dU_steps = np.matmul(dzsT, hs[:, :K])
+        db_steps = dzs.sum(axis=2)
+        dW = np.zeros((2, 4 * H, d))
+        dU = np.zeros((2, 4 * H, H))
+        db = np.zeros((2, 4 * H))
+        for t in reversed(range(K)):
+            dW += dW_steps[:, t]
+            dU += dU_steps[:, t]
+            db += db_steps[:, t]
+        for k, direction in enumerate("fb"):
+            self._view(grad, f"{layer}{direction}.W")[...] = dW[k]
+            self._view(grad, f"{layer}{direction}.U")[...] = dU[k]
+            self._view(grad, f"{layer}{direction}.b")[...] = db[k]
+        if not need_dx:
+            return None
+        return np.matmul(dzs, self._stacked(layer, "W")[:, None])
 
     def descriptor(self) -> dict:
         return {"kind": "sequence", "t_dim": self.t_dim}
@@ -315,11 +362,6 @@ class AdamState:
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
-    """Functional form: returns (updated theta, same state advanced by one)."""
-    return state.step(theta, grad), state
-
-
 def save_checkpoint(path, net) -> None:
     """Versioned binary checkpoint: magic, descriptor, raw float64 params."""
     desc = json.dumps(net.descriptor(), sort_keys=True).encode("utf-8")
@@ -331,15 +373,29 @@ def save_checkpoint(path, net) -> None:
 
 
 def load_checkpoint(path):
+    """Rebuild a net from ``save_checkpoint`` output; any malformed file
+    raises CheckpointError naming the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 8:
+        raise CheckpointError(f"{path}: truncated header ({len(raw)} bytes)")
     (desc_len,) = struct.unpack("<I", raw[4:8])
-    desc = json.loads(raw[8 : 8 + desc_len].decode("utf-8"))
-    theta = np.frombuffer(raw[8 + desc_len :], dtype="<f8").copy()
-    if desc.get("kind") == "scorer":
-        return ScorerNet(int(desc["dim"]), int(desc["hidden"]), theta)
-    if desc.get("kind") == "sequence":
-        return SequencePredictor(int(desc["t_dim"]), theta)
-    raise CheckpointError(f"{path}: unknown architecture {desc.get('kind')!r}")
+    body = raw[8 + desc_len :]
+    if len(raw) < 8 + desc_len:
+        raise CheckpointError(f"{path}: truncated header ({len(raw)} bytes, "
+                              f"descriptor wants {8 + desc_len})")
+    if len(body) % 8:
+        raise CheckpointError(f"{path}: parameter bytes ({len(body)}) are not whole float64s")
+    try:
+        desc = json.loads(raw[8 : 8 + desc_len].decode("utf-8"))
+        kind = desc.get("kind")
+        theta = np.frombuffer(body, dtype="<f8").copy()
+        if kind == "scorer":
+            return ScorerNet(int(desc["dim"]), int(desc["hidden"]), theta)
+        if kind == "sequence":
+            return SequencePredictor(int(desc["t_dim"]), theta)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
+    raise CheckpointError(f"{path}: unknown architecture {kind!r}")

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureDataset
-from .errors import ConfigurationError, ContractError
-from .losses import DeviationPrior, base_loss, base_loss_grad, cdl_loss
+from .errors import ConfigurationError, ContractError, NumericError
+from .losses import DeviationPrior, base_loss_grad, cdl_loss, score_loss
 from .nets import AdamState, ScorerNet, SequencePredictor
 from .partition import (
     FEW_SHOT,
@@ -138,6 +138,9 @@ class ImportanceState:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
+        if not np.isfinite(w).all():
+            raise NumericError(f"importance estimation: non-finite weights at epoch "
+                               f"{self.epoch}: {w.tolist()}")
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
             raise ContractError("importance weights must be non-negative and sum to 1")
         object.__setattr__(self, "w", w)
@@ -307,6 +310,13 @@ class FitResult:
         return frozenset(self.table.ids)
 
 
+def _logged_losses(scores, table: TrainingTable, rows_per_base, prior, cfg) -> list[float]:
+    """Each trained base's loss over its rows, read off the epoch's (n, T)
+    score matrix instead of scoring the rows again (log only)."""
+    return [score_loss(scores[rows, i], table.y[rows], prior, cfg.reduction)
+            for i, rows in enumerate(rows_per_base)]
+
+
 def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult:
     """Full training loop; a pure function of (dataset, config)."""
     cfg.validate()
@@ -335,11 +345,6 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
     importance_trace: list[ImportanceState] = []
     for epoch in range(cfg.epochs):
         scores = train_bases_epoch(bases, table, cfg, prior, epoch)
-        support_losses = [
-            base_loss(bases[i], table.X[table.support_rows[i]],
-                      table.y[table.support_rows[i]], prior, cfg.reduction)
-            for i in range(cfg.T)
-        ]
 
         seq_loss = None
         if cfg.weight_mode == WEIGHTS_ACCURACY:
@@ -352,18 +357,13 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
         history.append(scores, epoch)
         importance_trace.append(state)
 
-        query_losses = [
-            base_loss(bases[i], table.X[table.query_rows[i]],
-                      table.y[table.query_rows[i]], prior, cfg.reduction)
-            for i in range(cfg.T)
-        ]
         g, unified_loss = unified_update(g, g_opt, bases, table, state.w, prior, cfg)
         bases = broadcast(g, bases)
 
         log.append({
             "epoch": epoch,
-            "support_loss": [float(v) for v in support_losses],
-            "query_loss": [float(v) for v in query_losses],
+            "support_loss": _logged_losses(scores, table, table.support_rows, prior, cfg),
+            "query_loss": _logged_losses(scores, table, table.query_rows, prior, cfg),
             "r": None if state.r is None else [float(v) for v in state.r],
             "w": [float(v) for v in state.w],
             "unified_loss": float(unified_loss),

@@ -155,6 +155,14 @@ class TestCdlLoss:
         with pytest.raises(ContractError):
             cdl_loss(bases, np.array([0.5, 0.5]), prior)     # wrong length
 
+    def test_nan_weights_rejected(self):
+        prior = DeviationPrior.analytic()
+        bases = [(self._net(s), *self._batch(40 + s)) for s in range(2)]
+        with pytest.raises(NumericError, match="cdl aggregation"):
+            cdl_loss(bases, np.array([np.nan, np.nan]), prior)
+        with pytest.raises(NumericError, match="cdl aggregation"):
+            cdl_loss(bases, np.array([np.inf, 1.0]), prior)
+
     def test_linear_in_weights(self):
         prior = DeviationPrior.analytic()
         bases = [(self._net(s), *self._batch(30 + s)) for s in range(3)]

@@ -7,7 +7,7 @@ from hetanom.nets import (
     AdamState,
     ScorerNet,
     SequencePredictor,
-    adam_step,
+    _sigmoid,
     load_checkpoint,
     save_checkpoint,
 )
@@ -127,7 +127,7 @@ class TestAdam:
     def test_zero_gradient_keeps_theta(self):
         opt = AdamState(lr=0.01)
         theta = np.array([1.0, -2.0])
-        new, opt = adam_step(opt, theta, np.zeros(2))
+        new = opt.step(theta, np.zeros(2))
         assert (new == theta).all()
         assert opt.t == 1
 
@@ -192,7 +192,52 @@ def seq_forward_oracle(net, history):
     return net.block("out.W") @ a + net.block("out.b")
 
 
+def piecewise_sigmoid(x):
+    """Reference sigmoid: boolean masks pick 1/(1+exp(-x)) for x >= 0 and
+    exp(x)/(1+exp(x)) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    EDGES = [0.0, 1e-300, 30.0, 709.0, 745.0, 1e308, np.inf]
+
+    def test_bitwise_equal_to_piecewise_at_edges(self):
+        x = np.array(self.EDGES + [-v for v in self.EDGES] + [np.nan])
+        # underflow to a subnormal or zero is the correct result and numpy
+        # ignores it by default; every other floating-point event raises
+        with np.errstate(all="raise", under="ignore"):
+            got = _sigmoid(x)
+            want = piecewise_sigmoid(x)
+        finite = ~np.isnan(x)
+        np.testing.assert_array_equal(got[finite].view(np.uint64),
+                                      want[finite].view(np.uint64))
+        assert np.isnan(got[~finite]).all()
+
+    def test_bitwise_equal_to_piecewise_on_gate_blocks(self):
+        rng = np.random.default_rng(12)
+        z = rng.normal(scale=8.0, size=(4, 2, 33, 7))
+        np.testing.assert_array_equal(_sigmoid(z).view(np.uint64),
+                                      piecewise_sigmoid(z.ravel()).reshape(z.shape).view(np.uint64))
+
+
 class TestSequencePredictor:
+    def test_forward_equals_forward_with_cache(self):
+        rng = np.random.default_rng(13)
+        net = SequencePredictor.init(7, rng)
+        # 1100 rows spans several inference blocks
+        for shape in ((1, 5, 7), (2, 5, 7), (48, 5, 7), (1100, 5, 7), (5, 7)):
+            history = rng.normal(size=shape)
+            out, cache = net.forward_with_cache(history)
+            np.testing.assert_array_equal(net.forward(history).view(np.uint64),
+                                          out.view(np.uint64))
+            assert cache is not None
+        assert net.forward_with_cache(history, keep=False)[1] is None
+
     def test_zero_parameters_zero_output(self):
         net = SequencePredictor(3, np.zeros_like(SequencePredictor.init(3, np.random.default_rng(0)).theta))
         out = net.forward(np.ones((4, 3)))
@@ -275,6 +320,40 @@ class TestCheckpoints:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, SequencePredictor.init(3, np.random.default_rng(2)))
+        return path, path.read_bytes()
+
+    def test_cut_inside_header(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        for cut in (6, 20):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(CheckpointError, match="truncated header") as info:
+                load_checkpoint(path)
+            assert str(path) in str(info.value)
+
+    def test_partial_float_tail(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:-3])
+        with pytest.raises(CheckpointError, match="not whole float64s") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_wrong_parameter_count(self, tmp_path):
+        path, raw = self._saved(tmp_path)
+        path.write_bytes(raw[:-8])
+        with pytest.raises(CheckpointError, match="parameters") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_malformed_descriptor(self, tmp_path):
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(b"AHL1" + (3).to_bytes(4, "little") + b"{x}")
+        with pytest.raises(CheckpointError, match="malformed") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_header_starts_with_magic(self, tmp_path):
         net = ScorerNet.init(2, 2, np.random.default_rng(1))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hetanom.errors import ConfigurationError, ContractError
+from hetanom.errors import ConfigurationError, ContractError, NumericError
 from hetanom.losses import DeviationPrior, base_loss, base_loss_grad
 from hetanom.nets import AdamState, ScorerNet
 from hetanom.partition import build_distributions, kmeans
@@ -57,6 +57,12 @@ class TestImportanceWeights:
     def test_state_validation(self):
         with pytest.raises(ContractError):
             ImportanceState(epoch=0, w=np.array([0.7, 0.7]))
+
+    def test_nan_error_is_rejected_with_stage_and_epoch(self):
+        w = importance_weights(np.array([np.nan, 1.0]))
+        assert np.isnan(w).all()  # softmax spreads one NaN to every weight
+        with pytest.raises(NumericError, match="importance estimation.*epoch 7"):
+            ImportanceState(epoch=7, w=w)
 
 
 class TestGeneralizationErrors:
