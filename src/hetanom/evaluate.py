@@ -27,6 +27,7 @@ from .train import (
     TrainConfig,
     fit,
     train_scorer,
+    train_scorers,
 )
 
 #: the repo's fixed evaluation seeds
@@ -176,15 +177,17 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
         net = train_scorer(net, ds.features, ds.labels, cfg, cfg.epochs,
                            seed=derive_seed(cfg.seed, "plain", 0))
         return VariantModel(name, [net], frozenset(ds.ids))
+    # the ensembles: T scorers, each with its own init and batch stream,
+    # trained as one stack
+    inits = [ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", i))
+             for i in range(cfg.T)]
+    seeds = [derive_seed(cfg.seed, "plain", i) for i in range(cfg.T)]
     if name == "RamFULL":
-        nets = []
-        for i in range(cfg.T):
-            net = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", i))
-            nets.append(train_scorer(net, ds.features, ds.labels, cfg, cfg.epochs,
-                                     seed=derive_seed(cfg.seed, "plain", i)))
+        rows = [np.arange(len(ds.ids))] * cfg.T
+        nets = train_scorers(inits, ds.features, ds.labels, rows, cfg, cfg.epochs, seeds)
         return VariantModel(name, nets, frozenset(ds.ids))
     if name == "RamHADG":
-        nets = []
+        rows = []
         exposed: set[str] = set()
         normal_rows = ds.normal_rows()
         anomaly_rows = ds.anomaly_rows()
@@ -192,11 +195,9 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
             rng = rng_for(cfg.seed, "random-subset", i)
             n_sel = rng.permutation(normal_rows)[: max(1, len(normal_rows) // 2)]
             a_sel = rng.permutation(anomaly_rows)[: max(1, len(anomaly_rows) // 2)]
-            rows = np.sort(np.concatenate([n_sel, a_sel]))
-            exposed.update(ds.ids[int(r)] for r in rows)
-            net = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", i))
-            nets.append(train_scorer(net, ds.features[rows], ds.labels[rows], cfg,
-                                     cfg.epochs, seed=derive_seed(cfg.seed, "plain", i)))
+            rows.append(np.sort(np.concatenate([n_sel, a_sel])))
+            exposed.update(ds.ids[int(r)] for r in rows[-1])
+        nets = train_scorers(inits, ds.features, ds.labels, rows, cfg, cfg.epochs, seeds)
         return VariantModel(name, nets, frozenset(exposed))
     # HADG_only: the structured subsets, but each base trains independently
     # and inference averages the base scores (no unified model)
@@ -207,12 +208,7 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
         seed=derive_seed(cfg.seed, "subsets"), pseudo_per_subset=cfg.pseudo_per_subset,
     )
     table = collection.training_table()
-    nets = []
-    for i in range(cfg.T):
-        rows = table.support_rows[i]
-        net = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", i))
-        nets.append(train_scorer(net, table.X[rows], table.y[rows], cfg, cfg.epochs,
-                                 seed=derive_seed(cfg.seed, "plain", i)))
+    nets = train_scorers(inits, table.X, table.y, table.support_rows, cfg, cfg.epochs, seeds)
     return VariantModel(name, nets, frozenset(table.ids))
 
 

@@ -68,12 +68,15 @@ def deviation_loss_dscore(score, y, prior: DeviationPrior):
     return np.where(y == 0, d_normal, d_anomaly)
 
 
-def _reduce(values: np.ndarray, reduction: str) -> float:
+def _reduce(values: np.ndarray, reduction: str):
+    """Reduce over the last axis: a float, or one value per stacked scorer."""
     if reduction == "mean":
-        return float(values.mean())
-    if reduction == "sum":
-        return float(values.sum())
-    raise ConfigurationError(f"unknown reduction {reduction!r}")
+        out = values.mean(axis=-1)
+    elif reduction == "sum":
+        out = values.sum(axis=-1)
+    else:
+        raise ConfigurationError(f"unknown reduction {reduction!r}")
+    return float(out) if out.ndim == 0 else out
 
 
 def base_loss(net: ScorerNet, X: np.ndarray, y: np.ndarray,
@@ -91,23 +94,29 @@ def score_loss(scores, y, prior: DeviationPrior, reduction: str = "mean") -> flo
 
 def base_loss_grad(net: ScorerNet, X: np.ndarray, y: np.ndarray,
                    prior: DeviationPrior, reduction: str = "mean"):
-    """Loss and its exact reverse-mode gradient w.r.t. the net parameters."""
-    if len(np.atleast_1d(y)) == 0:
+    """Loss and its exact reverse-mode gradient w.r.t. the net parameters.
+
+    For a stack of G scorers, X is (G, n, d) and y is (G, n); the losses
+    (G,) and the gradients (G, P) are then per scorer.
+    """
+    if np.size(y) == 0:
         raise ContractError("base_loss_grad over an empty sample set")
     scores, cache = net.forward_with_cache(np.asarray(X, dtype=np.float64))
     per_sample = deviation_loss(scores, y, prior)
     if not np.isfinite(per_sample).all():
-        bad = int(np.argwhere(~np.isfinite(per_sample))[0][0])
-        raise NumericError(f"non-finite loss at sample index {bad}")
+        *scorer, bad = np.argwhere(~np.isfinite(per_sample))[0].tolist()
+        where = f" of scorer {scorer[0]}" if scorer else ""
+        raise NumericError(f"non-finite loss at sample index {bad}{where}")
     dscores = deviation_loss_dscore(scores, y, prior)
     if reduction == "mean":
-        dscores = dscores / len(per_sample)
+        dscores = dscores / per_sample.shape[-1]
     grad = net.backward(cache, dscores)
     return _reduce(per_sample, reduction), grad
 
 
 def cdl_loss(bases, weights, prior: DeviationPrior, reduction: str = "mean"):
-    """Weighted sum of per-base query losses and its per-base gradients.
+    """Weighted sum of per-base query losses, its per-base gradients, and
+    each base's unweighted loss.
 
     ``bases`` is a sequence of (net, X, y); ``weights`` is either None
     (every base counts with weight 1, the unweighted aggregation) or a
@@ -128,8 +137,10 @@ def cdl_loss(bases, weights, prior: DeviationPrior, reduction: str = "mean"):
             raise ContractError(f"weights must sum to 1, got {w.sum()!r}")
     total = 0.0
     grads = []
+    losses = []
     for wi, (net, X, y) in zip(w, bases):
         loss_i, grad_i = base_loss_grad(net, X, y, prior, reduction)
         total += wi * loss_i
         grads.append(wi * grad_i)
-    return total, grads
+        losses.append(loss_i)
+    return total, grads, losses

@@ -7,6 +7,14 @@ fully-connected head) that forecasts the next epoch's score vectors.
 Gradients are hand-written reverse mode; both nets keep their parameters
 in one flat vector so optimizer steps, broadcasting and checkpointing are
 single array operations.
+
+The scorer takes an optional leading stack axis: parameters (G, P) run G
+scorers in one call, which is how the T base scorers train. Adam is
+elementwise with a step count per stacked row, so rows may sit a step
+out. The sequence predictor keeps its recurrence rows-innermost, states
+(K, 2, H, n) and step products ``U @ h``, and forms its weight gradients
+in the rows-major layout; every result is bit for bit that of the
+per-net, rows-major formulation.
 """
 
 from __future__ import annotations
@@ -36,6 +44,15 @@ def _sigmoid(x):
     return out
 
 
+def _both_directions(x):
+    """(K, d, n) sequence -> C-ordered (K, 2, d, n): as read, and reversed.
+    (BLAS results depend on the memory layout, so it is fixed here.)"""
+    xs = np.empty((x.shape[0], 2) + x.shape[1:])
+    xs[:, 0] = x
+    xs[:, 1] = x[::-1]
+    return xs
+
+
 def _uniform_block(rng, shape, fan_in):
     bound = 1.0 / np.sqrt(fan_in)
     return rng.uniform(-bound, bound, size=shape)
@@ -44,7 +61,10 @@ def _uniform_block(rng, shape, fan_in):
 class ScorerNet:
     """d -> hidden -> 1 scorer: ``score = W2 . relu(W1 x + b1) + b2``.
 
-    Parameters are a flat vector in declaration order W1, b1, W2, b2.
+    Parameters are a flat vector in declaration order W1, b1, W2, b2, or a
+    (G, P) stack of G such vectors. A stack runs G scorers in one call, on
+    inputs (G, n, d), each row of it with its own parameters; one net is
+    the unstacked case of the same code.
     """
 
     def __init__(self, dim: int, hidden: int, theta: np.ndarray):
@@ -52,7 +72,7 @@ class ScorerNet:
         self.hidden = hidden
         expected = self.param_count(dim, hidden)
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (expected,):
+        if theta.ndim not in (1, 2) or theta.shape[-1] != expected:
             raise ShapeError(f"scorer wants {expected} parameters, got {theta.shape}")
         self.theta = theta
 
@@ -73,40 +93,44 @@ class ScorerNet:
 
     def _views(self):
         d, h = self.dim, self.hidden
-        w1 = self.theta[: d * h].reshape(h, d)
-        b1 = self.theta[d * h : d * h + h]
-        w2 = self.theta[d * h + h : d * h + 2 * h]
-        b2 = self.theta[-1]
+        theta = self.theta
+        w1 = theta[..., : d * h].reshape(theta.shape[:-1] + (h, d))
+        b1 = theta[..., d * h : d * h + h]
+        w2 = theta[..., d * h + h : d * h + 2 * h]
+        b2 = theta[..., -1]
         return w1, b1, w2, b2
 
     def forward(self, x: np.ndarray):
-        """Scores for a batch (n, d) -> (n,), or a single vector -> float."""
+        """Scores for a batch (n, d) -> (n,), or a single vector -> float;
+        a stack scores (G, n, d) -> (G, n)."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         X = x[None, :] if single else x
-        if X.shape[1] != self.dim:
-            raise ShapeError(f"input dim {X.shape[1]} != net dim {self.dim}")
+        if X.shape[-1] != self.dim:
+            raise ShapeError(f"input dim {X.shape[-1]} != net dim {self.dim}")
         scores, _ = self.forward_with_cache(X)
         return float(scores[0]) if single else scores
 
     def forward_with_cache(self, X):
         w1, b1, w2, b2 = self._views()
-        z1 = X @ w1.T + b1
+        z1 = X @ w1.swapaxes(-1, -2) + b1[..., None, :]
         a1 = np.maximum(z1, 0.0)
-        scores = a1 @ w2 + b2
+        scores = (a1 @ w2[..., None])[..., 0] + b2[..., None]
         return scores, (X, z1, a1)
 
     def backward(self, cache, dscores: np.ndarray) -> np.ndarray:
-        """Gradient of sum(dscores . scores) w.r.t. the flat parameters."""
+        """Gradient of sum(dscores . scores) w.r.t. the flat parameters,
+        (P,) or, for a stack, (G, P)."""
         X, z1, a1 = cache
         w1, b1, w2, b2 = self._views()
-        dw2 = a1.T @ dscores
-        db2 = dscores.sum()
-        da1 = np.outer(dscores, w2)
-        dz1 = da1 * (z1 > 0)
-        dw1 = dz1.T @ X
-        db1 = dz1.sum(axis=0)
-        return np.concatenate([dw1.ravel(), db1, dw2, [db2]])
+        dw2 = (a1.swapaxes(-1, -2) @ dscores[..., None])[..., 0]
+        db2 = dscores.sum(axis=-1)
+        dz1 = dscores[..., None] * w2[..., None, :]
+        dz1 *= z1 > 0
+        dw1 = dz1.swapaxes(-1, -2) @ X
+        db1 = dz1.sum(axis=-2)
+        lead = self.theta.shape[:-1]
+        return np.concatenate([dw1.reshape(lead + (-1,)), db1, dw2, db2[..., None]], axis=-1)
 
     def descriptor(self) -> dict:
         return {"kind": "scorer", "dim": self.dim, "hidden": self.hidden}
@@ -121,8 +145,10 @@ class SequencePredictor:
 
     Both directions of a layer run in one recurrence: their parameters are
     stacked on a leading axis of size 2 (forward, backward) and every step
-    is one batched matmul. Sequences are kept time-major, (2, K, n, ·),
-    with each direction's inputs in its own reading order.
+    is one batched matmul. Sequences are kept time-major with the rows
+    innermost, (K, 2, ·, n), each direction's inputs in its own reading
+    order, so a step's products are ``U @ h`` and its gate arithmetic runs
+    on contiguous blocks.
     """
 
     HIDDEN = 7
@@ -141,6 +167,16 @@ class SequencePredictor:
         if theta.shape != (pos,):
             raise ShapeError(f"sequence net wants {pos} parameters, got {theta.shape}")
         self.theta = theta
+        # flat positions of each layer's (2, 4H, ...) W, U and b stacks,
+        # gate rows reordered from i, f, g, o to i, f, o, g so the three
+        # sigmoid gates form one block
+        flat = np.arange(pos)
+        self._ifog_index = {}
+        for layer in ("l1", "l2"):
+            for part in ("W", "U", "b"):
+                both = np.stack([self._view(flat, f"{layer}{d}.{part}") for d in "fb"])
+                self._ifog_index[layer, part] = (
+                    both.reshape(2, 4, self.HIDDEN, -1)[:, [0, 1, 3, 2]].reshape(both.shape))
 
     @classmethod
     def _block_table(cls, t_dim):
@@ -178,6 +214,10 @@ class SequencePredictor:
         """(2, ...) stack of one block of a layer's forward and backward LSTM."""
         return np.stack([self.block(f"{layer}f.{part}"), self.block(f"{layer}b.{part}")])
 
+    def _ifog(self, layer, part):
+        """``_stacked`` with the gate rows in the order i, f, o, g."""
+        return self.theta[self._ifog_index[layer, part]]
+
     def forward(self, history: np.ndarray) -> np.ndarray:
         """(n, K, T) history -> (n, T) prediction; also accepts (K, T)."""
         out, _ = self.forward_with_cache(history, keep=False)
@@ -204,11 +244,18 @@ class SequencePredictor:
         return (out[0] if single else out), cache
 
     def _forward(self, S, keep):
+        H = self.HIDDEN
+        # each layer also gets its inputs rows-major, (2, K, n, d), for the
+        # weight gradients; layer 1's keep each row's history contiguous, as
+        # S has it (at an input width of 1 BLAS takes a vector path whose
+        # rounding depends on the stride)
         x = S.transpose(1, 0, 2)
-        h1, cache1 = self._lstm_forward(np.stack([x, x[::-1]]), "l1", keep)
-        u = np.concatenate([h1[0], h1[1, ::-1]], axis=2)
-        h2, cache2 = self._lstm_forward(np.stack([u, u[::-1]]), "l2", keep)
-        head = np.concatenate([h2[0, -1], h2[1, -1]], axis=1)
+        h1, cache1 = self._lstm_forward(_both_directions(S.transpose(1, 2, 0)),
+                                        np.stack([x, x[::-1]]), "l1", keep)
+        u = _both_directions(np.concatenate([h1[:, 0], h1[::-1, 1]], axis=1))
+        h2, cache2 = self._lstm_forward(u, u.transpose(1, 0, 3, 2), "l2", keep)
+        # the head runs rows-major: (n, 2H), each direction's final state
+        head = np.ascontiguousarray(h2[-1].reshape(2 * H, -1).T)
         wf, bf = self.block("fc.W"), self.block("fc.b")
         wo, bo = self.block("out.W"), self.block("out.b")
         zf = head @ wf.T + bf
@@ -235,84 +282,85 @@ class SequencePredictor:
         self._view(grad, "fc.b")[...] = dzf.sum(axis=0)
         dhead = dzf @ wf
 
-        dh2 = np.zeros((2, K, n, H))
-        dh2[0, -1] = dhead[:, :H]
-        dh2[1, -1] = dhead[:, H:]
+        dh2 = np.zeros((K, 2, H, n))
+        dh2[-1] = dhead.T.reshape(2, H, n)
         dx2 = self._lstm_backward(cache2, dh2, grad, "l2", need_dx=True)
-        du = dx2[0] + dx2[1, ::-1]
-        dh1 = np.stack([du[:, :, :H], du[::-1, :, H:]])
+        du = dx2[:, 0] + dx2[::-1, 1]
+        dh1 = np.stack([du[:, :H], du[::-1, H:]], axis=1)
         self._lstm_backward(cache1, dh1, grad, "l1", need_dx=False)
         return grad
 
-    def _lstm_forward(self, xs, layer, keep):
-        """Both directions over (2, K, n, d) inputs -> (2, K, n, H) states.
+    def _lstm_forward(self, xs, xr, layer, keep):
+        """Both directions over (K, 2, d, n) inputs -> (K, 2, H, n) states;
+        ``xr`` holds the same inputs rows-major, for the cache.
 
-        Gates are kept gate-major, (4, 2, n, H) in the order i, f, g, o, so
-        every elementwise step runs on contiguous arrays.
+        The gate rows run in the order i, f, o, g, so one sigmoid call
+        covers the three sigmoid gates.
         """
         H = self.HIDDEN
-        _, K, n, _ = xs.shape
-        W = self._stacked(layer, "W")
-        Ut = self._stacked(layer, "U").transpose(0, 2, 1)
-        # per-step shapes (n, d) @ (d, 4H), as one call for all K steps
-        xw = np.matmul(xs, W.transpose(0, 2, 1)[:, None])
-        xw = np.ascontiguousarray(xw.reshape(2, K, n, 4, H).transpose(1, 3, 0, 2, 4))
-        # the bias is spread over all rows once, so each step's add is contiguous
-        b = self._stacked(layer, "b").reshape(2, 4, 1, H).transpose(1, 0, 2, 3)
-        b = np.ascontiguousarray(np.broadcast_to(b, (4, 2, n, H)))
-        hs = np.zeros((2, K + 1, n, H))  # hs[:, t] is the state entering step t
-        hu = np.empty((2, n, 4 * H))
-        z = np.empty((4, 2, n, H))
-        c = np.zeros((2, n, H))
+        K, _, _, n = xs.shape
+        U = self._ifog(layer, "U")
+        b = self._ifog(layer, "b")[:, :, None]
+        # per-step products (4H, d) @ (d, n), as one call for all K steps
+        xw = np.matmul(self._ifog(layer, "W"), xs)
+        hs = np.zeros((K + 1, 2, H, n))  # hs[t] is the state entering step t
+        z = np.empty((2, 4 * H, n))
+        c = np.zeros((2, H, n))
         steps = []
         for t in range(K):
-            np.matmul(hs[:, t], Ut, out=hu)
-            np.add(xw[t], hu.reshape(2, n, 4, H).transpose(2, 0, 1, 3), out=z)
+            np.matmul(U, hs[t], out=z)
+            z += xw[t]
             z += b
-            gates = _sigmoid(z)  # i, f, o; the g block is overwritten
-            np.tanh(z[2], out=gates[2])
-            i, f, g, o = gates
+            sig = _sigmoid(z[:, : 3 * H])
+            g = np.tanh(z[:, 3 * H :])
+            i, f, o = sig[:, :H], sig[:, H : 2 * H], sig[:, 2 * H :]
             c_prev, c = c, f * c
             c += i * g
             tanh_c = np.tanh(c)
-            np.multiply(o, tanh_c, out=hs[:, t + 1])
+            np.multiply(o, tanh_c, out=hs[t + 1])
             if keep:
-                steps.append((c_prev, gates, tanh_c))
-        return hs[:, 1:], ((xs, hs, steps) if keep else None)
+                steps.append((c_prev, sig, g, tanh_c))
+        return hs[1:], ((xr, hs, steps) if keep else None)
 
     def _lstm_backward(self, cache, dh_out, grad, layer, need_dx):
         """Backpropagation through time for both directions. The loop keeps
-        only what the recurrence needs; the per-step weight gradients are
-        formed in one batched call after it and summed in the step order
-        of the recurrence (last step first)."""
-        xs, hs, steps = cache
+        only what the recurrence needs and builds each step's dz in the
+        parameters' gate order i, f, g, o. It also keeps every dz
+        rows-major, (2, K, n, 4H), so the weight gradients, formed after it
+        in one batched call and summed in the step order of the recurrence
+        (last step first), run the same (4H, n) @ (n, ·) products and
+        row-axis sums as a rows-major recurrence would."""
+        xr, hs, steps = cache
         H = self.HIDDEN
-        _, K, n, d = xs.shape
-        U = self._stacked(layer, "U")
-        dzs = np.empty((2, K, n, 4 * H))  # per-step dz, (n, 4H) per direction
-        dgates = np.empty((4, 2, n, H))
-        dh_next = np.zeros((2, n, H))
-        dc_next = np.zeros((2, n, H))
+        _, K, n, d = xr.shape
+        Ut = self._stacked(layer, "U").transpose(0, 2, 1)
+        dzs = np.empty((2, K, n, 4 * H))
+        dz = np.empty((2, 4 * H, n))
+        dsig = np.empty((2, 3 * H, n))  # the i, f, o gates, in forward order
+        dh_next = np.zeros((2, H, n))
+        dc_next = np.zeros((2, H, n))
         for t in reversed(range(K)):
-            c_prev, gates, tanh_c = steps[t]
-            i, f, g, o = gates
-            dh = dh_out[:, t] + dh_next
+            c_prev, sig, g, tanh_c = steps[t]
+            i, f, o = sig[:, :H], sig[:, H : 2 * H], sig[:, 2 * H :]
+            dh = dh_out[t] + dh_next
             dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
-            # sigmoid gates: (upstream * s) * (1 - s); the g block follows
-            np.multiply(dc, g, out=dgates[0])
-            np.multiply(dc, c_prev, out=dgates[1])
-            np.multiply(dh, tanh_c, out=dgates[3])
-            dgates *= gates
-            dgates *= 1.0 - gates
-            np.multiply(dc, i, out=dgates[2])
-            dgates[2] *= 1.0 - g ** 2
+            # sigmoid gates: (upstream * s) * (1 - s)
+            np.multiply(dc, g, out=dsig[:, :H])
+            np.multiply(dc, c_prev, out=dsig[:, H : 2 * H])
+            np.multiply(dh, tanh_c, out=dsig[:, 2 * H :])
+            dsig *= sig
+            dsig *= 1.0 - sig
             dc_next = dc * f
-            dz = dzs[:, t]
-            dz.reshape(2, n, 4, H)[...] = dgates.transpose(1, 2, 0, 3)
-            dh_next = np.matmul(dz, U)
+            dz[:, : 2 * H] = dsig[:, : 2 * H]
+            dz[:, 3 * H :] = dsig[:, 2 * H :]
+            dg = dz[:, 2 * H : 3 * H]
+            np.multiply(dc, i, out=dg)
+            dg *= 1.0 - g ** 2
+            dh_next = np.matmul(Ut, dz)
+            dzs[:, t] = dz.transpose(0, 2, 1)
         dzsT = dzs.transpose(0, 1, 3, 2)
-        dW_steps = np.matmul(dzsT, xs)
-        dU_steps = np.matmul(dzsT, hs[:, :K])
+        dW_steps = np.matmul(dzsT, xr)
+        dU_steps = np.matmul(dzsT, hs[:K].transpose(1, 0, 3, 2))
         db_steps = dzs.sum(axis=2)
         dW = np.zeros((2, 4 * H, d))
         dU = np.zeros((2, 4 * H, H))
@@ -327,15 +375,19 @@ class SequencePredictor:
             self._view(grad, f"{layer}{direction}.b")[...] = db[k]
         if not need_dx:
             return None
-        return np.matmul(dzs, self._stacked(layer, "W")[:, None])
+        dx = np.matmul(dzs, self._stacked(layer, "W")[:, None])
+        return dx.transpose(1, 0, 3, 2)
 
     def descriptor(self) -> dict:
         return {"kind": "sequence", "t_dim": self.t_dim}
 
 
 class AdamState:
-    """Bias-corrected Adam. Moments are lazily sized on the first step;
-    one state must not be shared across threads."""
+    """Bias-corrected Adam over a flat parameter vector or a (G, P) stack of
+    them, with a step count per row. Moments are sized on the first step,
+    which must take the whole stack; a later step may take only some rows,
+    and the others keep their moments and step counts. One state must not
+    be shared across threads."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
@@ -348,17 +400,28 @@ class AdamState:
         self.m = None
         self.v = None
 
-    def step(self, theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if self.m is None:
-            self.m = np.zeros_like(theta)
-            self.v = np.zeros_like(theta)
+    def step(self, theta: np.ndarray, grad: np.ndarray, rows=None) -> np.ndarray:
+        """The stepped parameters. With ``rows`` (indices into the stack),
+        ``theta`` and ``grad`` hold only those rows."""
         if grad.shape != theta.shape:
             raise ShapeError("gradient/parameter shape mismatch")
-        self.t += 1
-        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1 - self.beta2) * grad ** 2
-        m_hat = self.m / (1 - self.beta1 ** self.t)
-        v_hat = self.v / (1 - self.beta2 ** self.t)
+        if self.m is None:
+            if rows is not None:
+                raise ShapeError("the first Adam step must take every row")
+            self.m = np.zeros_like(theta)
+            self.v = np.zeros_like(theta)
+            self.t = np.zeros(theta.shape[:-1], dtype=np.int64)
+        sel = Ellipsis if rows is None else rows
+        m, v, t = self.m[sel], self.v[sel], self.t[sel] + 1
+        if m.shape != theta.shape:
+            raise ShapeError("parameter shape differs from the Adam moments")
+        m = self.beta1 * m + (1 - self.beta1) * grad
+        v = self.beta2 * v + (1 - self.beta2) * grad ** 2
+        self.m[sel], self.v[sel], self.t[sel] = m, v, t
+        # bias corrections in Python floats, one per row
+        steps = t.ravel().tolist()
+        m_hat = m / np.reshape([1 - self.beta1 ** k for k in steps], t.shape + (1,))
+        v_hat = v / np.reshape([1 - self.beta2 ** k for k in steps], t.shape + (1,))
         return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 

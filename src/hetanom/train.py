@@ -97,27 +97,19 @@ class TrainConfig:
 
 
 class ScoreHistory:
-    """Per-sample ring buffers of the last K epoch score vectors, tagged
-    with the epoch each vector came from."""
+    """Per-sample ring buffers of the last K epoch score vectors."""
 
     def __init__(self, n_samples: int, k: int, t: int):
         self.n_samples = n_samples
         self.k = k
         self.t = t
         self._buf: deque[np.ndarray] = deque(maxlen=k)
-        self._epochs: deque[int] = deque(maxlen=k)
 
-    def append(self, scores: np.ndarray, epoch: int | None = None) -> None:
+    def append(self, scores: np.ndarray) -> None:
         scores = np.asarray(scores, dtype=np.float64)
         if scores.shape != (self.n_samples, self.t):
             raise ContractError(f"score matrix must be {(self.n_samples, self.t)}")
         self._buf.append(scores)
-        self._epochs.append(epoch if epoch is not None
-                            else (self._epochs[-1] + 1 if self._epochs else 0))
-
-    @property
-    def epochs(self) -> tuple[int, ...]:
-        return tuple(self._epochs)
 
     @property
     def full(self) -> bool:
@@ -189,15 +181,42 @@ def _balanced_batch(rng, normal_rows, anomaly_rows, batch_size):
     ])
 
 
-def _train_support_epoch(net: ScorerNet, opt: AdamState, X, y, prior, cfg, rng) -> None:
-    y = np.asarray(y)
+def _epoch_batches(rng, y, batch_size):
+    """One epoch of balanced batches over a support set's labels, as
+    positions in it."""
     normal_rows = np.flatnonzero(y == 0)
     anomaly_rows = np.flatnonzero(y == 1)
-    steps = math.ceil(len(y) / cfg.batch_size)
-    for _ in range(steps):
-        rows = _balanced_batch(rng, normal_rows, anomaly_rows, cfg.batch_size)
+    steps = math.ceil(len(y) / batch_size)
+    return [_balanced_batch(rng, normal_rows, anomaly_rows, batch_size) for _ in range(steps)]
+
+
+def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches, prior, cfg) -> None:
+    """Minibatch Adam steps for a stack of G scorers, in place.
+    ``batches[i]`` lists scorer i's batches as rows of (X, y). Step s is
+    one stacked call for every scorer that has an s-th batch; the others
+    sit it out with their parameters and Adam moments untouched."""
+    theta = stack.theta.copy()
+    steps = np.array([len(b) for b in batches])
+    for s in range(steps.max(initial=0)):
+        active = np.flatnonzero(steps > s)
+        part = None if len(active) == len(batches) else active
+        rows = np.stack([batches[i][s] for i in active])
+        sub = theta if part is None else theta[part]
+        net = ScorerNet(stack.dim, stack.hidden, sub)
         _, grad = base_loss_grad(net, X[rows], y[rows], prior, cfg.reduction)
-        net.theta = opt.step(net.theta, grad)
+        if part is None:
+            theta = opt.step(sub, grad)
+        else:
+            theta[part] = opt.step(sub, grad, rows=part)
+    stack.theta = theta
+
+
+def _train_support_epoch(net: ScorerNet, opt: AdamState, X, y, prior, cfg, rng) -> None:
+    """One support-set pass for one scorer: the one-row case of ``_train_stack``."""
+    y = np.asarray(y)
+    stack = ScorerNet(net.dim, net.hidden, net.theta[None])
+    _train_stack(stack, opt, X, y, [_epoch_batches(rng, y, cfg.batch_size)], prior, cfg)
+    net.theta = stack.theta[0]
 
 
 def train_bases_epoch(bases, table: TrainingTable, cfg: TrainConfig,
@@ -205,17 +224,28 @@ def train_bases_epoch(bases, table: TrainingTable, cfg: TrainConfig,
     """One support-set epoch for every base (fresh inner Adam each epoch),
     then score all training samples with all bases: returns (n, T).
 
-    Every base draws from an identically seeded batch stream, so bases
-    with identical support sets stay identical; diversity comes from the
-    data, not from the sampler.
+    The bases train as one stack. Every base draws from an identically
+    seeded batch stream, so bases with identical support sets stay
+    identical; diversity comes from the data, not from the sampler.
     """
-    for i, net in enumerate(bases):
-        rows = table.support_rows[i]
+    # the draws depend on a support's label counts only: bases with equal
+    # counts share them, as positions in the support sorted by label
+    drawn = {}
+    batches = []
+    for i, rows in enumerate(table.support_rows):
         if rows.size == 0:
             raise ConfigurationError(f"subset {i} has an empty support set")
-        opt = AdamState(cfg.lr_base)
-        _train_support_epoch(net, opt, table.X[rows], table.y[rows], prior, cfg,
-                             rng_for(cfg.seed, "batches", epoch))
+        y = table.y[rows]
+        key = (len(y), int(y.sum()))
+        if key not in drawn:
+            drawn[key] = _epoch_batches(rng_for(cfg.seed, "batches", epoch), np.sort(y),
+                                        cfg.batch_size)
+        by_label = rows[np.argsort(y, kind="stable")]
+        batches.append([by_label[p] for p in drawn[key]])
+    stack = ScorerNet(bases[0].dim, bases[0].hidden, np.stack([net.theta for net in bases]))
+    _train_stack(stack, AdamState(cfg.lr_base), table.X, table.y, batches, prior, cfg)
+    for net, row in zip(bases, stack.theta):
+        net.theta = row
     return np.stack([net.forward(table.X) for net in bases], axis=1)
 
 
@@ -269,12 +299,13 @@ def unified_update(g: ScorerNet, g_opt: AdamState | None, bases,
                    table: TrainingTable, w: np.ndarray,
                    prior: DeviationPrior, cfg: TrainConfig):
     """One unified step on the importance-weighted aggregate of the bases'
-    query-set gradients (taken at the trained base parameters)."""
+    query-set gradients (taken at the trained base parameters). Returns the
+    new unified scorer, the weighted loss and each base's query loss."""
     batches = [
         (bases[i], table.X[table.query_rows[i]], table.y[table.query_rows[i]])
         for i in range(len(bases))
     ]
-    total, grads = cdl_loss(batches, w, prior, cfg.reduction)
+    total, grads, losses = cdl_loss(batches, w, prior, cfg.reduction)
     agg = np.zeros_like(g.theta)
     for grad_i in grads:  # ascending base index, fixed reduction order
         agg += grad_i
@@ -282,7 +313,7 @@ def unified_update(g: ScorerNet, g_opt: AdamState | None, bases,
         theta = g.theta - cfg.lr_unified * agg
     else:
         theta = g_opt.step(g.theta, agg)
-    return ScorerNet(g.dim, g.hidden, theta), total
+    return ScorerNet(g.dim, g.hidden, theta), total, losses
 
 
 def broadcast(g: ScorerNet, bases) -> list[ScorerNet]:
@@ -310,11 +341,11 @@ class FitResult:
         return frozenset(self.table.ids)
 
 
-def _logged_losses(scores, table: TrainingTable, rows_per_base, prior, cfg) -> list[float]:
-    """Each trained base's loss over its rows, read off the epoch's (n, T)
-    score matrix instead of scoring the rows again (log only)."""
+def _support_losses(scores, table: TrainingTable, prior, cfg) -> list[float]:
+    """Each trained base's support loss, read off the epoch's (n, T) score
+    matrix instead of scoring the rows again (log only)."""
     return [score_loss(scores[rows, i], table.y[rows], prior, cfg.reduction)
-            for i, rows in enumerate(rows_per_base)]
+            for i, rows in enumerate(table.support_rows)]
 
 
 def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult:
@@ -354,16 +385,17 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
                                                   scores, table, cfg, epoch)
         else:
             state = ImportanceState(epoch=epoch, w=np.full(cfg.T, 1.0 / cfg.T))
-        history.append(scores, epoch)
+        history.append(scores)
         importance_trace.append(state)
 
-        g, unified_loss = unified_update(g, g_opt, bases, table, state.w, prior, cfg)
+        g, unified_loss, query_losses = unified_update(g, g_opt, bases, table, state.w,
+                                                       prior, cfg)
         bases = broadcast(g, bases)
 
         log.append({
             "epoch": epoch,
-            "support_loss": _logged_losses(scores, table, table.support_rows, prior, cfg),
-            "query_loss": _logged_losses(scores, table, table.query_rows, prior, cfg),
+            "support_loss": _support_losses(scores, table, prior, cfg),
+            "query_loss": [float(v) for v in query_losses],
             "r": None if state.r is None else [float(v) for v in state.r],
             "w": [float(v) for v in state.w],
             "unified_loss": float(unified_loss),
@@ -382,11 +414,27 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
 def train_scorer(net: ScorerNet, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                  epochs: int, seed: int, prior: DeviationPrior | None = None) -> ScorerNet:
     """Plain standalone training: balanced minibatches, one persistent Adam.
-    Used by the baselines and by normals-only fine-tuning."""
-    net = net.copy()
+    Used by the Homogeneous baseline and by normals-only fine-tuning."""
+    return train_scorers([net], X, y, [np.arange(len(y))], cfg, epochs, [seed], prior)[0]
+
+
+def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
+                  epochs: int, seeds, prior: DeviationPrior | None = None) -> list[ScorerNet]:
+    """``train_scorer`` for several scorers at once, as one stack: scorer i
+    trains on rows[i] of (X, y) with its own batch stream (seeds[i]) and its
+    own Adam moments and step count, exactly as it would alone."""
     prior = prior if prior is not None else cfg.prior()
+    y = np.asarray(y)
+    dim, hidden = nets[0].dim, nets[0].hidden
+    if any((n.dim, n.hidden) != (dim, hidden) for n in nets):
+        raise ContractError("stacked training requires identical architectures")
+    if len(nets) > 1 and any(len(r) == 0 for r in rows):
+        raise ContractError("stacked training requires training rows for every scorer")
+    stack = ScorerNet(dim, hidden, np.stack([n.theta for n in nets]))
     opt = AdamState(cfg.lr_base)
     for epoch in range(epochs):
-        _train_support_epoch(net, opt, X, y, prior, cfg,
-                             rng_for(seed, "plain", epoch))
-    return net
+        batches = [[r[p] for p in _epoch_batches(rng_for(seed, "plain", epoch), y[r],
+                                                 cfg.batch_size)]
+                   for r, seed in zip(rows, seeds)]
+        _train_stack(stack, opt, X, y, batches, prior, cfg)
+    return [ScorerNet(dim, hidden, row) for row in stack.theta]

@@ -83,7 +83,7 @@ def test_criterion_1_gradient_correctness():
                 y = rng.integers(0, 2, size=4)
                 bases.append((net, X, y))
             w = rng.dirichlet(np.ones(2))
-            _, grads = cdl_loss(bases, w, prior)
+            _, grads, _ = cdl_loss(bases, w, prior)
             for b, (net, X, y) in enumerate(bases):
                 def loss_at(theta, b=b):
                     trial = list(bases)
@@ -230,6 +230,10 @@ def test_criterion_7_directional_heterogeneity(benchmark_ds):
               f"HADG_only={means['HADG_only']:.4f}")
         assert means["AHL"] > means["Homogeneous"]
         assert means["AHL"] >= means["HADG_only"] - 0.005
+        # exact pins: every variant's training path must keep its numbers
+        assert means == {"AHL": 0.7698537037037037,
+                         "Homogeneous": 0.7221833333333334,
+                         "HADG_only": 0.6130629629629629}
         assert time.time() - start < 600.0
 
 

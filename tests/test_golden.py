@@ -1,13 +1,19 @@
 """Golden pins: the criterion-8 config must reproduce its recorded results
-checksum, per-epoch fit logs and checkpoints bit for bit."""
+checksum, per-epoch fit logs and checkpoints bit for bit, and a default
+fit on the benchmark its recorded parameters and log."""
 
 import hashlib
 import json
 from pathlib import Path
 
-from hetanom.cli import main as cli_main
+import numpy as np
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "criterion8.json").read_text())
+from hetanom import TrainConfig, fit
+from hetanom.cli import main as cli_main
+from hetanom.synth import default_benchmark, generate
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((GOLDEN_DIR / "criterion8.json").read_text())
 
 
 def _sha256(path: Path) -> str:
@@ -24,3 +30,16 @@ def test_criterion8_golden(tmp_path):
     assert logs == GOLDEN["fit_log_sha256"]
     ckpts = {p.name: _sha256(p) for p in sorted((out / "checkpoints").iterdir())}
     assert ckpts == GOLDEN["checkpoint_sha256"]
+
+
+def test_default_fit_golden():
+    pins = json.loads((GOLDEN_DIR / "fit_default.json").read_text())
+    res = fit(generate(default_benchmark(seed=1)), TrainConfig())
+
+    def theta_sha(net):
+        return hashlib.sha256(np.ascontiguousarray(net.theta, dtype="<f8").tobytes()).hexdigest()
+
+    log = "".join(json.dumps(record, sort_keys=True) + "\n" for record in res.log)
+    assert theta_sha(res.unified) == pins["unified_theta_sha256"]
+    assert theta_sha(res.seq_net) == pins["seq_theta_sha256"]
+    assert hashlib.sha256(log.encode("utf-8")).hexdigest() == pins["log_sha256"]

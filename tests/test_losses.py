@@ -111,8 +111,9 @@ class TestCdlLoss:
         net = self._net(1)
         X, y = self._batch(2)
         prior = DeviationPrior.analytic()
-        total, grads = cdl_loss([(net, X, y)], np.array([1.0]), prior)
+        total, grads, losses = cdl_loss([(net, X, y)], np.array([1.0]), prior)
         assert total == base_loss(net, X, y, prior)
+        assert losses == [total]
         np.testing.assert_array_equal(grads[0], base_loss_grad(net, X, y, prior)[1])
 
     def test_uniform_weights_average(self):
@@ -121,7 +122,7 @@ class TestCdlLoss:
         prior = DeviationPrior.analytic()
         b1 = (n1, np.array([[2.0]]), np.array([0]))  # loss 2
         b2 = (n1, np.array([[4.0]]), np.array([0]))  # loss 4
-        total, _ = cdl_loss([b1, b2], np.array([0.5, 0.5]), prior)
+        total, _, _ = cdl_loss([b1, b2], np.array([0.5, 0.5]), prior)
         assert total == 3.0
 
     def test_one_hot_matches_single(self):
@@ -132,16 +133,18 @@ class TestCdlLoss:
             X, y = self._batch(10 + s)
             bases.append((net, X, y))
         w = np.array([0.0, 1.0, 0.0])
-        total, grads = cdl_loss(bases, w, prior)
+        total, grads, losses = cdl_loss(bases, w, prior)
         ref_loss, ref_grad = base_loss_grad(*bases[1], prior)
         assert abs(total - ref_loss) < 1e-15
         np.testing.assert_array_equal(grads[1], ref_grad)
         assert (grads[0] == 0).all() and (grads[2] == 0).all()
+        # the per-base losses are unweighted, zero weights included
+        assert losses == [base_loss(n, X, y, prior) for n, X, y in bases]
 
     def test_absent_weights_are_unnormalized(self):
         prior = DeviationPrior.analytic()
         bases = [(self._net(s), *self._batch(20 + s)) for s in range(2)]
-        total, _ = cdl_loss(bases, None, prior)
+        total, _, _ = cdl_loss(bases, None, prior)
         expected = sum(base_loss(n, X, y, prior) for n, X, y in bases)
         assert abs(total - expected) < 1e-12
 
@@ -170,9 +173,9 @@ class TestCdlLoss:
         w1 = rng.dirichlet(np.ones(3))
         w2 = rng.dirichlet(np.ones(3))
         alpha = 0.3
-        mixed, _ = cdl_loss(bases, alpha * w1 + (1 - alpha) * w2, prior)
-        t1, _ = cdl_loss(bases, w1, prior)
-        t2, _ = cdl_loss(bases, w2, prior)
+        mixed, _, _ = cdl_loss(bases, alpha * w1 + (1 - alpha) * w2, prior)
+        t1, _, _ = cdl_loss(bases, w1, prior)
+        t2, _, _ = cdl_loss(bases, w2, prior)
         assert abs(mixed - (alpha * t1 + (1 - alpha) * t2)) < 1e-12
 
 

@@ -289,8 +289,8 @@ class TestUnifiedUpdateLinearity:
             X = rng.normal(size=(6, 3))
             y = rng.integers(0, 2, size=6)
             bases.append((net, X, y))
-        _, weighted = cdl_loss(bases, np.full(4, 0.25), prior)
-        _, unweighted = cdl_loss(bases, None, prior)
+        _, weighted, _ = cdl_loss(bases, np.full(4, 0.25), prior)
+        _, unweighted, _ = cdl_loss(bases, None, prior)
         agg_w = np.sum(weighted, axis=0)
         agg_u = np.sum(unweighted, axis=0) / 4.0
         np.testing.assert_allclose(agg_w, agg_u, atol=1e-12)
