@@ -12,9 +12,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+import types
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 from .data import FeatureDataset, ingest_csv, write_csv
@@ -26,12 +29,13 @@ from .evaluate import (
     run_protocol,
     sweep,
     sweep_csv,
+    swept_config,
 )
 from .nets import save_checkpoint
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -88,19 +92,41 @@ class RunConfig:
         return out
 
 
-def _build(section: str, cls, raw: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
+def _typed(path: str, value, hint):
+    """``value`` checked against the annotation ``hint`` (a JSON list becomes
+    a tuple); a wrong type raises a ConfigurationError naming ``path``."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):  # X | None
+        if value is None and type(None) in args:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    elif typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{path}: must be a list, got {value!r}")
+        return tuple(_typed(f"{path}[{i}]", v, args[0]) for i, v in enumerate(value))
+    if hint is float:
+        ok = type(value) is int or (type(value) is float and math.isfinite(value))
+        name = "a finite number"
+    else:  # bool is an int subclass: only an exact type match passes
+        ok = type(value) is hint
+        name = {int: "an integer", str: "a string", bool: "true or false"}[hint]
+    if not ok:
+        raise ConfigurationError(f"{path}: must be {name}, got {value!r}")
+    return value
+
+
+def _build(section: str, cls, raw):
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{section}: must be a JSON object")
+    hints = typing.get_type_hints(cls)
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(raw) - set(known)
     if unknown:
         raise ConfigurationError(f"{section}.{sorted(unknown)[0]}: unknown field")
-    coerced = dict(raw)
-    for key in ("seeds", "fractions"):
-        if isinstance(coerced.get(key), list):
-            coerced[key] = tuple(coerced[key])
-    try:
-        return cls(**coerced)
-    except TypeError as exc:
-        raise ConfigurationError(f"{section}: {exc}") from None
+    for name, f in known.items():
+        if name not in raw and f.default is MISSING:
+            raise ConfigurationError(f"{section}.{name}: required field")
+    return cls(**{k: _typed(f"{section}.{k}", v, hints[k]) for k, v in raw.items()})
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -116,15 +142,15 @@ def parse_config(raw: dict) -> RunConfig:
     if not isinstance(ds_raw, dict) or ds_raw.get("kind") not in ("csv", "synthetic"):
         raise ConfigurationError("dataset.kind: must be 'csv' or 'synthetic'")
     if ds_raw["kind"] == "csv":
-        if not ds_raw.get("path"):
+        if not isinstance(ds_raw.get("path"), str) or not ds_raw["path"]:
             raise ConfigurationError("dataset.path: required for csv datasets")
-        dataset = DatasetSource(kind="csv", path=str(ds_raw["path"]))
+        dataset = DatasetSource(kind="csv", path=ds_raw["path"])
     else:
         spec = None
         if ds_raw.get("spec") is not None:
             try:
                 spec = MixtureSpec.from_dict(ds_raw["spec"])
-            except (KeyError, TypeError, ConfigurationError) as exc:
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
                 raise ConfigurationError(f"dataset.spec: {exc}") from None
         dataset = DatasetSource(kind="synthetic", spec=spec)
 
@@ -136,6 +162,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigurationError("protocol: required section")
     protocol = _build("protocol", ProtocolSpec, proto_raw)
     protocol.validate(prefix="protocol.")
+    if protocol.kind == "cross_domain":
+        raise ConfigurationError("protocol.kind: the CLI runs 'general' and 'hard' only; "
+                                 "cross_domain runs through evaluate.run_cross_domain")
 
     variants_raw = raw.get("variants", ["AHL"])
     if not isinstance(variants_raw, list) or not variants_raw:
@@ -152,17 +181,20 @@ def parse_config(raw: dict) -> RunConfig:
         sw = raw["sweep"]
         if not isinstance(sw, dict) or sw.get("param") not in ("C", "K"):
             raise ConfigurationError("sweep.param: must be 'C' or 'K'")
-        if not isinstance(sw.get("values"), list) or not sw["values"]:
+        values = _typed("sweep.values", sw.get("values"), tuple[int, ...])
+        if not values:
             raise ConfigurationError("sweep.values: must be a non-empty list")
-        sweep_spec = SweepSpec(param=sw["param"], values=tuple(int(v) for v in sw["values"]))
+        for i, value in enumerate(values):
+            swept_config(train, sw["param"], value).validate(prefix=f"sweep.values[{i}]: ")
+        sweep_spec = SweepSpec(param=sw["param"], values=values)
 
     return RunConfig(
         dataset=dataset,
         train=train,
         protocol=protocol,
         variants=tuple(variants),
-        output_dir=raw.get("output_dir"),
-        seed=int(raw.get("seed", 0)),
+        output_dir=_typed("output_dir", raw.get("output_dir"), str | None),
+        seed=_typed("seed", raw.get("seed", 0), int),
         sweep=sweep_spec,
     )
 
@@ -222,6 +254,9 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
 def execute_sweep(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     if config.sweep is None:
         raise ConfigurationError("sweep: section required for the sweep command")
+    if len(config.variants) != 1:
+        raise ConfigurationError(f"variants: the sweep command runs one variant, "
+                                 f"got {len(config.variants)}")
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = config.dataset.load()
     cfg = replace(config.train, seed=config.seed)

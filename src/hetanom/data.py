@@ -9,6 +9,7 @@ evaluation protocols, never by training losses.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 
@@ -161,83 +162,74 @@ def _largest_remainder(n: int, fractions) -> list[int]:
     return counts
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column layout of a feature CSV: ``id,label,class,f0..f{d-1}``."""
-
-    id_column: str = "id"
-    label_column: str = "label"
-    class_column: str = "class"
-    feature_prefix: str = "f"
+#: a feature CSV's leading columns; feature column j is named f"f{j}"
+CSV_HEAD = ("id", "label", "class")
 
 
-def ingest_csv(path, schema: CsvSchema = CsvSchema()) -> FeatureDataset:
-    """Read a feature CSV into a validated dataset, preserving row order."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def ingest_csv(path) -> FeatureDataset:
+    """Read a feature CSV (``id,label,class,f0..f{d-1}``) into a validated
+    dataset, preserving row order. Every error names ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty file") from None
+    dim = _check_header(header, path)
+    ids, feats, labels, tags = [], [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3 + dim:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {3 + dim} columns, got {len(row)}"
+            )
+        sid, label_text, tag = row[0], row[1], row[2]
+        if label_text not in ("0", "1"):
+            raise ParseError(f"{path}: line {lineno}: label must be 0 or 1")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file") from None
-        dim = _check_header(header, schema, path)
-        ids, feats, labels, tags = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3 + dim:
-                raise ParseError(
-                    f"{path}: line {lineno}: expected {3 + dim} columns, got {len(row)}"
-                )
-            sid, label_text, tag = row[0], row[1], row[2]
-            if label_text not in ("0", "1"):
-                raise ParseError(f"{path}: line {lineno}: label must be 0 or 1")
-            try:
-                values = [float(v) for v in row[3:]]
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from None
-            ids.append(sid)
-            labels.append(int(label_text))
-            tags.append(tag)
-            feats.append(values)
+            values = [float(v) for v in row[3:]]
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+        ids.append(sid)
+        labels.append(int(label_text))
+        tags.append(tag)
+        feats.append(values)
     if not ids:
         raise SchemaError(f"{path}: no data rows")
-    if len(set(ids)) != len(ids):
-        seen = set()
-        dup = next(i for i in ids if i in seen or seen.add(i))
-        raise ValidationError(f"{path}: duplicate sample id {dup!r}")
-    return FeatureDataset(
-        ids=tuple(ids),
-        features=np.array(feats, dtype=np.float64),
-        labels=np.array(labels, dtype=np.int64),
-        class_tags=tuple(tags),
-    )
+    try:
+        return FeatureDataset(
+            ids=tuple(ids),
+            features=np.array(feats, dtype=np.float64),
+            labels=np.array(labels, dtype=np.int64),
+            class_tags=tuple(tags),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def _check_header(header, schema: CsvSchema, path) -> int:
-    expected_head = [schema.id_column, schema.label_column, schema.class_column]
-    if header[:3] != expected_head:
-        raise SchemaError(f"{path}: header must start with {','.join(expected_head)}")
+def _check_header(header, path) -> int:
+    if tuple(header[:3]) != CSV_HEAD:
+        raise SchemaError(f"{path}: header must start with {','.join(CSV_HEAD)}")
     feature_cols = header[3:]
     if not feature_cols:
         raise SchemaError(f"{path}: no feature columns")
     for i, name in enumerate(feature_cols):
-        if name != f"{schema.feature_prefix}{i}":
-            raise SchemaError(
-                f"{path}: feature column {i} is {name!r}, "
-                f"expected {schema.feature_prefix}{i!r}"
-            )
+        if name != f"f{i}":
+            raise SchemaError(f"{path}: feature column {i} is {name!r}, expected f{i}")
     return len(feature_cols)
 
 
-def write_csv(ds: FeatureDataset, path, schema: CsvSchema = CsvSchema()) -> None:
+def write_csv(ds: FeatureDataset, path) -> None:
     """Export to CSV; floats use shortest round-trip formatting so that
     ``ingest_csv(write_csv(ds)) == ds`` bitwise."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [schema.id_column, schema.label_column, schema.class_column]
-            + [f"{schema.feature_prefix}{j}" for j in range(ds.dim)]
-        )
+        writer.writerow(list(CSV_HEAD) + [f"f{j}" for j in range(ds.dim)])
         for i, sid in enumerate(ds.ids):
             writer.writerow(
                 [sid, str(int(ds.labels[i])), ds.class_tags[i]]

@@ -19,13 +19,13 @@ import numpy as np
 from .data import ANOMALY, FeatureDataset, SplitSpec, stratified_split
 from .errors import ConfigurationError, ContractError, ShapeError, UndefinedMetricError
 from .nets import ScorerNet
-from .partition import FEW_SHOT, ONE_SHOT, build_distributions, kmeans
 from .seeding import derive_seed, rng_for
 from .train import (
     WEIGHTS_ACCURACY,
     FitResult,
     TrainConfig,
     fit,
+    simulate,
     train_scorer,
     train_scorers,
 )
@@ -201,13 +201,7 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
         return VariantModel(name, nets, frozenset(exposed))
     # HADG_only: the structured subsets, but each base trains independently
     # and inference averages the base scores (no unified model)
-    clusters = kmeans(ds, cfg.C, seed=derive_seed(cfg.seed, "clusters"))
-    mode = cfg.subset_mode or (ONE_SHOT if ds.n_anomaly == 1 else FEW_SHOT)
-    collection = build_distributions(
-        ds, clusters, cfg.T, mode=mode, strict_openness=cfg.strict_openness,
-        seed=derive_seed(cfg.seed, "subsets"), pseudo_per_subset=cfg.pseudo_per_subset,
-    )
-    table = collection.training_table()
+    _, _, table = simulate(ds, cfg)
     nets = train_scorers(inits, table.X, table.y, table.support_rows, cfg, cfg.epochs, seeds)
     return VariantModel(name, nets, frozenset(table.ids))
 
@@ -278,6 +272,16 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
                       seen_classes=tuple(seen_classes))
 
 
+def _map_seeds(one_seed, seeds, threads: int) -> tuple:
+    """``one_seed`` over the seeds in ascending order, on a pool of
+    ``threads`` threads when that is more than one."""
+    seeds = sorted(seeds)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return tuple(pool.map(one_seed, seeds))
+    return tuple(one_seed(s) for s in seeds)
+
+
 def run_protocol(ds: FeatureDataset, spec: ProtocolSpec, cfg: TrainConfig,
                  variant: str = "AHL", threads: int = 1,
                  model_sink=None) -> EvalResult:
@@ -301,13 +305,8 @@ def run_protocol(ds: FeatureDataset, spec: ProtocolSpec, cfg: TrainConfig,
             model_sink(seed, model)
         return _score_test(model, test_ds, seed, seen_classes)
 
-    seeds = sorted(spec.seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_seed, seeds))
-    else:
-        results = [one_seed(s) for s in seeds]
-    return EvalResult(variant=variant, kind=spec.kind, per_seed=tuple(results))
+    return EvalResult(variant=variant, kind=spec.kind,
+                      per_seed=_map_seeds(one_seed, spec.seeds, threads))
 
 
 def run_cross_domain(source: FeatureDataset, target: FeatureDataset,
@@ -347,35 +346,30 @@ def run_cross_domain(source: FeatureDataset, target: FeatureDataset,
         model = VariantModel("AHL", [net], frozenset(tgt_train.ids))
         return _score_test(model, test_ds, seed, seen_classes=())
 
-    seeds = sorted(spec.seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_seed, seeds))
-    else:
-        results = [one_seed(s) for s in seeds]
-    return EvalResult(variant="AHL", kind="cross_domain", per_seed=tuple(results))
+    return EvalResult(variant="AHL", kind="cross_domain",
+                      per_seed=_map_seeds(one_seed, spec.seeds, threads))
+
+
+def swept_config(cfg: TrainConfig, param: str, value: int) -> TrainConfig:
+    """``cfg`` with the swept hyperparameter set to ``value``. Sweeping the
+    history length K raises the warmup so buffers still fill before first
+    use."""
+    if param == "C":
+        return replace(cfg, C=value)
+    return replace(cfg, K=value, warmup_epochs=max(cfg.warmup_epochs, value))
 
 
 def sweep(param: str, values, ds: FeatureDataset, spec: ProtocolSpec,
           cfg: TrainConfig, variant: str = "AHL", threads: int = 1):
-    """One protocol run per hyperparameter value; returns [(value, EvalResult)].
-
-    Sweeping the history length K raises the warmup so buffers still fill
-    before first use.
-    """
+    """One protocol run per hyperparameter value (see ``swept_config``);
+    returns [(value, EvalResult)]."""
     if param not in ("C", "K"):
         raise ConfigurationError(f"param: can only sweep C or K, not {param!r}")
     if not values:
         raise ConfigurationError("values: must be non-empty")
-    out = []
-    for value in values:
-        if param == "C":
-            swept = replace(cfg, C=int(value))
-        else:
-            swept = replace(cfg, K=int(value),
-                            warmup_epochs=max(cfg.warmup_epochs, int(value)))
-        out.append((value, run_protocol(ds, spec, swept, variant, threads=threads)))
-    return out
+    return [(value, run_protocol(ds, spec, swept_config(cfg, param, int(value)), variant,
+                                 threads=threads))
+            for value in values]
 
 
 def sweep_csv(param: str, entries) -> str:

@@ -14,36 +14,26 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, NumericError
 from .nets import ScorerNet
-from .seeding import rng_for
 
 
 @dataclass(frozen=True)
 class DeviationPrior:
-    """Score prior. Analytic mode pins (mu, sigma) = (0, 1); sampled mode
-    estimates them from a seeded stream of standard-normal draws."""
+    """Score prior (mu, sigma) and the anomaly confidence margin; training
+    uses the analytic standard-normal prior, (mu, sigma) = (0, 1)."""
 
     mu: float = 0.0
     sigma: float = 1.0
     margin: float = 5.0
-    mode: str = "analytic"
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ConfigurationError("prior sigma must be > 0")
         if self.margin <= 0:
             raise ConfigurationError("prior margin must be > 0")
-        if self.mode == "analytic" and (self.mu != 0.0 or self.sigma != 1.0):
-            raise ConfigurationError("analytic prior requires mu=0, sigma=1")
 
     @classmethod
     def analytic(cls, margin: float = 5.0) -> "DeviationPrior":
         return cls(margin=margin)
-
-    @classmethod
-    def sampled(cls, draws: int = 5000, seed: int = 0, margin: float = 5.0) -> "DeviationPrior":
-        scores = rng_for(seed, "prior").standard_normal(draws)
-        return cls(mu=float(scores.mean()), sigma=float(scores.std()),
-                   margin=margin, mode="sampled")
 
 
 def deviation(score, prior: DeviationPrior):

@@ -459,6 +459,6 @@ def load_checkpoint(path):
             return ScorerNet(int(desc["dim"]), int(desc["hidden"]), theta)
         if kind == "sequence":
             return SequencePredictor(int(desc["t_dim"]), theta)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
     raise CheckpointError(f"{path}: unknown architecture {kind!r}")

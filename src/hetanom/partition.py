@@ -6,7 +6,8 @@ scorer) and a query set (validates it on data the base never saw).
 Openness inside every subset comes from three sources: support and query
 draw normals from different clusters, the query holds anomalies withheld
 from the support, and the pseudo anomalies injected on the two sides are
-produced by two different recipes.
+produced by two different recipes. ``train.simulate`` is the one caller
+that runs a training run's clustering and subset construction.
 """
 
 from __future__ import annotations
@@ -274,10 +275,8 @@ def build_distributions(
     clusters: ClusterAssignment,
     T: int,
     mode: str = FEW_SHOT,
-    recipe_kinds: tuple[PseudoKind, ...] = ALL_KINDS,
     strict_openness: bool = False,
     seed: int = 0,
-    pseudo_per_subset: int | None = None,
 ) -> DistributionCollection:
     """Build ``T`` distribution subsets over ``ds``.
 
@@ -288,7 +287,8 @@ def build_distributions(
     ``strict_openness``) and virtual unseen (query only); in
     :data:`ONE_SHOT` mode every anomaly lands on both sides, which
     overrides ``strict_openness``. Two distinct pseudo recipes per subset
-    corrupt support and query normals respectively.
+    corrupt support and query normals respectively, each making as many
+    pseudo anomalies as the support has real ones.
     """
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
@@ -296,8 +296,6 @@ def build_distributions(
         raise ConfigurationError(f"unknown subset mode {mode!r}")
     if T > 1 and clusters.k < 2:
         raise ConfigurationError("need >= 2 normal clusters to build two-cluster subsets")
-    if len(recipe_kinds) < 2:
-        raise ConfigurationError("need >= 2 pseudo recipe kinds for openness")
     if ds.n_anomaly < 1:
         raise ContractError("dataset has no anomalies to distribute")
 
@@ -337,10 +335,10 @@ def build_distributions(
             query_anoms = (virtual_unseen if strict_openness
                            else virtual_seen + virtual_unseen)
 
-        kind_idx = rng.choice(len(recipe_kinds), size=2, replace=False)
-        sup_kind, qry_kind = recipe_kinds[int(kind_idx[0])], recipe_kinds[int(kind_idx[1])]
+        kind_idx = rng.choice(len(ALL_KINDS), size=2, replace=False)
+        sup_kind, qry_kind = ALL_KINDS[int(kind_idx[0])], ALL_KINDS[int(kind_idx[1])]
 
-        n_pseudo = pseudo_per_subset if pseudo_per_subset is not None else len(support_anoms)
+        n_pseudo = len(support_anoms)
         sup_pseudo = _inject_pseudo(ds, support_normals, normal_ids, normal_row,
                                     sup_kind, n_pseudo, seed, i, "s",
                                     pseudo_ids, pseudo_feats)

@@ -6,8 +6,8 @@ sample, extending each sample's score history; (3) base importance
 weights are estimated (uniform during warmup, otherwise from the
 sequence predictor's forecast error against the labels); (4) the unified
 scorer takes one step on the importance-weighted sum of query-set
-gradients evaluated at the trained base parameters; (5) the unified
-parameters are broadcast back to all bases.
+gradients evaluated at the trained base parameters. Each epoch's bases
+start from the unified parameters.
 """
 
 from __future__ import annotations
@@ -53,13 +53,8 @@ class TrainConfig:
     c_unseen: float = 1.0
     c_other: float = 0.5
     margin: float = 5.0
-    prior_mode: str = "analytic"
-    prior_draws: int = 5000
     reduction: str = "mean"
     strict_openness: bool = False
-    subset_mode: str | None = None  # None: one-shot iff the data has 1 anomaly
-    pseudo_per_subset: int | None = None
-    plain_sgd: bool = False
     weight_mode: str = WEIGHTS_SEQUENCE
     seed: int = 0
 
@@ -79,20 +74,10 @@ class TrainConfig:
                      "fill before first use")
         if self.reduction not in ("mean", "sum"):
             bad("reduction", "must be 'mean' or 'sum'")
-        if self.prior_mode not in ("analytic", "sampled"):
-            bad("prior_mode", "must be 'analytic' or 'sampled'")
         if self.weight_mode not in (WEIGHTS_SEQUENCE, WEIGHTS_ACCURACY):
             bad("weight_mode", "must be 'sequence' or 'accuracy'")
-        if self.subset_mode not in (None, FEW_SHOT, ONE_SHOT):
-            bad("subset_mode", "must be 'few_shot', 'one_shot' or omitted")
-        if self.pseudo_per_subset is not None and self.pseudo_per_subset < 0:
-            bad("pseudo_per_subset", "must be >= 0")
 
     def prior(self) -> DeviationPrior:
-        if self.prior_mode == "sampled":
-            return DeviationPrior.sampled(self.prior_draws,
-                                          seed=derive_seed(self.seed, "prior"),
-                                          margin=self.margin)
         return DeviationPrior.analytic(margin=self.margin)
 
 
@@ -219,14 +204,15 @@ def _train_support_epoch(net: ScorerNet, opt: AdamState, X, y, prior, cfg, rng) 
     net.theta = stack.theta[0]
 
 
-def train_bases_epoch(bases, table: TrainingTable, cfg: TrainConfig,
-                      prior: DeviationPrior, epoch: int) -> np.ndarray:
-    """One support-set epoch for every base (fresh inner Adam each epoch),
-    then score all training samples with all bases: returns (n, T).
+def train_bases_epoch(g: ScorerNet, table: TrainingTable, cfg: TrainConfig,
+                      prior: DeviationPrior, epoch: int) -> tuple[ScorerNet, np.ndarray]:
+    """One support-set epoch for T bases that start from the unified scorer
+    ``g`` (fresh inner Adam each epoch), then score all training samples
+    with every base: returns the trained (T, P) stack and the (n, T) scores.
 
-    The bases train as one stack. Every base draws from an identically
-    seeded batch stream, so bases with identical support sets stay
-    identical; diversity comes from the data, not from the sampler.
+    Every base draws from an identically seeded batch stream, so bases with
+    identical support sets stay identical; diversity comes from the data,
+    not from the sampler.
     """
     # the draws depend on a support's label counts only: bases with equal
     # counts share them, as positions in the support sorted by label
@@ -242,11 +228,11 @@ def train_bases_epoch(bases, table: TrainingTable, cfg: TrainConfig,
                                         cfg.batch_size)
         by_label = rows[np.argsort(y, kind="stable")]
         batches.append([by_label[p] for p in drawn[key]])
-    stack = ScorerNet(bases[0].dim, bases[0].hidden, np.stack([net.theta for net in bases]))
+    stack = ScorerNet(g.dim, g.hidden, np.tile(g.theta, (len(batches), 1)))
     _train_stack(stack, AdamState(cfg.lr_base), table.X, table.y, batches, prior, cfg)
-    for net, row in zip(bases, stack.theta):
-        net.theta = row
-    return np.stack([net.forward(table.X) for net in bases], axis=1)
+    scores = np.stack([ScorerNet(g.dim, g.hidden, row).forward(table.X)
+                       for row in stack.theta], axis=1)
+    return stack, scores
 
 
 def estimate_importance(history: ScoreHistory, seq_net: SequencePredictor,
@@ -295,39 +281,27 @@ def accuracy_importance(scores: np.ndarray, table: TrainingTable,
     return ImportanceState(epoch=epoch, w=w, r=1.0 - acc)
 
 
-def unified_update(g: ScorerNet, g_opt: AdamState | None, bases,
+def unified_update(g: ScorerNet, g_opt: AdamState, stack: ScorerNet,
                    table: TrainingTable, w: np.ndarray,
                    prior: DeviationPrior, cfg: TrainConfig):
     """One unified step on the importance-weighted aggregate of the bases'
-    query-set gradients (taken at the trained base parameters). Returns the
-    new unified scorer, the weighted loss and each base's query loss."""
+    query-set gradients, taken at the trained base parameters (row i of
+    ``stack`` is base i). Returns the new unified scorer, the weighted loss
+    and each base's query loss."""
     batches = [
-        (bases[i], table.X[table.query_rows[i]], table.y[table.query_rows[i]])
-        for i in range(len(bases))
+        (ScorerNet(g.dim, g.hidden, theta), table.X[rows], table.y[rows])
+        for theta, rows in zip(stack.theta, table.query_rows)
     ]
     total, grads, losses = cdl_loss(batches, w, prior, cfg.reduction)
     agg = np.zeros_like(g.theta)
     for grad_i in grads:  # ascending base index, fixed reduction order
         agg += grad_i
-    if cfg.plain_sgd:
-        theta = g.theta - cfg.lr_unified * agg
-    else:
-        theta = g_opt.step(g.theta, agg)
-    return ScorerNet(g.dim, g.hidden, theta), total, losses
-
-
-def broadcast(g: ScorerNet, bases) -> list[ScorerNet]:
-    """Reset every base to the unified parameters (bitwise)."""
-    for b in bases:
-        if (b.dim, b.hidden) != (g.dim, g.hidden):
-            raise ContractError("broadcast requires identical architectures")
-    return [g.copy() for _ in bases]
+    return ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, agg)), total, losses
 
 
 @dataclass
 class FitResult:
     unified: ScorerNet
-    bases: list[ScorerNet]
     seq_net: SequencePredictor | None
     clusters: ClusterAssignment
     collection: DistributionCollection
@@ -348,23 +322,28 @@ def _support_losses(scores, table: TrainingTable, prior, cfg) -> list[float]:
             for i, rows in enumerate(table.support_rows)]
 
 
+def simulate(ds: FeatureDataset, cfg: TrainConfig):
+    """Simulate the T open-set subsets of ``ds``: cluster its normals, then
+    build the subsets, in one-shot mode when ``ds`` has a single anomaly.
+    Returns (clusters, collection, training table)."""
+    clusters = kmeans(ds, cfg.C, seed=derive_seed(cfg.seed, "clusters"))
+    collection = build_distributions(
+        ds, clusters, cfg.T, mode=ONE_SHOT if ds.n_anomaly == 1 else FEW_SHOT,
+        strict_openness=cfg.strict_openness, seed=derive_seed(cfg.seed, "subsets"),
+    )
+    return clusters, collection, collection.training_table()
+
+
 def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult:
     """Full training loop; a pure function of (dataset, config)."""
     cfg.validate()
     if ds.n_anomaly < 1:
         raise ContractError("training data must contain at least one anomaly")
     prior = cfg.prior()
-    clusters = kmeans(ds, cfg.C, seed=derive_seed(cfg.seed, "clusters"))
-    mode = cfg.subset_mode or (ONE_SHOT if ds.n_anomaly == 1 else FEW_SHOT)
-    collection = build_distributions(
-        ds, clusters, cfg.T, mode=mode, strict_openness=cfg.strict_openness,
-        seed=derive_seed(cfg.seed, "subsets"), pseudo_per_subset=cfg.pseudo_per_subset,
-    )
-    table = collection.training_table()
+    clusters, collection, table = simulate(ds, cfg)
 
     g = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
-    bases = broadcast(g, [g] * cfg.T)
-    g_opt = None if cfg.plain_sgd else AdamState(cfg.lr_unified)
+    g_opt = AdamState(cfg.lr_unified)
     seq_net = None
     seq_opt = None
     if cfg.weight_mode == WEIGHTS_SEQUENCE:
@@ -375,7 +354,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
     log: list[dict] = []
     importance_trace: list[ImportanceState] = []
     for epoch in range(cfg.epochs):
-        scores = train_bases_epoch(bases, table, cfg, prior, epoch)
+        stack, scores = train_bases_epoch(g, table, cfg, prior, epoch)
 
         seq_loss = None
         if cfg.weight_mode == WEIGHTS_ACCURACY:
@@ -388,9 +367,8 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
         history.append(scores)
         importance_trace.append(state)
 
-        g, unified_loss, query_losses = unified_update(g, g_opt, bases, table, state.w,
+        g, unified_loss, query_losses = unified_update(g, g_opt, stack, table, state.w,
                                                        prior, cfg)
-        bases = broadcast(g, bases)
 
         log.append({
             "epoch": epoch,
@@ -405,7 +383,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
             checkpoint_hook(epoch, g)
 
     return FitResult(
-        unified=g, bases=bases, seq_net=seq_net, clusters=clusters,
+        unified=g, seq_net=seq_net, clusters=clusters,
         collection=collection, table=table, log=log,
         importance=importance_trace, config=cfg,
     )

@@ -3,9 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from hetanom.cli import main, parse_config
+from hetanom.cli import execute_replay, execute_sweep, main, parse_config
 from hetanom.data import ingest_csv
-from hetanom.errors import ConfigurationError
+from hetanom.errors import ConfigurationError, ReplayError
 
 
 def minimal_config(out_dir, seeds=(0,), variants=("AHL",), epochs=3):
@@ -71,6 +71,47 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="dataset.path"):
             parse_config({"dataset": {"kind": "csv"},
                           "protocol": {"kind": "general", "seeds": [0]}})
+
+    @pytest.mark.parametrize("path, value", [
+        (("seed",), "abc"),
+        (("seed",), 2.5),
+        (("seed",), True),
+        (("sweep",), {"param": "C", "values": ["x"]}),
+        (("sweep",), {"param": "C", "values": [True]}),
+        (("train", "lr_base"), "x"),
+        (("train", "lr_base"), True),
+        (("train", "lr_base"), float("nan")),
+        (("train", "T"), "7"),
+        (("train", "T"), 2.5),
+        (("train", "T"), True),
+        (("train", "strict_openness"), 1),
+        (("train",), None),
+        (("protocol", "m_anomalies"), "10"),
+        (("protocol", "seeds"), "012"),
+        (("protocol", "seen_class"), 3),
+        (("output_dir",), 7),
+    ])
+    def test_wrong_type_names_field(self, tmp_path, path, value):
+        cfg = minimal_config(tmp_path / "out")
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        field = "sweep.values" if path == ("sweep",) else ".".join(path)
+        with pytest.raises(ConfigurationError, match=rf"^{field}(\[0\])?: "):
+            parse_config(cfg)
+
+    def test_cross_domain_refused(self, tmp_path):
+        cfg = minimal_config(tmp_path / "out")
+        cfg["protocol"]["kind"] = "cross_domain"
+        with pytest.raises(ConfigurationError, match="^protocol.kind: "):
+            parse_config(cfg)
+
+    def test_invalid_sweep_value_names_its_index(self, tmp_path):
+        cfg = minimal_config(tmp_path / "out")
+        cfg["sweep"] = {"param": "C", "values": [2, 0]}
+        with pytest.raises(ConfigurationError, match=r"^sweep.values\[1\]: C: must be >= 1"):
+            parse_config(cfg)
 
 
 class TestRunCommand:
@@ -155,6 +196,18 @@ class TestReplay:
                      "--out", str(tmp_path / "r")]) == 1
         assert "format_version" in capsys.readouterr().err
 
+    def test_version_1_manifest_refused(self, tmp_path):
+        # a manifest in the first format lists TrainConfig fields that are gone
+        cfg = minimal_config(tmp_path / "out")
+        cfg["train"].update(plain_sgd=False, prior_mode="analytic", prior_draws=5000,
+                            subset_mode=None, pseudo_per_subset=None)
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps({"format_version": 1, "command": "run", "config": cfg,
+                                   "dataset_sha256": None, "results_sha256": "x"}))
+        with pytest.raises(ReplayError, match="format_version 1"):
+            execute_replay(old, tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
+
 
 class TestSweepCommand:
     def test_sweep_csv_written(self, tmp_path):
@@ -165,6 +218,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(cfg_path)]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+
+    def test_more_than_one_variant_refused_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = minimal_config(out, variants=("AHL", "Homogeneous"))
+        cfg["sweep"] = {"param": "C", "values": [2]}
+        with pytest.raises(ConfigurationError, match="^variants: "):
+            execute_sweep(parse_config(cfg), out)
+        assert not out.exists()
 
 
 class TestGenData:

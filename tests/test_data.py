@@ -53,6 +53,18 @@ class TestIngest:
         with pytest.raises(ValidationError, match="duplicate"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("a,0,,1.0\nb,0,,nan\n", "non-finite feature value in sample 'b'"),
+        ("a,0,,1.0\na,1,x,2.0\n", "duplicate sample id 'a'"),
+        ("a,1,x,1.0\nb,1,x,2.0\n", "dataset has no normal samples"),
+    ])
+    def test_dataset_errors_name_the_file(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("id,label,class,f0\n" + rows)
+        with pytest.raises(ValidationError) as info:
+            ingest_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_roundtrip_bitwise_on_benchmark(self, tmp_path, benchmark_ds):
         # ingest(write(ds)) == ds, bitwise, on >1000 generated rows
         path = tmp_path / "bench.csv"

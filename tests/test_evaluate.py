@@ -14,7 +14,7 @@ from hetanom.evaluate import (
     sweep_csv,
 )
 from hetanom.synth import Component, MixtureSpec, generate
-from hetanom.train import TrainConfig
+from hetanom.train import TrainConfig, fit
 
 from conftest import make_dataset
 
@@ -182,6 +182,16 @@ class TestVariants:
             scores = model.scores(ds.features[:5])
             manual = np.mean([net.forward(ds.features[:5]) for net in model.nets], axis=0)
             np.testing.assert_array_equal(scores, manual)
+
+    def test_hadg_only_simulates_the_subsets_fit_does(self):
+        # one subset-simulation path: HADG_only trains on fit's training table,
+        # in few-shot mode and in one-shot mode
+        ds = tiny_benchmark()
+        one_shot = ds.take(np.concatenate([ds.normal_rows(), ds.anomaly_rows()[:1]]))
+        cfg = TrainConfig(T=3, C=2, epochs=1, hidden=8, seed=7)
+        for data in (ds, one_shot):
+            model = run_variant("HADG_only", data, cfg)
+            assert model.exposure_ids == fit(data, cfg).training_sample_ids()
 
 
 class TestCrossDomain:

@@ -1,0 +1,162 @@
+"""Property tests on the three readers of outside input: run configs, feature
+CSVs and checkpoints. Each must return a valid object or raise its own
+error type, whatever the input."""
+
+import copy
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hetanom.cli import RunConfig, parse_config
+from hetanom.data import ingest_csv
+from hetanom.errors import (
+    CheckpointError,
+    ConfigurationError,
+    ParseError,
+    SchemaError,
+    ValidationError,
+)
+from hetanom.nets import ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
+from hetanom.train import TrainConfig
+
+from test_cli import minimal_config
+
+# derandomized so that tier-1 stays deterministic; no example database on disk
+FUZZ = settings(max_examples=100, deadline=None, database=None, derandomize=True)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+
+
+def config_paths():
+    """Every key path of a valid config, down to the mixture spec's fields."""
+    cfg = minimal_config("out")
+    cfg["sweep"] = {"param": "K", "values": [5]}
+    paths = []
+
+    def walk(node, prefix):
+        for key, value in node.items():
+            paths.append(prefix + (key,))
+            if isinstance(value, dict):
+                walk(value, prefix + (key,))
+
+    walk(cfg, ())
+    paths += [("train", f) for f in TrainConfig.__dataclass_fields__ if f not in cfg["train"]]
+    return cfg, paths
+
+
+VALID_CONFIG, CONFIG_PATHS = config_paths()
+DELETE = object()  # drop the field instead of replacing it
+
+
+def parses_or_refuses(raw):
+    try:
+        assert isinstance(parse_config(raw), RunConfig)
+    except ConfigurationError:
+        pass
+
+
+@FUZZ
+@given(json_values)
+def test_parse_config_on_any_json_value(raw):
+    parses_or_refuses(raw)
+
+
+@FUZZ
+@given(st.sampled_from(CONFIG_PATHS), json_values | st.just(DELETE))
+def test_parse_config_with_one_field_replaced(path, value):
+    raw = copy.deepcopy(VALID_CONFIG)
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETE:
+        node.pop(path[-1], None)
+    else:
+        node[path[-1]] = value
+    parses_or_refuses(raw)
+
+
+cells = st.sampled_from(["", "0", "1", "2", "a", "b", "x", "nan", "-inf", "1e999", "3.5",
+                         "1_0", "\"", "\x00", "é"])
+header = st.sampled_from(["id,label,class,f0,f1", "id,label,class,f0", "id,label,class",
+                          "id,label,klass,f0", "id,label,class,f1", ""])
+csv_rows = st.lists(st.lists(cells, min_size=0, max_size=6).map(",".join), max_size=6)
+
+
+def ingests_or_refuses(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(data)
+        try:
+            ds = ingest_csv(path)
+        except (SchemaError, ParseError, ValidationError) as exc:
+            assert str(path) in str(exc)
+            return
+    assert np.isfinite(ds.features).all() and ds.n_normal >= 1
+
+
+@FUZZ
+@given(header, csv_rows)
+def test_ingest_csv_on_generated_files(head, rows):
+    ingests_or_refuses(("\n".join([head] + rows) + "\n").encode("utf-8"))
+
+
+@FUZZ
+@given(st.binary(max_size=64))
+def test_ingest_csv_on_arbitrary_bytes(tail):
+    ingests_or_refuses(b"id,label,class,f0\na,0,,1.0\n" + tail)
+
+
+def checkpoint_bytes(net) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.ckpt"
+        save_checkpoint(path, net)
+        return path.read_bytes()
+
+
+CHECKPOINTS = [
+    checkpoint_bytes(ScorerNet.init(3, 4, np.random.default_rng(0))),
+    checkpoint_bytes(SequencePredictor.init(2, np.random.default_rng(1))),
+]
+
+
+def loads_or_refuses(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.ckpt"
+        path.write_bytes(data)
+        try:
+            net = load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(path) in str(exc)
+            return
+    assert isinstance(net, (ScorerNet, SequencePredictor))
+
+
+@FUZZ
+@given(st.sampled_from(CHECKPOINTS), st.data())
+def test_load_checkpoint_truncated(raw, data):
+    loads_or_refuses(raw[:data.draw(st.integers(0, len(raw) - 1))])
+
+
+@FUZZ
+@given(st.sampled_from(CHECKPOINTS), st.data())
+def test_load_checkpoint_bytes_flipped(raw, data):
+    flips = data.draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)),
+                               min_size=1, max_size=4))
+    flipped = bytearray(raw)
+    for pos, mask in flips:
+        flipped[pos] ^= mask
+    loads_or_refuses(bytes(flipped))
+
+
+@pytest.mark.parametrize("raw", CHECKPOINTS)
+def test_untouched_checkpoints_load(raw):
+    loads_or_refuses(raw)

@@ -18,27 +18,13 @@ class TestPrior:
         prior = DeviationPrior.analytic()
         assert prior.mu == 0.0 and prior.sigma == 1.0
 
-    def test_analytic_rejects_other_moments(self):
-        with pytest.raises(ConfigurationError):
-            DeviationPrior(mu=1.0, sigma=1.0, mode="analytic")
-
-    def test_sampled_law_of_large_numbers(self):
-        prior = DeviationPrior.sampled(draws=5000, seed=123)
-        assert abs(prior.mu) < 0.05
-        assert abs(prior.sigma - 1.0) < 0.05
-
-    def test_sampled_deterministic(self):
-        a = DeviationPrior.sampled(draws=100, seed=9)
-        b = DeviationPrior.sampled(draws=100, seed=9)
-        assert a.mu == b.mu and a.sigma == b.sigma
-
 
 class TestDeviation:
     def test_zero_score(self):
         assert deviation(0.0, DeviationPrior.analytic()) == 0.0
 
     def test_standardization(self):
-        prior = DeviationPrior(mu=1.0, sigma=2.0, mode="sampled")
+        prior = DeviationPrior(mu=1.0, sigma=2.0)
         assert deviation(3.0, prior) == 1.0
 
     def test_loss_values(self):

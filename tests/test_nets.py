@@ -355,6 +355,15 @@ class TestCheckpoints:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
+    def test_infinite_descriptor_size(self, tmp_path):
+        # JSON reads 1e999 as inf, which int() cannot convert
+        desc = b'{"dim": 1e999, "hidden": 2, "kind": "scorer"}'
+        path = tmp_path / "net.ckpt"
+        path.write_bytes(b"AHL1" + len(desc).to_bytes(4, "little") + desc)
+        with pytest.raises(CheckpointError, match="malformed") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_header_starts_with_magic(self, tmp_path):
         net = ScorerNet.init(2, 2, np.random.default_rng(1))
         path = tmp_path / "c.ckpt"

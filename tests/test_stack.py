@@ -135,18 +135,15 @@ class TestRaggedTraining:
         table = unequal_table(self.SIZES)
         cfg = TrainConfig(T=len(self.SIZES), batch_size=16, hidden=8, seed=3)
         prior = cfg.prior()
-        g = ScorerNet.init(4, 8, rng_for(3, "init"))
-        bases = [g.copy() for _ in self.SIZES]
-        ref = [g.copy() for _ in self.SIZES]
         for epoch in range(2):
-            scores = train_bases_epoch(bases, table, cfg, prior, epoch)
-            for i, net in enumerate(ref):
-                rows = table.support_rows[i]
-                reference_support_epoch(net, reference_adam(cfg.lr_base), table.X[rows],
+            g = ScorerNet.init(4, 8, rng_for(3, "init", epoch))
+            stack, scores = train_bases_epoch(g, table, cfg, prior, epoch)
+            for i, rows in enumerate(table.support_rows):
+                want = g.copy()
+                reference_support_epoch(want, reference_adam(cfg.lr_base), table.X[rows],
                                         table.y[rows], prior, cfg,
                                         rng_for(cfg.seed, "batches", epoch))
-            for i, (net, want) in enumerate(zip(bases, ref)):
-                np.testing.assert_array_equal(bits(net.theta), bits(want.theta))
+                np.testing.assert_array_equal(bits(stack.theta[i]), bits(want.theta))
                 np.testing.assert_array_equal(bits(scores[:, i]), bits(want.forward(table.X)))
 
     def test_train_scorers_matches_per_net_loop(self):

@@ -12,7 +12,6 @@ from hetanom.train import (
     ImportanceState,
     ScoreHistory,
     TrainConfig,
-    broadcast,
     fit,
     generalization_errors,
     importance_weights,
@@ -119,30 +118,7 @@ class TestScoreHistory:
             hist.window()
 
 
-class TestBroadcast:
-    def test_forward_agrees_after_broadcast(self):
-        rng = np.random.default_rng(0)
-        g = ScorerNet.init(4, 6, rng)
-        bases = [ScorerNet.init(4, 6, np.random.default_rng(s)) for s in range(3)]
-        bases = broadcast(g, bases)
-        x = rng.normal(size=4)
-        for b in bases:
-            assert b.forward(x) == g.forward(x)
-            assert (b.theta == g.theta).all()
-
-    def test_idempotent(self):
-        g = ScorerNet.init(3, 3, np.random.default_rng(1))
-        bases = broadcast(g, [g, g])
-        again = broadcast(g, bases)
-        for a, b in zip(bases, again):
-            assert (a.theta == b.theta).all()
-
-    def test_architecture_check(self):
-        g = ScorerNet.init(3, 3, np.random.default_rng(1))
-        other = ScorerNet.init(4, 3, np.random.default_rng(1))
-        with pytest.raises(ContractError):
-            broadcast(g, [other])
-
+class TestTrainBasesEpoch:
     def test_divergence_after_epoch_on_different_supports(self):
         ds = make_dataset(n_normal=40, n_anomaly=8, dim=4, seed=3)
         clusters = kmeans(ds, 3, seed=0)
@@ -150,12 +126,9 @@ class TestBroadcast:
         table = coll.training_table()
         cfg = TrainConfig(T=3, C=3, seed=5)
         g = ScorerNet.init(ds.dim, cfg.hidden, rng_for(5, "init"))
-        bases = broadcast(g, [g, g, g])
-        train_bases_epoch(bases, table, cfg, DeviationPrior.analytic(), epoch=0)
-        assert not (bases[0].theta == bases[1].theta).all()
+        stack, _ = train_bases_epoch(g, table, cfg, DeviationPrior.analytic(), epoch=0)
+        assert not (stack.theta[0] == stack.theta[1]).all()
 
-
-class TestTrainBasesEpoch:
     def test_identical_subsets_identical_params(self):
         # two bases over the same support with the same seeds stay bitwise equal
         ds = make_dataset(n_normal=30, n_anomaly=6, dim=4, seed=4)
@@ -168,9 +141,9 @@ class TestTrainBasesEpoch:
                             query_rows=table.query_rows)
         cfg = TrainConfig(T=2, C=2, seed=9)
         g = ScorerNet.init(ds.dim, cfg.hidden, rng_for(9, "init"))
-        bases = broadcast(g, [g, g])
-        train_bases_epoch(bases, table, cfg, DeviationPrior.analytic(), epoch=0)
-        assert (bases[0].theta == bases[1].theta).all()
+        stack, scores = train_bases_epoch(g, table, cfg, DeviationPrior.analytic(), epoch=0)
+        assert (stack.theta[0] == stack.theta[1]).all()
+        assert (scores[:, 0] == scores[:, 1]).all()
 
     def test_stationary_support_unchanged(self):
         # single normal scored exactly zero: gradient is zero, Adam is a no-op
@@ -247,8 +220,9 @@ class TestFit:
 
 class TestDegenerateEquivalence:
     def test_t1_matches_standalone_trainer(self, small_ds):
-        """With one base the full loop must equal a flat trainer: broadcast,
-        one support epoch, one unified Adam step on the query gradient."""
+        """With one base the full loop must equal a flat trainer: a copy of
+        the unified scorer, one support epoch, one unified Adam step on the
+        query gradient."""
         cfg = TrainConfig(T=1, epochs=6, seed=11)
         res = fit(small_ds, cfg)
 
@@ -265,7 +239,7 @@ class TestDegenerateEquivalence:
         g_opt = AdamState(cfg.lr_unified)
         trajectory = []
         for epoch in range(cfg.epochs):
-            phi = g.copy()  # broadcast
+            phi = g.copy()
             _train_support_epoch(phi, AdamState(cfg.lr_base), table.X[sup],
                                  table.y[sup], prior, cfg,
                                  rng_for(cfg.seed, "batches", epoch))
