@@ -12,12 +12,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
-import types
-import typing
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .data import FeatureDataset, ingest_csv, write_csv
@@ -32,6 +29,7 @@ from .evaluate import (
     swept_config,
 )
 from .nets import save_checkpoint
+from .schema import build, typed
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
@@ -61,7 +59,7 @@ class DatasetSource:
 @dataclass(frozen=True)
 class SweepSpec:
     param: str
-    values: tuple
+    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -92,43 +90,6 @@ class RunConfig:
         return out
 
 
-def _typed(path: str, value, hint):
-    """``value`` checked against the annotation ``hint`` (a JSON list becomes
-    a tuple); a wrong type raises a ConfigurationError naming ``path``."""
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):  # X | None
-        if value is None and type(None) in args:
-            return None
-        (hint,) = [a for a in args if a is not type(None)]
-    elif typing.get_origin(hint) is tuple:  # tuple[X, ...]
-        if not isinstance(value, (list, tuple)):
-            raise ConfigurationError(f"{path}: must be a list, got {value!r}")
-        return tuple(_typed(f"{path}[{i}]", v, args[0]) for i, v in enumerate(value))
-    if hint is float:
-        ok = type(value) is int or (type(value) is float and math.isfinite(value))
-        name = "a finite number"
-    else:  # bool is an int subclass: only an exact type match passes
-        ok = type(value) is hint
-        name = {int: "an integer", str: "a string", bool: "true or false"}[hint]
-    if not ok:
-        raise ConfigurationError(f"{path}: must be {name}, got {value!r}")
-    return value
-
-
-def _build(section: str, cls, raw):
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{section}: must be a JSON object")
-    hints = typing.get_type_hints(cls)
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(raw) - set(known)
-    if unknown:
-        raise ConfigurationError(f"{section}.{sorted(unknown)[0]}: unknown field")
-    for name, f in known.items():
-        if name not in raw and f.default is MISSING:
-            raise ConfigurationError(f"{section}.{name}: required field")
-    return cls(**{k: _typed(f"{section}.{k}", v, hints[k]) for k, v in raw.items()})
-
-
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config dict; errors name the offending field path."""
     if not isinstance(raw, dict):
@@ -141,26 +102,21 @@ def parse_config(raw: dict) -> RunConfig:
     ds_raw = raw.get("dataset")
     if not isinstance(ds_raw, dict) or ds_raw.get("kind") not in ("csv", "synthetic"):
         raise ConfigurationError("dataset.kind: must be 'csv' or 'synthetic'")
-    if ds_raw["kind"] == "csv":
-        if not isinstance(ds_raw.get("path"), str) or not ds_raw["path"]:
-            raise ConfigurationError("dataset.path: required for csv datasets")
-        dataset = DatasetSource(kind="csv", path=ds_raw["path"])
-    else:
-        spec = None
-        if ds_raw.get("spec") is not None:
-            try:
-                spec = MixtureSpec.from_dict(ds_raw["spec"])
-            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-                raise ConfigurationError(f"dataset.spec: {exc}") from None
-        dataset = DatasetSource(kind="synthetic", spec=spec)
+    dataset = build("dataset", DatasetSource, ds_raw)
+    if dataset.kind == "csv" and not dataset.path:
+        raise ConfigurationError("dataset.path: required for csv datasets")
+    if dataset.kind == "csv" and dataset.spec is not None:
+        raise ConfigurationError("dataset.spec: only a synthetic dataset takes a spec")
+    if dataset.kind == "synthetic" and dataset.path is not None:
+        raise ConfigurationError("dataset.path: only a csv dataset takes a path")
 
-    train = _build("train", TrainConfig, raw.get("train", {}))
+    train = build("train", TrainConfig, raw.get("train", {}))
     train.validate(prefix="train.")
 
     proto_raw = raw.get("protocol")
     if not isinstance(proto_raw, dict):
         raise ConfigurationError("protocol: required section")
-    protocol = _build("protocol", ProtocolSpec, proto_raw)
+    protocol = build("protocol", ProtocolSpec, proto_raw)
     protocol.validate(prefix="protocol.")
     if protocol.kind == "cross_domain":
         raise ConfigurationError("protocol.kind: the CLI runs 'general' and 'hard' only; "
@@ -178,23 +134,22 @@ def parse_config(raw: dict) -> RunConfig:
 
     sweep_spec = None
     if raw.get("sweep") is not None:
-        sw = raw["sweep"]
-        if not isinstance(sw, dict) or sw.get("param") not in ("C", "K"):
+        sweep_spec = build("sweep", SweepSpec, raw["sweep"])
+        if sweep_spec.param not in ("C", "K"):
             raise ConfigurationError("sweep.param: must be 'C' or 'K'")
-        values = _typed("sweep.values", sw.get("values"), tuple[int, ...])
-        if not values:
+        if not sweep_spec.values:
             raise ConfigurationError("sweep.values: must be a non-empty list")
-        for i, value in enumerate(values):
-            swept_config(train, sw["param"], value).validate(prefix=f"sweep.values[{i}]: ")
-        sweep_spec = SweepSpec(param=sw["param"], values=values)
+        for i, value in enumerate(sweep_spec.values):
+            swept_config(train, sweep_spec.param, value).validate(
+                prefix=f"sweep.values[{i}]: ")
 
     return RunConfig(
         dataset=dataset,
         train=train,
         protocol=protocol,
         variants=tuple(variants),
-        output_dir=_typed("output_dir", raw.get("output_dir"), str | None),
-        seed=_typed("seed", raw.get("seed", 0), int),
+        output_dir=typed("output_dir", raw.get("output_dir"), str | None),
+        seed=typed("seed", raw.get("seed", 0), int),
         sweep=sweep_spec,
     )
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import ANOMALY, FeatureDataset, SplitSpec, stratified_split
 from .errors import ConfigurationError, ContractError, ShapeError, UndefinedMetricError
-from .nets import ScorerNet
+from .nets import ScorerNet, one_blas_thread
 from .seeding import derive_seed, rng_for
 from .train import (
     WEIGHTS_ACCURACY,
@@ -59,14 +59,11 @@ def auc(scores, labels) -> float:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
     order = np.argsort(scores, kind="stable")
     s_sorted = scores[order]
+    # runs of equal sorted scores (NaN equals nothing, so each is its own run)
+    start = np.flatnonzero(np.concatenate(([True], s_sorted[1:] != s_sorted[:-1])))
+    end = np.append(start[1:], len(scores)) - 1
     ranks2 = np.empty(len(scores), dtype=np.int64)  # doubled 1-based midrank
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        ranks2[order[i : j + 1]] = (i + 1) + (j + 1)
-        i = j + 1
+    ranks2[order] = np.repeat(start + end + 2, end - start + 1)
     sum_pos2 = int(ranks2[pos].sum())
     return (sum_pos2 - m * (m + 1)) / (2 * m * n_neg)
 
@@ -272,6 +269,7 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
                       seen_classes=tuple(seen_classes))
 
 
+@one_blas_thread()
 def _map_seeds(one_seed, seeds, threads: int) -> tuple:
     """``one_seed`` over the seeds in ascending order, on a pool of
     ``threads`` threads when that is more than one."""

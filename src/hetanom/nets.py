@@ -15,19 +15,76 @@ out. The sequence predictor keeps its recurrence rows-innermost, states
 (K, 2, H, n) and step products ``U @ h``, and forms its weight gradients
 in the rows-major layout; every result is bit for bit that of the
 per-net, rows-major formulation.
+
+Every product in training is small (batch 32, hidden width 7 in the
+LSTM, a few thousand rows at most), too small for a second BLAS thread
+to pay; OpenBLAS would still wake one and leave it spinning between
+calls. ``one_blas_thread`` runs a scope on one BLAS thread and restores
+the process's count when the outermost scope exits; training enters it.
+Where the BLAS has no ``openblas_set_num_threads_local`` (MKL,
+Accelerate, OpenBLAS before 0.3.27) it does nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import struct
+import threading
 
 import numpy as np
 
 from .errors import CheckpointError, ShapeError
 
 CHECKPOINT_MAGIC = b"AHL1"
+
+
+@functools.cache
+def _blas_set_threads():
+    """OpenBLAS's ``openblas_set_num_threads_local`` (sets the count, returns
+    the previous one), resolved through numpy's own extension module, whose
+    dependencies ``dlsym`` searches; None where the BLAS lacks it."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath
+    fn = getattr(ctypes.CDLL(_multiarray_umath.__file__), "openblas_set_num_threads_local", None)
+    if fn is not None:
+        fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
+    return fn
+
+
+# The OpenBLAS count is process-wide, not per thread: scopes on any thread
+# share one depth, and only the outermost saves and restores the count.
+_blas_lock = threading.Lock()
+_blas_depth = 0
+_blas_saved = 0
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the scope (or, as a decorator, each call) on one BLAS thread.
+    Nested and concurrent scopes leave the count as the first one found it,
+    also when the scope raises."""
+    global _blas_depth, _blas_saved
+    set_threads = _blas_set_threads()
+    if set_threads is None:
+        yield
+        return
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_saved = set_threads(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                set_threads(_blas_saved)
 
 
 def _sigmoid(x):

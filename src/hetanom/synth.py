@@ -18,6 +18,7 @@ import numpy as np
 
 from .data import FeatureDataset
 from .errors import ConfigurationError, ShapeError
+from .schema import build
 from .seeding import rng_for
 
 
@@ -89,18 +90,9 @@ class MixtureSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureSpec":
-        return cls(
-            dim=int(d["dim"]),
-            seed=int(d["seed"]),
-            normal_components=tuple(
-                Component(tuple(c["mean"]), tuple(c["std"]), int(c["count"]), c.get("class_tag", ""))
-                for c in d["normal_components"]
-            ),
-            anomaly_components=tuple(
-                Component(tuple(c["mean"]), tuple(c["std"]), int(c["count"]), c["class_tag"])
-                for c in d["anomaly_components"]
-            ),
-        )
+        """Read ``to_dict``'s form, checking every value's type (no coercion);
+        errors name the value's path, as in ``spec.normal_components[0].count``."""
+        return build("spec", cls, d)
 
 
 def generate(spec: MixtureSpec) -> FeatureDataset:

@@ -21,7 +21,7 @@ import numpy as np
 from .data import FeatureDataset
 from .errors import ConfigurationError, ContractError, NumericError
 from .losses import DeviationPrior, base_loss_grad, cdl_loss, score_loss
-from .nets import AdamState, ScorerNet, SequencePredictor
+from .nets import AdamState, ScorerNet, SequencePredictor, one_blas_thread
 from .partition import (
     FEW_SHOT,
     ONE_SHOT,
@@ -334,6 +334,7 @@ def simulate(ds: FeatureDataset, cfg: TrainConfig):
     return clusters, collection, collection.training_table()
 
 
+@one_blas_thread()
 def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult:
     """Full training loop; a pure function of (dataset, config)."""
     cfg.validate()
@@ -396,6 +397,7 @@ def train_scorer(net: ScorerNet, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
     return train_scorers([net], X, y, [np.arange(len(y))], cfg, epochs, [seed], prior)[0]
 
 
+@one_blas_thread()
 def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
                   epochs: int, seeds, prior: DeviationPrior | None = None) -> list[ScorerNet]:
     """``train_scorer`` for several scorers at once, as one stack: scorer i

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -90,15 +91,36 @@ class TestParseConfig:
         (("protocol", "seeds"), "012"),
         (("protocol", "seen_class"), 3),
         (("output_dir",), 7),
+        (("dataset", "spce"), {"dim": 6}),
+        (("sweep", "extra"), 1),
+        (("dataset", "spec", "extra"), 1),
+        (("dataset", "spec", "dim"), 6.9),
+        (("dataset", "spec", "seed"), True),
+        (("dataset", "spec", "normal_components", 0, "count"), True),
+        (("dataset", "spec", "normal_components", 1, "count"), 6.9),
+        (("dataset", "spec", "normal_components", 0, "std"), [float("nan")] * 6),
+        (("dataset", "spec", "anomaly_components", 0, "mean"), "abc"),
+        (("dataset", "spec", "anomaly_components", 1, "mean"), [True] * 6),
+        (("dataset", "spec", "anomaly_components", 0, "class_tag"), 3),
+        (("dataset", "spec", "anomaly_components", 1, "tag"), "cold"),
+        pytest.param(("train", "lr_base"), 10**400, id="path29-int-beyond-float"),
     ])
     def test_wrong_type_names_field(self, tmp_path, path, value):
         cfg = minimal_config(tmp_path / "out")
         node = cfg
         for key in path[:-1]:
-            node = node[key]
+            node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
         node[path[-1]] = value
-        field = "sweep.values" if path == ("sweep",) else ".".join(path)
-        with pytest.raises(ConfigurationError, match=rf"^{field}(\[0\])?: "):
+        field = "sweep.values" if path == ("sweep",) else "".join(
+            f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(field)}(\[0\])?: "):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("kind, field", [("csv", "spec"), ("synthetic", "path")])
+    def test_field_of_the_other_dataset_kind_refused(self, tmp_path, kind, field):
+        cfg = minimal_config(tmp_path / "out")
+        cfg["dataset"] = {"kind": kind, "path": "bench.csv", "spec": cfg["dataset"]["spec"]}
+        with pytest.raises(ConfigurationError, match=rf"^dataset.{field}: "):
             parse_config(cfg)
 
     def test_cross_domain_refused(self, tmp_path):

@@ -35,6 +35,27 @@ def auc_bruteforce(scores, labels):
     return wins2 / (2 * len(pos) * len(neg))
 
 
+def auc_tie_loop(scores, labels):
+    """The former per-row tie loop of ``auc``, kept as a reference: doubled
+    midranks of each run of scores equal to the run's first."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    pos = labels == 1
+    m = int(pos.sum())
+    n_neg = int(len(labels) - m)
+    order = np.argsort(scores, kind="stable")
+    s_sorted = scores[order]
+    ranks2 = np.empty(len(scores), dtype=np.int64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and s_sorted[j + 1] == s_sorted[i]:
+            j += 1
+        ranks2[order[i : j + 1]] = (i + 1) + (j + 1)
+        i = j + 1
+    return (int(ranks2[pos].sum()) - m * (m + 1)) / (2 * m * n_neg)
+
+
 class TestAuc:
     def test_perfect_ranking(self):
         assert auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
@@ -60,6 +81,20 @@ class TestAuc:
             # coarse grid forces plenty of ties
             scores = rng.integers(0, 5, size=n).astype(np.float64) / 4.0
             assert auc(scores, labels) == auc_bruteforce(scores, labels)
+
+    def test_matches_tie_loop_on_heavy_ties_signed_zeros_and_nan(self):
+        rng = np.random.default_rng(2)
+        pool = np.array([0.0, -0.0, np.nan, 0.25, -0.25, 1.0, np.inf])
+        for _ in range(300):
+            n = int(rng.integers(2, 80))
+            labels = rng.integers(0, 2, size=n)
+            if labels.min() == labels.max():
+                labels[0] = 1 - labels[0]
+            scores = rng.choice(pool, size=n)
+            assert auc(scores, labels) == auc_tie_loop(scores, labels)
+        scores = rng.integers(0, 40, size=5000) / 8.0
+        labels = rng.integers(0, 2, size=5000)
+        assert auc(scores, labels) == auc_tie_loop(scores, labels)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)

@@ -21,6 +21,7 @@ from hetanom.errors import (
     ValidationError,
 )
 from hetanom.nets import ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
+from hetanom.synth import MixtureSpec
 from hetanom.train import TrainConfig
 
 from test_cli import minimal_config
@@ -37,15 +38,16 @@ json_values = st.recursive(
 
 
 def config_paths():
-    """Every key path of a valid config, down to the mixture spec's fields."""
+    """Every key path of a valid config, down to each mixture component's
+    fields and each list element (a list index is a path step)."""
     cfg = minimal_config("out")
     cfg["sweep"] = {"param": "K", "values": [5]}
     paths = []
 
     def walk(node, prefix):
-        for key, value in node.items():
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
             paths.append(prefix + (key,))
-            if isinstance(value, dict):
+            if isinstance(value, (dict, list)):
                 walk(value, prefix + (key,))
 
     walk(cfg, ())
@@ -77,11 +79,22 @@ def test_parse_config_with_one_field_replaced(path, value):
     node = raw
     for key in path[:-1]:
         node = node[key]
-    if value is DELETE:
+    if value is DELETE and isinstance(node, list):
+        del node[path[-1]]
+    elif value is DELETE:
         node.pop(path[-1], None)
     else:
         node[path[-1]] = value
     parses_or_refuses(raw)
+
+
+@FUZZ
+@given(json_values)
+def test_mixture_spec_from_dict_on_any_json_value(raw):
+    try:
+        assert isinstance(MixtureSpec.from_dict(raw), MixtureSpec)
+    except ConfigurationError:
+        pass
 
 
 cells = st.sampled_from(["", "0", "1", "2", "a", "b", "x", "nan", "-inf", "1e999", "3.5",

@@ -1,16 +1,27 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from hetanom.errors import CheckpointError, ShapeError
+from hetanom.errors import CheckpointError, ContractError, ShapeError
+from hetanom.evaluate import ProtocolSpec, run_protocol
 from hetanom.losses import DeviationPrior, base_loss_grad
 from hetanom.nets import (
     AdamState,
     ScorerNet,
     SequencePredictor,
+    _blas_set_threads,
     _sigmoid,
     load_checkpoint,
+    one_blas_thread,
     save_checkpoint,
 )
+from hetanom.train import TrainConfig, fit, train_scorers
+
+from conftest import make_dataset
+from test_evaluate import FAST, tiny_benchmark
 
 
 def grad_close(analytic, numeric, rel=1e-5, floor=1e-8):
@@ -369,3 +380,109 @@ class TestCheckpoints:
         path = tmp_path / "c.ckpt"
         save_checkpoint(path, net)
         assert path.read_bytes()[:4] == b"AHL1"
+
+
+def blas_threads() -> int:
+    """The process's OpenBLAS thread count, read by setting it and setting
+    it back through the guard's own symbol."""
+    set_threads = _blas_set_threads()
+    count = set_threads(1)
+    set_threads(count)
+    return count
+
+
+@pytest.mark.skipif(_blas_set_threads() is None,
+                    reason="the BLAS has no openblas_set_num_threads_local")
+class TestOneBlasThread:
+    @pytest.fixture(autouse=True)
+    def three_threads(self):
+        """Start each test from a count of 3, neither 1 nor a likely default,
+        so a restore to any other value shows; put the original back after."""
+        original = _blas_set_threads()(3)
+        yield
+        _blas_set_threads()(original)
+
+    def test_fit_trains_on_one_thread_and_restores(self):
+        seen = []
+        fit(make_dataset(n_normal=30, n_anomaly=4, seed=1),
+            TrainConfig(T=2, C=2, epochs=6, hidden=8, seed=0),
+            checkpoint_hook=lambda epoch, g: seen.append(blas_threads()))
+        assert seen == [1] * 6
+        assert blas_threads() == 3
+
+    def test_restored_when_fit_raises(self):
+        ds = make_dataset(n_normal=10, n_anomaly=1, dim=2, seed=0)
+        with pytest.raises(ContractError):
+            fit(ds.take(ds.normal_rows()), TrainConfig(epochs=1))
+        assert blas_threads() == 3
+
+    def test_train_scorers_restores(self):
+        ds = make_dataset(n_normal=30, n_anomaly=4, seed=2)
+        net = ScorerNet.init(ds.dim, 8, np.random.default_rng(0))
+        train_scorers([net, net], ds.features, ds.labels, [np.arange(34)] * 2,
+                      TrainConfig(batch_size=8), epochs=2, seeds=[0, 1])
+        assert blas_threads() == 3
+
+    def test_nested_scopes_restore_only_at_the_outermost(self):
+        with one_blas_thread():
+            with one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+            with pytest.raises(RuntimeError):
+                with one_blas_thread():
+                    raise RuntimeError("inner scope fails")
+            assert blas_threads() == 1
+        assert blas_threads() == 3
+
+    def test_overlapping_scopes_on_two_threads(self):
+        inside, leave = threading.Event(), threading.Event()
+
+        def worker():
+            with one_blas_thread():
+                inside.set()
+                leave.wait()
+
+        t = threading.Thread(target=worker, daemon=True)
+        try:
+            with one_blas_thread():
+                t.start()
+                assert inside.wait(timeout=30)
+            assert blas_threads() == 1  # the worker's scope is still open
+        finally:
+            leave.set()
+            t.join(timeout=30)
+        assert not t.is_alive()
+        assert blas_threads() == 3
+
+    def test_many_threads_entering_and_leaving(self):
+        wrong = []
+
+        def worker():
+            for _ in range(200):
+                with one_blas_thread():
+                    time.sleep(0)  # let another thread enter or leave here
+                    with one_blas_thread():
+                        if blas_threads() != 1:
+                            wrong.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, daemon=True) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert blas_threads() == 3
+
+    def test_run_protocol_on_two_threads_restores(self):
+        seen = []
+        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1))
+        run_protocol(tiny_benchmark(), spec, FAST, "AHL", threads=2,
+                     model_sink=lambda seed, model: seen.append(blas_threads()))
+        assert seen == [1, 1]
+        assert blas_threads() == 3
