@@ -155,14 +155,19 @@ def parse_config(raw: dict) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    return parse_config(_read_json(path, "config"))
+
+
+def _read_json(path, what: str):
+    """The JSON value in ``path``; a missing or malformed file is a
+    :class:`ConfigurationError` that starts with ``what``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise ConfigurationError(f"config: file not found: {path}") from None
+        raise ConfigurationError(f"{what}: file not found: {path}") from None
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"config: invalid JSON: {exc}") from None
-    return parse_config(raw)
+        raise ConfigurationError(f"{what}: invalid JSON: {exc}") from None
 
 
 def _canonical_json(obj) -> bytes:
@@ -246,8 +251,7 @@ def _dataset_checksum(source: DatasetSource) -> str | None:
 
 def execute_replay(manifest_path: Path, out_dir: Path, threads: int = 1) -> str:
     """Re-execute a recorded run and verify it reproduces bitwise."""
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(manifest_path, "manifest")
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise ReplayError(
             f"manifest format_version {manifest.get('format_version')!r} "
@@ -333,8 +337,7 @@ def main(argv=None) -> int:
             print(f"ok results_sha256={checksum}")
         else:  # gen-data
             if args.spec is not None:
-                with open(args.spec, encoding="utf-8") as fh:
-                    spec = MixtureSpec.from_dict(json.load(fh))
+                spec = MixtureSpec.from_dict(_read_json(args.spec, "spec"))
             else:
                 spec = default_benchmark()
             if args.seed is not None:

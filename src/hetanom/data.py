@@ -59,7 +59,8 @@ class FeatureDataset:
         if not np.isin(labels, (NORMAL, ANOMALY)).all():
             bad = int(np.argwhere(~np.isin(labels, (NORMAL, ANOMALY)))[0][0])
             raise ValidationError(f"label of sample {self.ids[bad]!r} is not in {{0, 1}}")
-        if len(set(self.ids)) != n:
+        row_of = dict(zip(self.ids, range(n)))
+        if len(row_of) != n:
             seen = set()
             dup = next(i for i in self.ids if i in seen or seen.add(i))
             raise ValidationError(f"duplicate sample id {dup!r}")
@@ -71,7 +72,7 @@ class FeatureDataset:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "ids", tuple(self.ids))
         object.__setattr__(self, "class_tags", tuple(self.class_tags))
-        object.__setattr__(self, "_row_of", {s: i for i, s in enumerate(self.ids)})
+        object.__setattr__(self, "_row_of", row_of)
 
     @property
     def dim(self) -> int:
@@ -98,13 +99,16 @@ class FeatureDataset:
         return self._row_of[sample_id]
 
     def take(self, rows) -> "FeatureDataset":
-        """New dataset containing the given rows, in the given order."""
+        """New dataset containing the given rows, in the given order (fancy
+        indexing copies, so the new arrays share no memory with these)."""
         rows = np.asarray(rows, dtype=np.int64)
+        picked = rows.tolist()
+        ids, tags = self.ids, self.class_tags
         return FeatureDataset(
-            ids=tuple(self.ids[i] for i in rows),
-            features=self.features[rows].copy(),
-            labels=self.labels[rows].copy(),
-            class_tags=tuple(self.class_tags[i] for i in rows),
+            ids=tuple([ids[i] for i in picked]),
+            features=self.features[rows],
+            labels=self.labels[rows],
+            class_tags=tuple([tags[i] for i in picked]),
         )
 
 
@@ -134,9 +138,16 @@ def stratified_split(ds: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDatase
     at most one sample. Raises :class:`SplitError` if a present class
     would end up empty in either part.
     """
-    part_rows: list[list[int]] = [[], []]
-    for label in sorted(set(ds.labels.tolist())):
-        rows = np.flatnonzero(ds.labels == label)
+    first, second = split_rows(ds.labels, spec)
+    return ds.take(first), ds.take(second)
+
+
+def split_rows(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the two parts of :func:`stratified_split` over a table
+    with these labels, each part in ascending row order."""
+    parts: list[list[np.ndarray]] = [[], []]
+    for label in np.unique(labels).tolist():
+        rows = np.flatnonzero(labels == label)
         counts = _largest_remainder(len(rows), spec.fractions)
         if min(counts) == 0:
             raise SplitError(
@@ -144,11 +155,9 @@ def stratified_split(ds: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDatase
                 f"({len(rows)} samples available)"
             )
         order = rng_for(spec.seed, "split", label).permutation(len(rows))
-        chosen = rows[order[: counts[0]]]
-        rest = rows[order[counts[0] :]]
-        part_rows[0].extend(chosen.tolist())
-        part_rows[1].extend(rest.tolist())
-    return ds.take(sorted(part_rows[0])), ds.take(sorted(part_rows[1]))
+        parts[0].append(rows[order[: counts[0]]])
+        parts[1].append(rows[order[counts[0] :]])
+    return np.sort(np.concatenate(parts[0])), np.sort(np.concatenate(parts[1]))
 
 
 def _largest_remainder(n: int, fractions) -> list[int]:

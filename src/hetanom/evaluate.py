@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ANOMALY, FeatureDataset, SplitSpec, stratified_split
+from .data import ANOMALY, FeatureDataset, SplitSpec, split_rows
 from .errors import ConfigurationError, ContractError, ShapeError, UndefinedMetricError
 from .nets import ScorerNet, one_blas_thread
 from .seeding import derive_seed, rng_for
@@ -206,14 +206,10 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
 def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):
     """Per-seed train/test construction: normals split by train_fraction,
     M training anomalies per the protocol, every other anomaly to test."""
-    normals = ds.take(ds.normal_rows())
-    norm_train, norm_test = stratified_split(
-        normals, SplitSpec(seed=derive_seed(seed, "normal-split"),
-                           fractions=(spec.train_fraction, 1.0 - spec.train_fraction)),
-    )
+    norm_train, norm_test = _split_normals(ds, derive_seed(seed, "normal-split"), spec)
     anomaly_rows = ds.anomaly_rows()
     if spec.kind == "hard":
-        pool = np.array([r for r in anomaly_rows if ds.class_tags[r] == spec.seen_class],
+        pool = np.array([r for r in anomaly_rows.tolist() if ds.class_tags[r] == spec.seen_class],
                         dtype=np.int64)
         if pool.size == 0:
             raise ConfigurationError(f"seen_class: {spec.seen_class!r} not present in dataset")
@@ -224,15 +220,20 @@ def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):
             f"m_anomalies: {spec.m_anomalies} exceeds the {pool.size} available anomalies")
     picked = np.sort(rng_for(seed, "anomaly-pick").choice(pool, size=spec.m_anomalies,
                                                           replace=False))
-    picked_set = set(picked.tolist())
-    rest = np.array([r for r in anomaly_rows if int(r) not in picked_set], dtype=np.int64)
+    rest = np.setdiff1d(anomaly_rows, picked)
 
-    train_rows = np.sort(np.concatenate(
-        [np.array([ds.row_of(s) for s in norm_train.ids], dtype=np.int64), picked]))
-    test_rows = np.sort(np.concatenate(
-        [np.array([ds.row_of(s) for s in norm_test.ids], dtype=np.int64), rest]))
-    seen_classes = tuple(sorted({ds.class_tags[int(r)] for r in picked}))
+    train_rows = np.sort(np.concatenate([norm_train, picked]))
+    test_rows = np.sort(np.concatenate([norm_test, rest]))
+    seen_classes = tuple(sorted({ds.class_tags[r] for r in picked.tolist()}))
     return ds.take(train_rows), ds.take(test_rows), seen_classes
+
+
+def _split_normals(ds: FeatureDataset, seed: int, spec: ProtocolSpec):
+    """The normal rows of ``ds``, split by the protocol's train fraction."""
+    normal_rows = ds.normal_rows()
+    first, second = split_rows(ds.labels[normal_rows], SplitSpec(
+        seed=seed, fractions=(spec.train_fraction, 1.0 - spec.train_fraction)))
+    return normal_rows[first], normal_rows[second]
 
 
 def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
@@ -245,8 +246,10 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
     labels = test_ds.labels
     overall = auc(scores, labels)
 
+    # every class tag as a code into the sorted distinct tags
+    tags, codes = np.unique(np.array(test_ds.class_tags, dtype=object), return_inverse=True)
     normal_mask = labels == 0
-    seen_mask = (labels == 1) & np.array([t in seen_classes for t in test_ds.class_tags])
+    seen_mask = (labels == 1) & np.array([t in seen_classes for t in tags], dtype=bool)[codes]
     unseen_mask = (labels == 1) & ~seen_mask
 
     def _masked_auc(anomaly_mask):
@@ -260,9 +263,8 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
     macro = None
     if unseen_mask.any():
         per_class = []
-        for tag in sorted({t for t, u in zip(test_ds.class_tags, unseen_mask) if u}):
-            cls_mask = unseen_mask & np.array([t == tag for t in test_ds.class_tags])
-            per_class.append(_masked_auc(cls_mask))
+        for code in np.unique(codes[unseen_mask]):
+            per_class.append(_masked_auc(unseen_mask & (codes == code)))
         macro = float(np.mean(per_class))
     return SeedResult(seed=seed, auc_overall=overall, auc_seen=auc_seen,
                       auc_unseen=auc_unseen, auc_unseen_macro=macro,
@@ -325,20 +327,16 @@ def run_cross_domain(source: FeatureDataset, target: FeatureDataset,
         src_train, _, _ = _protocol_split(source, src_spec, root)
         res = fit(src_train, replace(cfg, seed=derive_seed(root, "fit")))
 
-        tgt_normals = target.take(target.normal_rows())
-        tgt_train, tgt_test_norm = stratified_split(
-            tgt_normals, SplitSpec(seed=derive_seed(root, "target-split"),
-                                   fractions=(spec.train_fraction, 1.0 - spec.train_fraction)))
+        tgt_train_rows, tgt_test_rows = _split_normals(
+            target, derive_seed(root, "target-split"), spec)
+        tgt_train = target.take(tgt_train_rows)
         net = res.unified
         if spec.fine_tune_epochs > 0:
             net = train_scorer(net, tgt_train.features,
                                np.zeros(len(tgt_train.ids), dtype=np.int64),
                                cfg, spec.fine_tune_epochs,
                                seed=derive_seed(root, "fine-tune"))
-        test_rows = np.sort(np.concatenate(
-            [np.array([target.row_of(s) for s in tgt_test_norm.ids], dtype=np.int64),
-             target.anomaly_rows()]))
-        test_ds = target.take(test_rows)
+        test_ds = target.take(np.sort(np.concatenate([tgt_test_rows, target.anomaly_rows()])))
         # leakage is audited within the target namespace: only the
         # fine-tuning normals could overlap the target test set
         model = VariantModel("AHL", [net], frozenset(tgt_train.ids))

@@ -12,7 +12,7 @@ that runs a training run's clustering and subset construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,15 +29,24 @@ ONE_SHOT = "one_shot"
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Result of k-means over the normal samples of one dataset."""
+    """Result of k-means over the normal samples of one dataset: ``rows``
+    are the dataset's normal rows in ascending order, ``assign[j]`` is the
+    cluster of ``rows[j]``, and ``ids`` are the dataset's ids."""
 
     k: int
-    assignments: dict[str, int]
+    rows: np.ndarray
+    assign: np.ndarray
     centroids: np.ndarray
+    ids: tuple[str, ...] = field(repr=False)
 
-    def members(self, cluster: int, ds: FeatureDataset) -> list[str]:
-        """Ids assigned to ``cluster``, in dataset row order."""
-        return [s for s in ds.ids if self.assignments.get(s) == cluster]
+    @property
+    def assignments(self) -> dict[str, int]:
+        """The cluster of each normal sample, by id."""
+        return {self.ids[r]: c for r, c in zip(self.rows.tolist(), self.assign.tolist())}
+
+    def members(self, cluster: int) -> np.ndarray:
+        """Dataset rows assigned to ``cluster``, in ascending order."""
+        return self.rows[self.assign == cluster]
 
 
 def kmeans(ds: FeatureDataset, k: int, seed: int, max_iters: int = 100,
@@ -76,16 +85,14 @@ def kmeans(ds: FeatureDataset, k: int, seed: int, max_iters: int = 100,
             break
     assign = _assign_with_repair(X, centroids)
 
-    return ClusterAssignment(
-        k=k,
-        assignments={ds.ids[int(r)]: int(c) for r, c in zip(rows, assign)},
-        centroids=centroids,
-    )
+    return ClusterAssignment(k=k, rows=rows, assign=assign, centroids=centroids, ids=ds.ids)
 
 
 def _assign_with_repair(X, centroids):
     k = centroids.shape[0]
-    dist = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    dist = np.empty((X.shape[0], k))
+    for c in range(k):  # one column at a time: no (n, k, d) temporary
+        dist[:, c] = ((X - centroids[c]) ** 2).sum(axis=1)
     assign = dist.argmin(axis=1)
     while True:
         counts = np.bincount(assign, minlength=k)
@@ -103,23 +110,47 @@ def _assign_with_repair(X, centroids):
         assign[far] = empties[0]
 
 
-@dataclass(frozen=True)
+def _id_view(rows_field: str, kind) -> property:
+    """A read-only property: the ids of the rows in ``rows_field``, as ``kind``."""
+    return property(lambda self: kind([self.ids[r] for r in getattr(self, rows_field).tolist()]))
+
+
+@dataclass(frozen=True, eq=False)
 class DistributionDataset:
-    """One simulated anomaly distribution: support/query id lists plus the
-    provenance needed to audit its openness guarantees."""
+    """One simulated anomaly distribution: support/query rows plus the
+    provenance needed to audit its openness guarantees. Rows index the
+    collection's training table, whose ids are ``ids`` (real samples
+    first, then pseudo anomalies); the id views serve manifests and
+    leakage audits."""
 
     index: int
-    support_ids: tuple[str, ...]
-    query_ids: tuple[str, ...]
+    support_rows: np.ndarray
+    query_rows: np.ndarray
     support_normal_cluster: int
     query_normal_cluster: int
     support_pseudo_kind: PseudoKind
     query_pseudo_kind: PseudoKind
-    virtual_seen: frozenset[str]
-    virtual_unseen: frozenset[str]
+    seen_rows: np.ndarray
+    unseen_rows: np.ndarray
+    ids: tuple[str, ...] = field(repr=False)
 
-    def validate(self, labels: dict[str, int], strict_openness: bool = False) -> None:
-        """Raise :class:`ValidationError` on any violated invariant."""
+    support_ids = _id_view("support_rows", tuple)
+    query_ids = _id_view("query_rows", tuple)
+    virtual_seen = _id_view("seen_rows", frozenset)
+    virtual_unseen = _id_view("unseen_rows", frozenset)
+
+    def __eq__(self, other):
+        """Equal when the rows name the same ids and the rest is equal."""
+        if not isinstance(other, DistributionDataset):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in (
+            "index", "support_ids", "query_ids", "support_normal_cluster",
+            "query_normal_cluster", "support_pseudo_kind", "query_pseudo_kind",
+            "virtual_seen", "virtual_unseen"))
+
+    def validate(self, is_anomaly: np.ndarray, strict_openness: bool = False) -> None:
+        """Raise :class:`ValidationError` on any violated invariant;
+        ``is_anomaly`` flags the anomalous rows of the training table."""
         if (
             self.support_normal_cluster == self.query_normal_cluster
             and self.support_normal_cluster != ALL_NORMALS
@@ -127,19 +158,29 @@ class DistributionDataset:
             raise ValidationError(f"subset {self.index}: support and query share a cluster")
         if self.support_pseudo_kind == self.query_pseudo_kind:
             raise ValidationError(f"subset {self.index}: pseudo kinds must differ")
-        if self.virtual_seen & self.virtual_unseen:
+        n = len(is_anomaly)
+        if _mask(n, self.seen_rows)[self.unseen_rows].any():
             raise ValidationError(f"subset {self.index}: virtual seen/unseen overlap")
-        support = set(self.support_ids)
-        query = set(self.query_ids)
-        query_anoms = {s for s in query if labels.get(s, ANOMALY) == ANOMALY}
-        if not self.virtual_unseen <= query_anoms:
+        support = _mask(n, self.support_rows)
+        query_anoms = _mask(n, self.query_rows) & is_anomaly
+        if not query_anoms[self.unseen_rows].all():
             raise ValidationError(f"subset {self.index}: virtual unseen not confined to query")
-        if self.virtual_unseen & support:
+        if support[self.unseen_rows].any():
             raise ValidationError(f"subset {self.index}: virtual unseen leaked into support")
-        if strict_openness:
-            support_anoms = {s for s in support if labels.get(s, ANOMALY) == ANOMALY}
-            if support_anoms & query_anoms:
-                raise ValidationError(f"subset {self.index}: support/query anomalies overlap")
+        if strict_openness and (support & query_anoms).any():
+            raise ValidationError(f"subset {self.index}: support/query anomalies overlap")
+
+
+def _mask(n: int, rows: np.ndarray) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[rows] = True
+    return mask
+
+
+def _rows(values) -> np.ndarray:
+    rows = np.asarray(values, dtype=np.int64)
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -154,35 +195,29 @@ class DistributionCollection:
     strict_openness: bool
 
     def labels(self) -> dict[str, int]:
-        out = {s: int(l) for s, l in zip(self.ds.ids, self.ds.labels)}
+        out = dict(zip(self.ds.ids, self.ds.labels.tolist()))
         out.update({s: ANOMALY for s in self.pseudo_ids})
         return out
 
     def validate(self) -> None:
-        labels = self.labels()
+        is_anomaly = np.concatenate([self.ds.labels == ANOMALY,
+                                     np.ones(len(self.pseudo_ids), dtype=bool)])
         strict = self.strict_openness and self.mode != ONE_SHOT
+        covered = np.zeros(len(is_anomaly), dtype=bool)
         for dd in self.subsets:
-            dd.validate(labels, strict_openness=strict)
-        covered = set()
-        for dd in self.subsets:
-            covered.update(dd.support_ids)
-            covered.update(dd.query_ids)
-        normals = {self.ds.ids[i] for i in self.ds.normal_rows()}
-        if not normals <= covered:
+            dd.validate(is_anomaly, strict_openness=strict)
+            covered[dd.support_rows] = True
+            covered[dd.query_rows] = True
+        if not covered[self.ds.normal_rows()].all():
             raise ValidationError("some normal samples appear in no subset")
 
     def training_table(self) -> "TrainingTable":
         ids = self.ds.ids + self.pseudo_ids
         X = np.vstack([self.ds.features, self.pseudo_features]) if self.pseudo_ids else self.ds.features.copy()
         y = np.concatenate([self.ds.labels, np.ones(len(self.pseudo_ids), dtype=np.int64)])
-        row = {s: i for i, s in enumerate(ids)}
-        support_rows = tuple(
-            np.array([row[s] for s in dd.support_ids], dtype=np.int64) for dd in self.subsets
-        )
-        query_rows = tuple(
-            np.array([row[s] for s in dd.query_ids], dtype=np.int64) for dd in self.subsets
-        )
-        return TrainingTable(ids=ids, X=X, y=y, support_rows=support_rows, query_rows=query_rows)
+        return TrainingTable(ids=ids, X=X, y=y,
+                             support_rows=tuple(dd.support_rows for dd in self.subsets),
+                             query_rows=tuple(dd.query_rows for dd in self.subsets))
 
     def to_manifest(self) -> dict:
         return {
@@ -213,21 +248,33 @@ class DistributionCollection:
     def from_manifest(cls, ds: FeatureDataset, manifest: dict) -> "DistributionCollection":
         if manifest.get("format_version") != 1:
             raise ConfigurationError("subset manifest: unknown format_version")
+        pseudo_ids = tuple(manifest["pseudo"]["ids"])
+        ids = ds.ids + pseudo_ids
+        row_of = dict(zip(ids, range(len(ids))))
+
+        def rows(key_ids, sort=False):
+            try:
+                found = [row_of[s] for s in key_ids]
+            except KeyError as exc:
+                raise ConfigurationError(
+                    f"subset manifest: unknown sample id {exc.args[0]!r}") from None
+            return _rows(sorted(found) if sort else found)
+
         subsets = tuple(
             DistributionDataset(
                 index=int(m["index"]),
-                support_ids=tuple(m["support_ids"]),
-                query_ids=tuple(m["query_ids"]),
+                support_rows=rows(m["support_ids"]),
+                query_rows=rows(m["query_ids"]),
                 support_normal_cluster=int(m["support_normal_cluster"]),
                 query_normal_cluster=int(m["query_normal_cluster"]),
                 support_pseudo_kind=PseudoKind(m["support_pseudo_kind"]),
                 query_pseudo_kind=PseudoKind(m["query_pseudo_kind"]),
-                virtual_seen=frozenset(m["virtual_seen"]),
-                virtual_unseen=frozenset(m["virtual_unseen"]),
+                seen_rows=rows(m["virtual_seen"], sort=True),
+                unseen_rows=rows(m["virtual_unseen"], sort=True),
+                ids=ids,
             )
             for m in manifest["subsets"]
         )
-        pseudo_ids = tuple(manifest["pseudo"]["ids"])
         feats = manifest["pseudo"]["features"]
         pseudo_features = (
             np.array(feats, dtype=np.float64) if pseudo_ids else np.empty((0, ds.dim))
@@ -258,16 +305,12 @@ class TrainingTable:
 
     def support_normal_mask(self, i: int) -> np.ndarray:
         """Boolean mask over the table: is this row a support normal of subset i."""
-        mask = np.zeros(len(self.ids), dtype=bool)
         rows = self.support_rows[i]
-        mask[rows[self.y[rows] == NORMAL]] = True
-        return mask
+        return _mask(len(self.ids), rows[self.y[rows] == NORMAL])
 
     def support_anomaly_mask(self, i: int) -> np.ndarray:
-        mask = np.zeros(len(self.ids), dtype=bool)
         rows = self.support_rows[i]
-        mask[rows[self.y[rows] == ANOMALY]] = True
-        return mask
+        return _mask(len(self.ids), rows[self.y[rows] == ANOMALY])
 
 
 def build_distributions(
@@ -299,12 +342,13 @@ def build_distributions(
     if ds.n_anomaly < 1:
         raise ContractError("dataset has no anomalies to distribute")
 
-    normal_ids = [ds.ids[i] for i in ds.normal_rows()]
-    anomaly_ids = [ds.ids[i] for i in ds.anomaly_rows()]
-    cluster_members = {c: clusters.members(c, ds) for c in range(clusters.k)}
-    normal_row = {s: ds.row_of(s) for s in normal_ids}
+    normal_rows = ds.normal_rows()
+    if clusters.ids != ds.ids or not np.array_equal(clusters.rows, normal_rows):
+        raise ContractError("the clusters were computed on another dataset")
+    anomaly_rows = ds.anomaly_rows()
+    cluster_members = [clusters.members(c) for c in range(clusters.k)]
 
-    subsets = []
+    built = []
     pseudo_ids: list[str] = []
     pseudo_feats: list[np.ndarray] = []
 
@@ -316,51 +360,47 @@ def build_distributions(
             query_normals = cluster_members[qry_c]
         else:
             sup_c = qry_c = ALL_NORMALS
-            perm = rng.permutation(len(normal_ids))
-            half = len(normal_ids) // 2
-            support_normals = [normal_ids[j] for j in sorted(perm[:half])]
-            query_normals = [normal_ids[j] for j in sorted(perm[half:])]
+            perm = rng.permutation(len(normal_rows))
+            half = len(normal_rows) // 2
+            support_normals = normal_rows[np.sort(perm[:half])]
+            query_normals = normal_rows[np.sort(perm[half:])]
 
         if mode == ONE_SHOT:
-            virtual_seen = list(anomaly_ids)
-            virtual_unseen: list[str] = []
-            support_anoms = list(anomaly_ids)
-            query_anoms = list(anomaly_ids)
+            seen, unseen = anomaly_rows, anomaly_rows[:0]
+            support_anoms = query_anoms = anomaly_rows
         else:
-            perm = rng.permutation(len(anomaly_ids))
-            n_seen = len(anomaly_ids) // 2
-            virtual_seen = [anomaly_ids[j] for j in sorted(perm[:n_seen])]
-            virtual_unseen = [anomaly_ids[j] for j in sorted(perm[n_seen:])]
-            support_anoms = list(virtual_seen)
-            query_anoms = (virtual_unseen if strict_openness
-                           else virtual_seen + virtual_unseen)
+            perm = rng.permutation(len(anomaly_rows))
+            n_seen = len(anomaly_rows) // 2
+            seen = anomaly_rows[np.sort(perm[:n_seen])]
+            unseen = anomaly_rows[np.sort(perm[n_seen:])]
+            support_anoms = seen
+            query_anoms = unseen if strict_openness else np.concatenate([seen, unseen])
 
         kind_idx = rng.choice(len(ALL_KINDS), size=2, replace=False)
         sup_kind, qry_kind = ALL_KINDS[int(kind_idx[0])], ALL_KINDS[int(kind_idx[1])]
 
         n_pseudo = len(support_anoms)
-        sup_pseudo = _inject_pseudo(ds, support_normals, normal_ids, normal_row,
-                                    sup_kind, n_pseudo, seed, i, "s",
-                                    pseudo_ids, pseudo_feats)
-        qry_pseudo = _inject_pseudo(ds, query_normals, normal_ids, normal_row,
-                                    qry_kind, n_pseudo, seed, i, "q",
-                                    pseudo_ids, pseudo_feats)
+        sup_pseudo = _inject_pseudo(ds, support_normals, normal_rows, sup_kind, n_pseudo,
+                                    seed, i, "s", pseudo_ids, pseudo_feats)
+        qry_pseudo = _inject_pseudo(ds, query_normals, normal_rows, qry_kind, n_pseudo,
+                                    seed, i, "q", pseudo_ids, pseudo_feats)
 
-        subsets.append(DistributionDataset(
+        built.append(dict(
             index=i,
-            support_ids=tuple(support_normals + support_anoms + sup_pseudo),
-            query_ids=tuple(query_normals + query_anoms + qry_pseudo),
+            support_rows=_rows(np.concatenate([support_normals, support_anoms, sup_pseudo])),
+            query_rows=_rows(np.concatenate([query_normals, query_anoms, qry_pseudo])),
             support_normal_cluster=sup_c,
             query_normal_cluster=qry_c,
             support_pseudo_kind=sup_kind,
             query_pseudo_kind=qry_kind,
-            virtual_seen=frozenset(virtual_seen),
-            virtual_unseen=frozenset(virtual_unseen),
+            seen_rows=_rows(seen),
+            unseen_rows=_rows(unseen),
         ))
 
+    ids = ds.ids + tuple(pseudo_ids)
     collection = DistributionCollection(
         ds=ds,
-        subsets=tuple(subsets),
+        subsets=tuple(DistributionDataset(**fields, ids=ids) for fields in built),
         pseudo_ids=tuple(pseudo_ids),
         pseudo_features=(np.vstack(pseudo_feats) if pseudo_feats
                          else np.empty((0, ds.dim))),
@@ -371,26 +411,23 @@ def build_distributions(
     return collection
 
 
-def _inject_pseudo(ds, source_normals, all_normals, normal_row, kind, count,
-                   seed, subset_idx, side, pseudo_ids, pseudo_feats) -> list[str]:
-    """Corrupt ``count`` normals from ``source_normals``; donors come from
-    anywhere in the normal pool (other clusters give off-manifold blends)."""
-    if count > 0 and len(all_normals) < 2:
+def _inject_pseudo(ds, source_rows, normal_rows, kind, count, seed, subset_idx, side,
+                   pseudo_ids, pseudo_feats) -> np.ndarray:
+    """Corrupt ``count`` normals from ``source_rows``; donors come from
+    anywhere in the normal pool (other clusters give off-manifold blends).
+    Returns the new pseudo anomalies' rows in the training table."""
+    if count > 0 and len(normal_rows) < 2:
         raise CapacityError("pseudo anomalies need at least 2 normal samples")
-    made = []
+    start = len(ds) + len(pseudo_ids)
     rng = rng_for(seed, "pseudo-pick", subset_idx, side)
     for j in range(count):
-        src = source_normals[int(rng.integers(len(source_normals)))]
+        src = source_rows[int(rng.integers(len(source_rows)))]
         donor = src
         while donor == src:
-            donor = all_normals[int(rng.integers(len(all_normals)))]
+            donor = normal_rows[int(rng.integers(len(normal_rows)))]
         recipe = PseudoAnomalyRecipe(
             kind=kind, seed=derive_seed(seed, "pseudo", subset_idx, side, j)
         )
-        x = synthesize_pseudo(ds.features[normal_row[src]],
-                              ds.features[normal_row[donor]], recipe)
-        sid = f"pseudo:{subset_idx}:{side}:{j}"
-        made.append(sid)
-        pseudo_ids.append(sid)
-        pseudo_feats.append(x)
-    return made
+        pseudo_feats.append(synthesize_pseudo(ds.features[src], ds.features[donor], recipe))
+        pseudo_ids.append(f"pseudo:{subset_idx}:{side}:{j}")
+    return np.arange(start, start + count)

@@ -230,6 +230,20 @@ class TestReplay:
             execute_replay(old, tmp_path / "replayed")
         assert not (tmp_path / "replayed").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"format_version": 2, "comm', "manifest: invalid JSON"),
+        (None, "manifest: file not found"),
+    ], ids=["truncated", "missing"])
+    def test_unreadable_manifest_is_a_config_error(self, tmp_path, capsys, text, message):
+        manifest = tmp_path / "manifest.json"
+        if text is not None:
+            manifest.write_text(text)
+        assert main(["replay", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "replayed")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "replayed").exists()
+
 
 class TestSweepCommand:
     def test_sweep_csv_written(self, tmp_path):
@@ -266,3 +280,17 @@ class TestGenData:
                      "--seed", "11"]) == 0
         ds = ingest_csv(out)
         assert ds.n_normal == 120 and ds.n_anomaly == 40
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"dim": 6, "seed": 5, "normal_comp', "spec: invalid JSON"),
+        (None, "spec: file not found"),
+    ], ids=["truncated", "missing"])
+    def test_unreadable_spec_is_a_config_error(self, tmp_path, capsys, text, message):
+        spec_path = tmp_path / "spec.json"
+        if text is not None:
+            spec_path.write_text(text)
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--out", str(out), "--spec", str(spec_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()

@@ -104,6 +104,22 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             ds.features[0, 0] = 9.0
 
+    def test_take_repeated_row_names_the_duplicate(self):
+        ds = make_dataset(4, 2)
+        with pytest.raises(ValidationError, match="duplicate sample id 's1'"):
+            ds.take([0, 1, 1])
+
+    def test_take_arrays_read_only_and_unshared(self):
+        ds = make_dataset(4, 2)
+        sub = ds.take([5, 0, 2])
+        assert sub.ids == ("s5", "s0", "s2")
+        assert sub.class_tags == (ds.class_tags[5], ds.class_tags[0], ds.class_tags[2])
+        np.testing.assert_array_equal(sub.features, ds.features[[5, 0, 2]])
+        np.testing.assert_array_equal(sub.labels, ds.labels[[5, 0, 2]])
+        for part, whole in ((sub.features, ds.features), (sub.labels, ds.labels)):
+            assert not part.flags.writeable
+            assert not np.shares_memory(part, whole)
+
 
 class TestStratifiedSplit:
     def test_exact_counts(self):

@@ -1,16 +1,19 @@
 """Golden pins: the criterion-8 config must reproduce its recorded results
-checksum, per-epoch fit logs and checkpoints bit for bit, and a default
-fit on the benchmark its recorded parameters and log."""
+checksum, per-epoch fit logs and checkpoints bit for bit, a default fit on
+the benchmark its recorded parameters and log, and subset simulation its
+recorded manifests and training tables."""
 
 import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hetanom import TrainConfig, fit
 from hetanom.cli import main as cli_main
 from hetanom.synth import default_benchmark, generate
+from hetanom.train import simulate
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = json.loads((GOLDEN_DIR / "criterion8.json").read_text())
@@ -43,3 +46,42 @@ def test_default_fit_golden():
     assert theta_sha(res.unified) == pins["unified_theta_sha256"]
     assert theta_sha(res.seq_net) == pins["seq_theta_sha256"]
     assert hashlib.sha256(log.encode("utf-8")).hexdigest() == pins["log_sha256"]
+
+
+#: subset simulation on the default benchmark: (TrainConfig fields, rows kept)
+SUBSET_CASES = {
+    "few_shot": ({"seed": 3}, None),
+    "strict": ({"seed": 4, "strict_openness": True}, None),
+    "one_shot": ({"seed": 5}, "normals+1"),
+}
+
+
+def subset_digests(ds, case: str) -> dict:
+    """SHA-256 of the canonical subset manifest, the k-means centroids and
+    every training-table field of one ``simulate`` call."""
+    fields, rows = SUBSET_CASES[case]
+    if rows == "normals+1":
+        ds = ds.take(np.concatenate([ds.normal_rows(), ds.anomaly_rows()[:1]]))
+    clusters, coll, table = simulate(ds, TrainConfig(**fields))
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def rows_sha(arrays) -> str:
+        return sha(json.dumps([a.tolist() for a in arrays]).encode("utf-8"))
+
+    return {
+        "manifest": sha(json.dumps(coll.to_manifest(), sort_keys=True).encode("utf-8")),
+        "centroids": sha(np.ascontiguousarray(clusters.centroids, dtype="<f8").tobytes()),
+        "ids": sha("\n".join(table.ids).encode("utf-8")),
+        "X": sha(np.ascontiguousarray(table.X, dtype="<f8").tobytes()),
+        "y": sha(np.ascontiguousarray(table.y, dtype="<i8").tobytes()),
+        "support_rows": rows_sha(table.support_rows),
+        "query_rows": rows_sha(table.query_rows),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(SUBSET_CASES))
+def test_subsets_golden(benchmark_ds, case):
+    pins = json.loads((GOLDEN_DIR / "subsets.json").read_text())
+    assert subset_digests(benchmark_ds, case) == pins[case]

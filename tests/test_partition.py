@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from hetanom.data import FeatureDataset
-from hetanom.errors import CapacityError, ConfigurationError
+from hetanom.errors import CapacityError, ConfigurationError, ContractError, ValidationError
 from hetanom.partition import (
     ALL_NORMALS,
     ONE_SHOT,
@@ -212,6 +214,19 @@ class TestBuildDistributions:
         with pytest.raises(ConfigurationError):
             build_distributions(ds, clusters, 3, seed=0)  # T>1 with one cluster
 
+    def test_manifest_with_unknown_id_refused(self):
+        ds = make_dataset(n_normal=30, n_anomaly=6, dim=4, seed=9)
+        manifest = self._build(ds, C=3, T=4).to_manifest()
+        manifest["subsets"][1]["query_ids"].append("nobody")
+        with pytest.raises(ConfigurationError, match="unknown sample id 'nobody'"):
+            DistributionCollection.from_manifest(ds, manifest)
+
+    def test_clusters_of_another_dataset_refused(self):
+        ds = make_dataset(n_normal=30, n_anomaly=6, dim=4, seed=9)
+        other = make_dataset(n_normal=31, n_anomaly=5, dim=4, seed=9)
+        with pytest.raises(ContractError, match="another dataset"):
+            build_distributions(ds, kmeans(other, 3, seed=0), 4, seed=0)
+
     def test_training_table_masks(self):
         ds = make_dataset(n_normal=30, n_anomaly=10, dim=4, seed=11)
         coll = self._build(ds, C=3, T=4)
@@ -225,3 +240,68 @@ class TestBuildDistributions:
                 in_support = sid in support
                 assert sup_norm[row] == (in_support and table.y[row] == 0)
                 assert sup_anom[row] == (in_support and table.y[row] == 1)
+
+
+def _share_cluster(sub, manifest):
+    sub["query_normal_cluster"] = sub["support_normal_cluster"]
+
+
+def _same_kinds(sub, manifest):
+    sub["query_pseudo_kind"] = sub["support_pseudo_kind"]
+
+
+def _seen_is_unseen(sub, manifest):
+    sub["virtual_seen"].append(sub["virtual_unseen"][0])
+
+
+def _unseen_out_of_query(sub, manifest):
+    sub["query_ids"].remove(sub["virtual_unseen"][0])
+
+
+def _unseen_in_support(sub, manifest):
+    sub["support_ids"].append(sub["virtual_unseen"][0])
+
+
+def _seen_in_strict_query(sub, manifest):
+    sub["query_ids"].append(sub["virtual_seen"][0])
+
+
+def _uncover_a_normal(sub, manifest):
+    normal = sub["support_ids"][0]
+    for m in manifest["subsets"]:
+        for side in ("support_ids", "query_ids"):
+            m[side] = [s for s in m[side] if s != normal]
+
+
+class TestValidateRejects:
+    """Each check of DistributionCollection.validate, violated on purpose in
+    an otherwise valid collection (edited through its manifest, so the test
+    does not depend on how a subset stores its members)."""
+
+    @staticmethod
+    def _manifest(strict):
+        ds = make_dataset(n_normal=30, n_anomaly=10, dim=4, seed=12)
+        coll = build_distributions(ds, kmeans(ds, 3, seed=0), 4,
+                                   strict_openness=strict, seed=0)
+        return ds, coll.to_manifest()
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_unedited_manifest_is_valid(self, strict):
+        ds, manifest = self._manifest(strict)
+        DistributionCollection.from_manifest(ds, manifest).validate()
+
+    @pytest.mark.parametrize("edit, strict, message", [
+        (_share_cluster, False, "subset 0: support and query share a cluster"),
+        (_same_kinds, False, "subset 0: pseudo kinds must differ"),
+        (_seen_is_unseen, False, "subset 0: virtual seen/unseen overlap"),
+        (_unseen_out_of_query, False, "subset 0: virtual unseen not confined to query"),
+        (_unseen_in_support, False, "subset 0: virtual unseen leaked into support"),
+        (_seen_in_strict_query, True, "subset 0: support/query anomalies overlap"),
+        (_uncover_a_normal, False, "some normal samples appear in no subset"),
+    ], ids=lambda v: getattr(v, "__name__", None))
+    def test_violation_raises(self, edit, strict, message):
+        ds, manifest = self._manifest(strict)
+        edit(manifest["subsets"][0], manifest)
+        coll = DistributionCollection.from_manifest(ds, manifest)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            coll.validate()
