@@ -23,7 +23,7 @@ from .evaluate import (
     run_variant,
     sweep,
 )
-from .losses import DeviationPrior, base_loss, cdl_loss, deviation, deviation_loss
+from .losses import base_loss, cdl_loss, deviation_loss
 from .nets import AdamState, ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
 from .partition import ClusterAssignment, DistributionDataset, build_distributions, kmeans
 from .synth import (
@@ -34,13 +34,12 @@ from .synth import (
     generate,
     synthesize_pseudo,
 )
-from .train import FitResult, ImportanceState, ScoreHistory, TrainConfig, fit
+from .train import FitResult, ImportanceState, TrainConfig, fit
 
 __all__ = [
     "AdamState",
     "BENCHMARK_SEEDS",
     "ClusterAssignment",
-    "DeviationPrior",
     "DistributionDataset",
     "EvalResult",
     "FeatureDataset",
@@ -50,7 +49,6 @@ __all__ = [
     "ProtocolSpec",
     "PseudoAnomalyRecipe",
     "PseudoKind",
-    "ScoreHistory",
     "ScorerNet",
     "SequencePredictor",
     "SplitSpec",
@@ -60,7 +58,6 @@ __all__ = [
     "build_distributions",
     "cdl_loss",
     "default_benchmark",
-    "deviation",
     "deviation_loss",
     "fit",
     "generate",

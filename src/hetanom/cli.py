@@ -33,7 +33,7 @@ from .schema import build, typed
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -250,12 +250,18 @@ def _dataset_checksum(source: DatasetSource) -> str | None:
 
 
 def execute_replay(manifest_path: Path, out_dir: Path, threads: int = 1) -> str:
-    """Re-execute a recorded run and verify it reproduces bitwise."""
+    """Re-execute a recorded run and verify it reproduces bitwise. The
+    manifest is checked before any work starts."""
     manifest = _read_json(manifest_path, "manifest")
+    if not isinstance(manifest, dict):
+        raise ReplayError("manifest: must be a JSON object")
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise ReplayError(
             f"manifest format_version {manifest.get('format_version')!r} "
             f"is not {MANIFEST_VERSION}")
+    for key in ("config", "results_sha256"):
+        if key not in manifest:
+            raise ReplayError(f"manifest: missing field {key!r}")
     config = parse_config(manifest["config"])
     recorded_ds = manifest.get("dataset_sha256")
     if recorded_ds is not None and _dataset_checksum(config.dataset) != recorded_ds:
@@ -276,7 +282,12 @@ def _threads_from(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("AHL_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigurationError("AHL_THREADS: must be an integer") from None
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:

@@ -8,13 +8,14 @@ Gradients are hand-written reverse mode; both nets keep their parameters
 in one flat vector so optimizer steps, broadcasting and checkpointing are
 single array operations.
 
-The scorer takes an optional leading stack axis: parameters (G, P) run G
-scorers in one call, which is how the T base scorers train. Adam is
-elementwise with a step count per stacked row, so rows may sit a step
-out. The sequence predictor keeps its recurrence rows-innermost, states
-(K, 2, H, n) and step products ``U @ h``, and forms its weight gradients
-in the rows-major layout; every result is bit for bit that of the
-per-net, rows-major formulation.
+Both nets take batches only: the scorer (n, d) rows, the sequence
+predictor (n, K, T) histories. The scorer takes an optional leading
+stack axis: parameters (G, P) run G scorers in one call, which is how
+the T base scorers train. Adam is elementwise with a step count per
+stacked row, so rows may sit a step out. The sequence predictor keeps
+its recurrence rows-innermost, states (K, 2, H, n) and step products
+``U @ h``, and forms its weight gradients in the rows-major layout;
+every result is bit for bit that of the per-net, rows-major formulation.
 
 Every product in training is small (batch 32, hidden width 7 in the
 LSTM, a few thousand rows at most), too small for a second BLAS thread
@@ -145,9 +146,6 @@ class ScorerNet:
         b2 = _uniform_block(rng, (1,), hidden)
         return cls(dim, hidden, np.concatenate([w1.ravel(), b1, w2, b2]))
 
-    def copy(self) -> "ScorerNet":
-        return ScorerNet(self.dim, self.hidden, self.theta.copy())
-
     def _views(self):
         d, h = self.dim, self.hidden
         theta = self.theta
@@ -157,16 +155,12 @@ class ScorerNet:
         b2 = theta[..., -1]
         return w1, b1, w2, b2
 
-    def forward(self, x: np.ndarray):
-        """Scores for a batch (n, d) -> (n,), or a single vector -> float;
-        a stack scores (G, n, d) -> (G, n)."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[None, :] if single else x
-        if X.shape[-1] != self.dim:
-            raise ShapeError(f"input dim {X.shape[-1]} != net dim {self.dim}")
-        scores, _ = self.forward_with_cache(X)
-        return float(scores[0]) if single else scores
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Scores for a batch (n, d) -> (n,); a stack scores (G, n, d) -> (G, n)."""
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim < 2 or X.shape[-1] != self.dim:
+            raise ShapeError(f"input must be a batch (n, {self.dim}), got {X.shape}")
+        return self.forward_with_cache(X)[0]
 
     def forward_with_cache(self, X):
         w1, b1, w2, b2 = self._views()
@@ -276,29 +270,23 @@ class SequencePredictor:
         return self.theta[self._ifog_index[layer, part]]
 
     def forward(self, history: np.ndarray) -> np.ndarray:
-        """(n, K, T) history -> (n, T) prediction; also accepts (K, T)."""
+        """(n, K, T) history -> (n, T) prediction."""
         out, _ = self.forward_with_cache(history, keep=False)
         return out
 
     def forward_with_cache(self, history, keep: bool = True):
-        """Prediction and the cache ``backward`` needs; with ``keep=False``
-        no per-step state is kept and the cache is None."""
+        """Prediction for an (n, K, T) history and the cache ``backward``
+        needs; with ``keep=False`` no per-step state is kept and the cache
+        is None."""
         S = np.asarray(history, dtype=np.float64)
-        single = S.ndim == 2
-        if single:
-            S = S[None, :, :]
         if S.ndim != 3 or S.shape[2] != self.t_dim:
             raise ShapeError(f"history must be (n, K, {self.t_dim}), got {S.shape}")
         if keep:
-            out, cache = self._forward(S, keep=True)
-            cache += (single,)
-        else:
-            # rows are independent: blocks of at most INFER_ROWS keep the
-            # temporaries small, and no block of a longer input has one row
-            blocks = np.array_split(S, max(1, -(-len(S) // self.INFER_ROWS)))
-            out = np.concatenate([self._forward(block, keep=False)[0] for block in blocks])
-            cache = None
-        return (out[0] if single else out), cache
+            return self._forward(S, keep=True)
+        # rows are independent: blocks of at most INFER_ROWS keep the
+        # temporaries small, and no block of a longer input has one row
+        blocks = np.array_split(S, max(1, -(-len(S) // self.INFER_ROWS)))
+        return np.concatenate([self._forward(block, keep=False)[0] for block in blocks]), None
 
     def _forward(self, S, keep):
         H = self.HIDDEN
@@ -322,10 +310,8 @@ class SequencePredictor:
 
     def backward(self, cache, dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout . output) w.r.t. the flat parameters."""
-        cache1, cache2, head, zf, af, single = cache
+        cache1, cache2, head, zf, af = cache
         dout = np.asarray(dout, dtype=np.float64)
-        if single:
-            dout = dout[None, :]
         grad = np.zeros_like(self.theta)
         H = self.HIDDEN
         n, K = head.shape[0], cache2[0].shape[1]
@@ -446,13 +432,14 @@ class AdamState:
     and the others keep their moments and step counts. One state must not
     be shared across threads."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be > 0")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = None
         self.v = None

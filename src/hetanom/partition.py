@@ -139,15 +139,6 @@ class DistributionDataset:
     virtual_seen = _id_view("seen_rows", frozenset)
     virtual_unseen = _id_view("unseen_rows", frozenset)
 
-    def __eq__(self, other):
-        """Equal when the rows name the same ids and the rest is equal."""
-        if not isinstance(other, DistributionDataset):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in (
-            "index", "support_ids", "query_ids", "support_normal_cluster",
-            "query_normal_cluster", "support_pseudo_kind", "query_pseudo_kind",
-            "virtual_seen", "virtual_unseen"))
-
     def validate(self, is_anomaly: np.ndarray, strict_openness: bool = False) -> None:
         """Raise :class:`ValidationError` on any violated invariant;
         ``is_anomaly`` flags the anomalous rows of the training table."""
@@ -194,11 +185,6 @@ class DistributionCollection:
     mode: str
     strict_openness: bool
 
-    def labels(self) -> dict[str, int]:
-        out = dict(zip(self.ds.ids, self.ds.labels.tolist()))
-        out.update({s: ANOMALY for s in self.pseudo_ids})
-        return out
-
     def validate(self) -> None:
         is_anomaly = np.concatenate([self.ds.labels == ANOMALY,
                                      np.ones(len(self.pseudo_ids), dtype=bool)])
@@ -243,50 +229,6 @@ class DistributionCollection:
                 "features": [[float(v) for v in x] for x in self.pseudo_features],
             },
         }
-
-    @classmethod
-    def from_manifest(cls, ds: FeatureDataset, manifest: dict) -> "DistributionCollection":
-        if manifest.get("format_version") != 1:
-            raise ConfigurationError("subset manifest: unknown format_version")
-        pseudo_ids = tuple(manifest["pseudo"]["ids"])
-        ids = ds.ids + pseudo_ids
-        row_of = dict(zip(ids, range(len(ids))))
-
-        def rows(key_ids, sort=False):
-            try:
-                found = [row_of[s] for s in key_ids]
-            except KeyError as exc:
-                raise ConfigurationError(
-                    f"subset manifest: unknown sample id {exc.args[0]!r}") from None
-            return _rows(sorted(found) if sort else found)
-
-        subsets = tuple(
-            DistributionDataset(
-                index=int(m["index"]),
-                support_rows=rows(m["support_ids"]),
-                query_rows=rows(m["query_ids"]),
-                support_normal_cluster=int(m["support_normal_cluster"]),
-                query_normal_cluster=int(m["query_normal_cluster"]),
-                support_pseudo_kind=PseudoKind(m["support_pseudo_kind"]),
-                query_pseudo_kind=PseudoKind(m["query_pseudo_kind"]),
-                seen_rows=rows(m["virtual_seen"], sort=True),
-                unseen_rows=rows(m["virtual_unseen"], sort=True),
-                ids=ids,
-            )
-            for m in manifest["subsets"]
-        )
-        feats = manifest["pseudo"]["features"]
-        pseudo_features = (
-            np.array(feats, dtype=np.float64) if pseudo_ids else np.empty((0, ds.dim))
-        )
-        return cls(
-            ds=ds,
-            subsets=subsets,
-            pseudo_ids=pseudo_ids,
-            pseudo_features=pseudo_features,
-            mode=manifest["mode"],
-            strict_openness=bool(manifest["strict_openness"]),
-        )
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,9 @@ class PseudoKind(str, enum.Enum):
 
 ALL_KINDS = (PseudoKind.MIX_BLEND, PseudoKind.SEGMENT_SWAP, PseudoKind.NOISE_MASK)
 
+SEGMENT_FRACTION = 0.25  # share of the coordinates a segment recipe rewrites
+NOISE_SCALE = 2.0  # stddev of NoiseMask's added noise
+
 
 @dataclass(frozen=True)
 class Component:
@@ -158,25 +161,16 @@ class PseudoAnomalyRecipe:
     yields the same output for the same inputs."""
 
     kind: PseudoKind
-    rho: float = 0.25
-    sigma: float = 2.0
-    lam: float | None = None
     seed: int = 0
-
-    def __post_init__(self):
-        if not (0.0 < self.rho <= 1.0):
-            raise ConfigurationError("rho must lie in (0, 1]")
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be > 0")
-        if self.lam is not None and not (0.0 <= self.lam <= 1.0):
-            raise ConfigurationError("lam must lie in [0, 1]")
 
 
 def synthesize_pseudo(normal: np.ndarray, donor: np.ndarray, recipe: PseudoAnomalyRecipe) -> np.ndarray:
     """Corrupt ``normal`` into a pseudo anomaly of the recipe's kind.
 
-    Coordinates outside the active segment are never touched; MixBlend
-    stays on the segment between the two inputs.
+    MixBlend draws its weight from [0.3, 0.7] and stays on the segment
+    between the two inputs. The segment recipes rewrite ``SEGMENT_FRACTION``
+    of the coordinates, rounded up, at a random start, and never touch the
+    coordinates outside it.
     """
     normal = np.asarray(normal, dtype=np.float64)
     donor = np.asarray(donor, dtype=np.float64)
@@ -185,14 +179,14 @@ def synthesize_pseudo(normal: np.ndarray, donor: np.ndarray, recipe: PseudoAnoma
     d = normal.shape[0]
     rng = rng_for(recipe.seed, "pseudo", recipe.kind.value)
     if recipe.kind is PseudoKind.MIX_BLEND:
-        lam = recipe.lam if recipe.lam is not None else rng.uniform(0.3, 0.7)
+        lam = rng.uniform(0.3, 0.7)
         return lam * normal + (1.0 - lam) * donor
-    length = math.ceil(recipe.rho * d)
+    length = math.ceil(SEGMENT_FRACTION * d)
     start = int(rng.integers(0, d - length + 1))
     out = normal.copy()
     if recipe.kind is PseudoKind.SEGMENT_SWAP:
         out[start : start + length] = donor[start : start + length]
     else:  # NOISE_MASK
         noise = rng.standard_normal(length)
-        out[start : start + length] = normal[start : start + length] + recipe.sigma * noise
+        out[start : start + length] = normal[start : start + length] + NOISE_SCALE * noise
     return out

@@ -2,12 +2,13 @@
 
 Each epoch: (1) every base scorer takes one pass of balanced minibatch
 Adam steps over its own support set; (2) all bases score every training
-sample, extending each sample's score history; (3) base importance
-weights are estimated (uniform during warmup, otherwise from the
-sequence predictor's forecast error against the labels); (4) the unified
-scorer takes one step on the importance-weighted sum of query-set
-gradients evaluated at the trained base parameters. Each epoch's bases
-start from the unified parameters.
+sample, extending each sample's score history, of which only the last
+K epochs are kept; (3) base importance weights are estimated (uniform
+during warmup, otherwise from the sequence predictor's forecast error
+against the labels); (4) the unified scorer takes one step on the
+importance-weighted sum of query-set gradients evaluated at the trained
+base parameters. Each epoch's bases start from the unified parameters.
+Every loss is the mean deviation loss with margin ``TrainConfig.margin``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ import numpy as np
 
 from .data import FeatureDataset
 from .errors import ConfigurationError, ContractError, NumericError
-from .losses import DeviationPrior, base_loss_grad, cdl_loss, score_loss
+from .losses import base_loss_grad, cdl_loss, score_loss
 from .nets import AdamState, ScorerNet, SequencePredictor, one_blas_thread
 from .partition import (
     FEW_SHOT,
     ONE_SHOT,
-    ClusterAssignment,
     DistributionCollection,
     TrainingTable,
     build_distributions,
@@ -53,7 +53,6 @@ class TrainConfig:
     c_unseen: float = 1.0
     c_other: float = 0.5
     margin: float = 5.0
-    reduction: str = "mean"
     strict_openness: bool = False
     weight_mode: str = WEIGHTS_SEQUENCE
     seed: int = 0
@@ -72,39 +71,8 @@ class TrainConfig:
         if self.K > self.warmup_epochs:
             bad("K", f"must be <= warmup_epochs ({self.warmup_epochs}) so histories "
                      "fill before first use")
-        if self.reduction not in ("mean", "sum"):
-            bad("reduction", "must be 'mean' or 'sum'")
         if self.weight_mode not in (WEIGHTS_SEQUENCE, WEIGHTS_ACCURACY):
             bad("weight_mode", "must be 'sequence' or 'accuracy'")
-
-    def prior(self) -> DeviationPrior:
-        return DeviationPrior.analytic(margin=self.margin)
-
-
-class ScoreHistory:
-    """Per-sample ring buffers of the last K epoch score vectors."""
-
-    def __init__(self, n_samples: int, k: int, t: int):
-        self.n_samples = n_samples
-        self.k = k
-        self.t = t
-        self._buf: deque[np.ndarray] = deque(maxlen=k)
-
-    def append(self, scores: np.ndarray) -> None:
-        scores = np.asarray(scores, dtype=np.float64)
-        if scores.shape != (self.n_samples, self.t):
-            raise ContractError(f"score matrix must be {(self.n_samples, self.t)}")
-        self._buf.append(scores)
-
-    @property
-    def full(self) -> bool:
-        return len(self._buf) == self.k
-
-    def window(self) -> np.ndarray:
-        """(n, K, T) array, oldest epoch first."""
-        if not self.full:
-            raise ContractError("history buffers are not full yet")
-        return np.stack(list(self._buf), axis=1)
 
 
 @dataclass(frozen=True)
@@ -175,7 +143,7 @@ def _epoch_batches(rng, y, batch_size):
     return [_balanced_batch(rng, normal_rows, anomaly_rows, batch_size) for _ in range(steps)]
 
 
-def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches, prior, cfg) -> None:
+def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches, margin: float) -> None:
     """Minibatch Adam steps for a stack of G scorers, in place.
     ``batches[i]`` lists scorer i's batches as rows of (X, y). Step s is
     one stacked call for every scorer that has an s-th batch; the others
@@ -188,7 +156,7 @@ def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches, prior, cfg) ->
         rows = np.stack([batches[i][s] for i in active])
         sub = theta if part is None else theta[part]
         net = ScorerNet(stack.dim, stack.hidden, sub)
-        _, grad = base_loss_grad(net, X[rows], y[rows], prior, cfg.reduction)
+        _, grad = base_loss_grad(net, X[rows], y[rows], margin)
         if part is None:
             theta = opt.step(sub, grad)
         else:
@@ -196,16 +164,8 @@ def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches, prior, cfg) ->
     stack.theta = theta
 
 
-def _train_support_epoch(net: ScorerNet, opt: AdamState, X, y, prior, cfg, rng) -> None:
-    """One support-set pass for one scorer: the one-row case of ``_train_stack``."""
-    y = np.asarray(y)
-    stack = ScorerNet(net.dim, net.hidden, net.theta[None])
-    _train_stack(stack, opt, X, y, [_epoch_batches(rng, y, cfg.batch_size)], prior, cfg)
-    net.theta = stack.theta[0]
-
-
 def train_bases_epoch(g: ScorerNet, table: TrainingTable, cfg: TrainConfig,
-                      prior: DeviationPrior, epoch: int) -> tuple[ScorerNet, np.ndarray]:
+                      epoch: int) -> tuple[ScorerNet, np.ndarray]:
     """One support-set epoch for T bases that start from the unified scorer
     ``g`` (fresh inner Adam each epoch), then score all training samples
     with every base: returns the trained (T, P) stack and the (n, T) scores.
@@ -229,21 +189,19 @@ def train_bases_epoch(g: ScorerNet, table: TrainingTable, cfg: TrainConfig,
         by_label = rows[np.argsort(y, kind="stable")]
         batches.append([by_label[p] for p in drawn[key]])
     stack = ScorerNet(g.dim, g.hidden, np.tile(g.theta, (len(batches), 1)))
-    _train_stack(stack, AdamState(cfg.lr_base), table.X, table.y, batches, prior, cfg)
+    _train_stack(stack, AdamState(cfg.lr_base), table.X, table.y, batches, cfg.margin)
     scores = np.stack([ScorerNet(g.dim, g.hidden, row).forward(table.X)
                        for row in stack.theta], axis=1)
     return stack, scores
 
 
-def estimate_importance(history: ScoreHistory, seq_net: SequencePredictor,
+def estimate_importance(windows: np.ndarray, seq_net: SequencePredictor,
                         seq_opt: AdamState, targets: np.ndarray,
                         table: TrainingTable, cfg: TrainConfig, epoch: int) -> tuple:
-    """Train the sequence predictor one pass on (history window -> current
+    """Train the sequence predictor one pass on (score history -> current
     scores), then derive importance weights from its forecast error.
-    Returns (state, mean sequence loss over the pass)."""
-    if not history.full:
-        raise ContractError("importance estimation requires full score histories")
-    windows = history.window()
+    ``windows`` is the (n, K, T) history of the last K epochs' scores,
+    oldest first. Returns (state, mean sequence loss over the pass)."""
     n = windows.shape[0]
     rng = rng_for(cfg.seed, "seq", epoch)
     order = rng.permutation(n)
@@ -282,8 +240,7 @@ def accuracy_importance(scores: np.ndarray, table: TrainingTable,
 
 
 def unified_update(g: ScorerNet, g_opt: AdamState, stack: ScorerNet,
-                   table: TrainingTable, w: np.ndarray,
-                   prior: DeviationPrior, cfg: TrainConfig):
+                   table: TrainingTable, w: np.ndarray, cfg: TrainConfig):
     """One unified step on the importance-weighted aggregate of the bases'
     query-set gradients, taken at the trained base parameters (row i of
     ``stack`` is base i). Returns the new unified scorer, the weighted loss
@@ -292,9 +249,9 @@ def unified_update(g: ScorerNet, g_opt: AdamState, stack: ScorerNet,
         (ScorerNet(g.dim, g.hidden, theta), table.X[rows], table.y[rows])
         for theta, rows in zip(stack.theta, table.query_rows)
     ]
-    total, grads, losses = cdl_loss(batches, w, prior, cfg.reduction)
+    total, grads, losses = cdl_loss(batches, w, cfg.margin)
     agg = np.zeros_like(g.theta)
-    for grad_i in grads:  # ascending base index, fixed reduction order
+    for grad_i in grads:  # ascending base index, fixed summation order
         agg += grad_i
     return ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, agg)), total, losses
 
@@ -303,22 +260,20 @@ def unified_update(g: ScorerNet, g_opt: AdamState, stack: ScorerNet,
 class FitResult:
     unified: ScorerNet
     seq_net: SequencePredictor | None
-    clusters: ClusterAssignment
     collection: DistributionCollection
     table: TrainingTable
     log: list[dict]
     importance: list[ImportanceState]
-    config: TrainConfig
 
     def training_sample_ids(self) -> frozenset[str]:
         """Every id that fed any training structure (real and pseudo)."""
         return frozenset(self.table.ids)
 
 
-def _support_losses(scores, table: TrainingTable, prior, cfg) -> list[float]:
+def _support_losses(scores, table: TrainingTable, margin: float) -> list[float]:
     """Each trained base's support loss, read off the epoch's (n, T) score
     matrix instead of scoring the rows again (log only)."""
-    return [score_loss(scores[rows, i], table.y[rows], prior, cfg.reduction)
+    return [score_loss(scores[rows, i], table.y[rows], margin)
             for i, rows in enumerate(table.support_rows)]
 
 
@@ -340,8 +295,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
     cfg.validate()
     if ds.n_anomaly < 1:
         raise ContractError("training data must contain at least one anomaly")
-    prior = cfg.prior()
-    clusters, collection, table = simulate(ds, cfg)
+    _, collection, table = simulate(ds, cfg)
 
     g = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
     g_opt = AdamState(cfg.lr_unified)
@@ -350,30 +304,29 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
     if cfg.weight_mode == WEIGHTS_SEQUENCE:
         seq_net = SequencePredictor.init(cfg.T, rng_for(cfg.seed, "init-seq"))
         seq_opt = AdamState(cfg.lr_seq)
-    history = ScoreHistory(len(table), cfg.K, cfg.T)
+    history: deque[np.ndarray] = deque(maxlen=cfg.K)  # the last K epochs' (n, T) scores
 
     log: list[dict] = []
     importance_trace: list[ImportanceState] = []
     for epoch in range(cfg.epochs):
-        stack, scores = train_bases_epoch(g, table, cfg, prior, epoch)
+        stack, scores = train_bases_epoch(g, table, cfg, epoch)
 
         seq_loss = None
         if cfg.weight_mode == WEIGHTS_ACCURACY:
             state = accuracy_importance(scores, table, cfg, epoch)
         elif epoch >= cfg.warmup_epochs:
-            state, seq_loss = estimate_importance(history, seq_net, seq_opt,
-                                                  scores, table, cfg, epoch)
+            state, seq_loss = estimate_importance(np.stack(history, axis=1), seq_net,
+                                                  seq_opt, scores, table, cfg, epoch)
         else:
             state = ImportanceState(epoch=epoch, w=np.full(cfg.T, 1.0 / cfg.T))
         history.append(scores)
         importance_trace.append(state)
 
-        g, unified_loss, query_losses = unified_update(g, g_opt, stack, table, state.w,
-                                                       prior, cfg)
+        g, unified_loss, query_losses = unified_update(g, g_opt, stack, table, state.w, cfg)
 
         log.append({
             "epoch": epoch,
-            "support_loss": _support_losses(scores, table, prior, cfg),
+            "support_loss": _support_losses(scores, table, cfg.margin),
             "query_loss": [float(v) for v in query_losses],
             "r": None if state.r is None else [float(v) for v in state.r],
             "w": [float(v) for v in state.w],
@@ -383,27 +336,23 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
         if checkpoint_hook is not None:
             checkpoint_hook(epoch, g)
 
-    return FitResult(
-        unified=g, seq_net=seq_net, clusters=clusters,
-        collection=collection, table=table, log=log,
-        importance=importance_trace, config=cfg,
-    )
+    return FitResult(unified=g, seq_net=seq_net, collection=collection, table=table,
+                     log=log, importance=importance_trace)
 
 
 def train_scorer(net: ScorerNet, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-                 epochs: int, seed: int, prior: DeviationPrior | None = None) -> ScorerNet:
+                 epochs: int, seed: int) -> ScorerNet:
     """Plain standalone training: balanced minibatches, one persistent Adam.
     Used by the Homogeneous baseline and by normals-only fine-tuning."""
-    return train_scorers([net], X, y, [np.arange(len(y))], cfg, epochs, [seed], prior)[0]
+    return train_scorers([net], X, y, [np.arange(len(y))], cfg, epochs, [seed])[0]
 
 
 @one_blas_thread()
 def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
-                  epochs: int, seeds, prior: DeviationPrior | None = None) -> list[ScorerNet]:
+                  epochs: int, seeds) -> list[ScorerNet]:
     """``train_scorer`` for several scorers at once, as one stack: scorer i
     trains on rows[i] of (X, y) with its own batch stream (seeds[i]) and its
     own Adam moments and step count, exactly as it would alone."""
-    prior = prior if prior is not None else cfg.prior()
     y = np.asarray(y)
     dim, hidden = nets[0].dim, nets[0].hidden
     if any((n.dim, n.hidden) != (dim, hidden) for n in nets):
@@ -416,5 +365,5 @@ def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
         batches = [[r[p] for p in _epoch_batches(rng_for(seed, "plain", epoch), y[r],
                                                  cfg.batch_size)]
                    for r, seed in zip(rows, seeds)]
-        _train_stack(stack, opt, X, y, batches, prior, cfg)
+        _train_stack(stack, opt, X, y, batches, cfg.margin)
     return [ScorerNet(dim, hidden, row) for row in stack.theta]

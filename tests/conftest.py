@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from hetanom.data import FeatureDataset
+from hetanom.nets import ScorerNet
 from hetanom.synth import default_benchmark, generate
+from hetanom.train import _epoch_batches, _train_stack
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +31,12 @@ def make_dataset(n_normal=8, n_anomaly=4, dim=3, seed=0, tag="blob"):
         labels=labels,
         class_tags=tuple("" if l == 0 else tag for l in labels),
     )
+
+
+def train_support_epoch(net, opt, X, y, cfg, rng) -> None:
+    """One support-set pass for one scorer, in place: the one-row case of
+    the stacked trainer, used as the per-net reference."""
+    y = np.asarray(y)
+    stack = ScorerNet(net.dim, net.hidden, net.theta[None])
+    _train_stack(stack, opt, X, y, [_epoch_batches(rng, y, cfg.batch_size)], cfg.margin)
+    net.theta = stack.theta[0]

@@ -17,7 +17,8 @@ from hetanom.losses import base_loss, base_loss_grad, cdl_loss, deviation_loss_d
 from hetanom.nets import AdamState
 from hetanom.partition import ALL_NORMALS
 from hetanom.seeding import derive_seed, rng_for
-from hetanom.train import _train_support_epoch
+
+from conftest import train_support_epoch
 
 
 @contextlib.contextmanager
@@ -50,7 +51,7 @@ def fd_check(loss_at, theta, analytic, coords, h=1e-5):
 def test_criterion_1_gradient_correctness():
     with criterion(1, "finite-difference gradient checks (rel < 1e-5, 20 points each)"):
         start = time.time()
-        prior = ha.DeviationPrior.analytic()
+        margin = ha.TrainConfig().margin
         rng = np.random.default_rng(20240001)
 
         # scorer + deviation loss chain
@@ -58,20 +59,20 @@ def test_criterion_1_gradient_correctness():
             net = ha.ScorerNet.init(3, 4, rng)
             X = rng.normal(size=(5, 3))
             y = rng.integers(0, 2, size=5)
-            _, grad = base_loss_grad(net, X, y, prior)
-            fd_check(lambda t: base_loss(ha.ScorerNet(3, 4, t), X, y, prior),
+            _, grad = base_loss_grad(net, X, y, margin)
+            fd_check(lambda t: base_loss(ha.ScorerNet(3, 4, t), X, y, margin),
                      net.theta, grad, range(len(net.theta)))
 
         # deviation loss w.r.t. the score (skip the two kinks)
         for _ in range(20):
             score = float(rng.normal(scale=3.0))
             yv = int(rng.integers(0, 2))
-            if abs(score) < 1e-3 or abs(score - prior.margin) < 1e-3:
+            if abs(score) < 1e-3 or abs(score - margin) < 1e-3:
                 score += 0.01
-            analytic = float(deviation_loss_dscore(score, yv, prior))
+            analytic = float(deviation_loss_dscore(score, yv, margin))
             h = 1e-6
-            lo = float(ha.deviation_loss(score - h, yv, prior))
-            hi = float(ha.deviation_loss(score + h, yv, prior))
+            lo = float(ha.deviation_loss(score - h, yv, margin))
+            hi = float(ha.deviation_loss(score + h, yv, margin))
             assert grad_close(analytic, (hi - lo) / (2 * h))
 
         # weighted aggregation: per-base gradients
@@ -83,12 +84,12 @@ def test_criterion_1_gradient_correctness():
                 y = rng.integers(0, 2, size=4)
                 bases.append((net, X, y))
             w = rng.dirichlet(np.ones(2))
-            _, grads, _ = cdl_loss(bases, w, prior)
+            _, grads, _ = cdl_loss(bases, w, margin)
             for b, (net, X, y) in enumerate(bases):
                 def loss_at(theta, b=b):
                     trial = list(bases)
                     trial[b] = (ha.ScorerNet(2, 3, theta), bases[b][1], bases[b][2])
-                    return cdl_loss(trial, w, prior)[0]
+                    return cdl_loss(trial, w, margin)[0]
                 fd_check(loss_at, net.theta, grads[b], range(len(net.theta)))
 
         # sequence predictor under its squared-error objective
@@ -133,7 +134,6 @@ def test_criterion_3_degenerate_equivalence(small_ds):
         trajectory = []
         ha.fit(small_ds, cfg, checkpoint_hook=lambda e, g: trajectory.append(g.theta.copy()))
 
-        prior = cfg.prior()
         clusters = ha.kmeans(small_ds, cfg.C, seed=derive_seed(cfg.seed, "clusters"))
         coll = ha.build_distributions(small_ds, clusters, 1,
                                       seed=derive_seed(cfg.seed, "subsets"))
@@ -143,11 +143,10 @@ def test_criterion_3_degenerate_equivalence(small_ds):
         g = ha.ScorerNet.init(small_ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
         g_opt = AdamState(cfg.lr_unified)
         for epoch in range(cfg.epochs):
-            phi = g.copy()
-            _train_support_epoch(phi, AdamState(cfg.lr_base), table.X[sup],
-                                 table.y[sup], prior, cfg,
-                                 rng_for(cfg.seed, "batches", epoch))
-            _, grad = base_loss_grad(phi, table.X[qry], table.y[qry], prior)
+            phi = ha.ScorerNet(g.dim, g.hidden, g.theta.copy())
+            train_support_epoch(phi, AdamState(cfg.lr_base), table.X[sup],
+                                table.y[sup], cfg, rng_for(cfg.seed, "batches", epoch))
+            _, grad = base_loss_grad(phi, table.X[qry], table.y[qry], cfg.margin)
             g = ha.ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, grad))
             assert (trajectory[epoch] == g.theta).all(), f"epoch {epoch} diverged"
         assert time.time() - start < 30.0
@@ -155,8 +154,7 @@ def test_criterion_3_degenerate_equivalence(small_ds):
 
 def test_criterion_4_analytic_values():
     with criterion(4, "hand-computed loss and softmax values to 1e-12"):
-        prior = ha.DeviationPrior.analytic(margin=5.0)
-        assert abs(float(ha.deviation_loss(2.0, 1, prior)) - 3.0) < 1e-12
+        assert abs(float(ha.deviation_loss(2.0, 1, 5.0)) - 3.0) < 1e-12
         from hetanom.train import importance_weights
         w = importance_weights(np.array([0.0, math.log(2.0)]))
         assert abs(w[0] - 2.0 / 3.0) < 1e-12
@@ -195,7 +193,8 @@ def test_criterion_6_structural_audit(benchmark_ds):
                 coll = ha.build_distributions(benchmark_ds, clusters, 7,
                                               strict_openness=strict,
                                               seed=derive_seed(seed, "bd"))
-                labels = coll.labels()
+                table = coll.training_table()
+                labels = dict(zip(table.ids, table.y.tolist()))
                 two_cluster = [d for d in coll.subsets
                                if d.support_normal_cluster != ALL_NORMALS]
                 assert len(two_cluster) == 6

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hetanom.cli import execute_replay, execute_sweep, main, parse_config
+from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_sweep, main, parse_config
 from hetanom.data import ingest_csv
 from hetanom.errors import ConfigurationError, ReplayError
 
@@ -177,6 +177,14 @@ class TestRunCommand:
         man_b = json.loads(tree_b["manifest.json"])
         assert man_a["results_sha256"] == man_b["results_sha256"]
 
+    def test_non_integer_threads_variable_exit_2(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, minimal_config(out))
+        monkeypatch.setenv("AHL_THREADS", "abc")
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "config error: AHL_THREADS: must be an integer\n"
+        assert not out.exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = minimal_config(tmp_path / "o1")
         p = write_config(tmp_path, cfg)
@@ -218,16 +226,33 @@ class TestReplay:
                      "--out", str(tmp_path / "r")]) == 1
         assert "format_version" in capsys.readouterr().err
 
-    def test_version_1_manifest_refused(self, tmp_path):
-        # a manifest in the first format lists TrainConfig fields that are gone
+    # each older format lists TrainConfig fields that are gone
+    @pytest.mark.parametrize("version, gone", [
+        (1, dict(plain_sgd=False, prior_mode="analytic", prior_draws=5000,
+                 subset_mode=None, pseudo_per_subset=None)),
+        (2, dict(reduction="mean")),
+    ], ids=["1", "2"])
+    def test_old_manifest_version_refused(self, tmp_path, version, gone):
         cfg = minimal_config(tmp_path / "out")
-        cfg["train"].update(plain_sgd=False, prior_mode="analytic", prior_draws=5000,
-                            subset_mode=None, pseudo_per_subset=None)
-        old = tmp_path / "v1.json"
-        old.write_text(json.dumps({"format_version": 1, "command": "run", "config": cfg,
+        cfg["train"].update(gone)
+        old = tmp_path / f"v{version}.json"
+        old.write_text(json.dumps({"format_version": version, "command": "run", "config": cfg,
                                    "dataset_sha256": None, "results_sha256": "x"}))
-        with pytest.raises(ReplayError, match="format_version 1"):
+        with pytest.raises(ReplayError, match=f"format_version {version}"):
             execute_replay(old, tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
+
+    @pytest.mark.parametrize("manifest, message", [
+        ([], "manifest: must be a JSON object"),
+        ({"format_version": MANIFEST_VERSION}, "manifest: missing field 'config'"),
+        ({"format_version": MANIFEST_VERSION, "config": minimal_config("out")},
+         "manifest: missing field 'results_sha256'"),
+    ], ids=["not-an-object", "no-config", "no-checksum"])
+    def test_malformed_manifest_refused_before_any_work(self, tmp_path, manifest, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ReplayError, match=re.escape(message)):
+            execute_replay(path, tmp_path / "replayed")
         assert not (tmp_path / "replayed").exists()
 
     @pytest.mark.parametrize("text, message", [

@@ -7,7 +7,7 @@ import pytest
 
 from hetanom.errors import CheckpointError, ContractError, ShapeError
 from hetanom.evaluate import ProtocolSpec, run_protocol
-from hetanom.losses import DeviationPrior, base_loss_grad
+from hetanom.losses import base_loss, base_loss_grad
 from hetanom.nets import (
     AdamState,
     ScorerNet,
@@ -47,31 +47,33 @@ def scorer_forward_oracle(net, x):
 class TestScorerForward:
     def test_zero_parameters(self):
         net = ScorerNet(3, 4, np.zeros(ScorerNet.param_count(3, 4)))
-        assert net.forward(np.array([1.0, -2.0, 3.0])) == 0.0
+        assert net.forward(np.array([[1.0, -2.0, 3.0]]))[0] == 0.0
 
     def test_identity_analytic(self):
         # d=1, h=1, W1=1, b1=0, W2=1, b2=0 -> f(2) = 2
         net = ScorerNet(1, 1, np.array([1.0, 0.0, 1.0, 0.0]))
-        assert net.forward(np.array([2.0])) == 2.0
+        assert net.forward(np.array([[2.0]]))[0] == 2.0
 
     def test_matches_reimplementation_oracle(self):
         rng = np.random.default_rng(5)
         net = ScorerNet.init(6, 9, rng)
         for _ in range(10):
             x = rng.normal(size=6)
-            assert abs(net.forward(x) - scorer_forward_oracle(net, x)) < 1e-12
+            assert abs(net.forward(x[None])[0] - scorer_forward_oracle(net, x)) < 1e-12
 
     def test_dim_mismatch(self):
         net = ScorerNet.init(3, 4, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            net.forward(np.zeros(5))
+            net.forward(np.zeros((2, 5)))
+        with pytest.raises(ShapeError):
+            net.forward(np.zeros(3))  # a single row is not a batch
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         net = ScorerNet.init(4, 5, rng)
         X = rng.normal(size=(7, 4))
         batch = net.forward(X)
-        singles = [net.forward(x) for x in X]
+        singles = [net.forward(x[None])[0] for x in X]
         # batched matmul may differ from the row-wise dot by one ulp
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
@@ -98,17 +100,14 @@ def finite_difference(fn, theta, h=1e-5, coords=None):
 
 class TestScorerGradient:
     def test_matches_finite_differences(self):
-        prior = DeviationPrior.analytic()
         rng = np.random.default_rng(12)
         net = ScorerNet.init(2, 2, rng)
         X = rng.normal(size=(4, 2))
         y = np.array([0, 1, 0, 1])
-        _, grad = base_loss_grad(net, X, y, prior)
+        _, grad = base_loss_grad(net, X, y, 5.0)
 
         def loss_at(theta):
-            trial = ScorerNet(2, 2, theta)
-            from hetanom.losses import base_loss
-            return base_loss(trial, X, y, prior)
+            return base_loss(ScorerNet(2, 2, theta), X, y, 5.0)
 
         fd = finite_difference(loss_at, net.theta)
         for j, g_fd in fd.items():
@@ -116,22 +115,21 @@ class TestScorerGradient:
 
     def test_stationary_point_zero_gradient(self):
         # a normal scored exactly 0 sits at the loss floor
-        prior = DeviationPrior.analytic()
         net = ScorerNet(2, 3, np.zeros(ScorerNet.param_count(2, 3)))
-        loss, grad = base_loss_grad(net, np.array([[1.0, 2.0]]), np.array([0]), prior)
+        loss, grad = base_loss_grad(net, np.array([[1.0, 2.0]]), np.array([0]), 5.0)
         assert loss == 0.0
         assert (grad == 0.0).all()
 
     def test_gradient_linearity_over_batch(self):
-        prior = DeviationPrior.analytic()
+        # the mean loss's gradient is the mean of the one-sample gradients
         rng = np.random.default_rng(3)
         net = ScorerNet.init(3, 4, rng)
         X = rng.normal(size=(5, 3))
         y = np.array([0, 1, 1, 0, 0])
-        _, total = base_loss_grad(net, X, y, prior, reduction="sum")
-        parts = [base_loss_grad(net, X[i : i + 1], y[i : i + 1], prior, "sum")[1]
+        _, total = base_loss_grad(net, X, y, 5.0)
+        parts = [base_loss_grad(net, X[i : i + 1], y[i : i + 1], 5.0)[1]
                  for i in range(5)]
-        np.testing.assert_allclose(total, np.sum(parts, axis=0), atol=1e-12)
+        np.testing.assert_allclose(5 * total, np.sum(parts, axis=0), atol=1e-12)
 
 
 class TestAdam:
@@ -241,7 +239,7 @@ class TestSequencePredictor:
         rng = np.random.default_rng(13)
         net = SequencePredictor.init(7, rng)
         # 1100 rows spans several inference blocks
-        for shape in ((1, 5, 7), (2, 5, 7), (48, 5, 7), (1100, 5, 7), (5, 7)):
+        for shape in ((1, 5, 7), (2, 5, 7), (48, 5, 7), (1100, 5, 7)):
             history = rng.normal(size=shape)
             out, cache = net.forward_with_cache(history)
             np.testing.assert_array_equal(net.forward(history).view(np.uint64),
@@ -251,31 +249,23 @@ class TestSequencePredictor:
 
     def test_zero_parameters_zero_output(self):
         net = SequencePredictor(3, np.zeros_like(SequencePredictor.init(3, np.random.default_rng(0)).theta))
-        out = net.forward(np.ones((4, 3)))
-        np.testing.assert_array_equal(out, np.zeros(3))
+        out = net.forward(np.ones((1, 4, 3)))
+        np.testing.assert_array_equal(out, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("t_dim", [1, 3, 7])
     def test_output_size(self, t_dim):
         net = SequencePredictor.init(t_dim, np.random.default_rng(1))
-        out = net.forward(np.random.default_rng(2).normal(size=(5, t_dim)))
-        assert out.shape == (t_dim,)
+        out = net.forward(np.random.default_rng(2).normal(size=(3, 5, t_dim)))
+        assert out.shape == (3, t_dim)
 
     def test_matches_recurrence_oracle(self):
         rng = np.random.default_rng(9)
         net = SequencePredictor.init(4, rng)
         for _ in range(5):
             history = rng.normal(size=(6, 4))
-            got = net.forward(history)
+            got = net.forward(history[None])[0]
             want = seq_forward_oracle(net, history)
             np.testing.assert_allclose(got, want, atol=1e-10, rtol=0)
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(10)
-        net = SequencePredictor.init(3, rng)
-        batch = rng.normal(size=(6, 4, 3))
-        out = net.forward(batch)
-        for i in range(6):
-            np.testing.assert_allclose(out[i], net.forward(batch[i]), atol=0)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -300,7 +290,9 @@ class TestSequencePredictor:
     def test_shape_errors(self):
         net = SequencePredictor.init(3, np.random.default_rng(0))
         with pytest.raises(ShapeError):
-            net.forward(np.zeros((4, 5)))
+            net.forward(np.zeros((2, 4, 5)))
+        with pytest.raises(ShapeError):
+            net.forward(np.zeros((4, 3)))  # a single history is not a batch
 
     def test_init_deterministic(self):
         a = SequencePredictor.init(7, np.random.default_rng(123))

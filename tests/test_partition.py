@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hetanom.errors import CapacityError, ConfigurationError, ContractError, Val
 from hetanom.partition import (
     ALL_NORMALS,
     ONE_SHOT,
-    DistributionCollection,
     build_distributions,
     kmeans,
 )
@@ -158,7 +158,8 @@ class TestBuildDistributions:
     def test_strict_openness_disjoint(self):
         ds = make_dataset(n_normal=30, n_anomaly=10, dim=4, seed=4)
         coll = self._build(ds, C=3, T=5, strict_openness=True)
-        labels = coll.labels()
+        table = coll.training_table()
+        labels = dict(zip(table.ids, table.y.tolist()))
         for dd in coll.subsets:
             sup = {s for s in dd.support_ids if labels[s] == 1}
             qry = {s for s in dd.query_ids if labels[s] == 1}
@@ -185,7 +186,7 @@ class TestBuildDistributions:
         ds = make_dataset(n_normal=40, n_anomaly=8, dim=5, seed=7)
         a = self._build(ds, seed=11)
         b = self._build(ds, seed=11)
-        assert a.subsets == b.subsets
+        assert a.to_manifest() == b.to_manifest()
         assert (a.pseudo_features == b.pseudo_features).all()
 
     def test_t1_gives_all_subset_only(self):
@@ -200,26 +201,11 @@ class TestBuildDistributions:
             coll = build_distributions(benchmark_ds, clusters, 7, seed=seed)
             coll.validate()  # raises on any violated invariant
 
-    def test_manifest_roundtrip(self):
-        ds = make_dataset(n_normal=30, n_anomaly=6, dim=4, seed=9)
-        coll = self._build(ds, C=3, T=4)
-        back = DistributionCollection.from_manifest(ds, coll.to_manifest())
-        assert back.subsets == coll.subsets
-        assert (back.pseudo_features == coll.pseudo_features).all()
-        back.validate()
-
     def test_config_errors(self):
         ds = make_dataset(n_normal=20, n_anomaly=4, dim=3, seed=10)
         clusters = kmeans(ds, 1, seed=0)
         with pytest.raises(ConfigurationError):
             build_distributions(ds, clusters, 3, seed=0)  # T>1 with one cluster
-
-    def test_manifest_with_unknown_id_refused(self):
-        ds = make_dataset(n_normal=30, n_anomaly=6, dim=4, seed=9)
-        manifest = self._build(ds, C=3, T=4).to_manifest()
-        manifest["subsets"][1]["query_ids"].append("nobody")
-        with pytest.raises(ConfigurationError, match="unknown sample id 'nobody'"):
-            DistributionCollection.from_manifest(ds, manifest)
 
     def test_clusters_of_another_dataset_refused(self):
         ds = make_dataset(n_normal=30, n_anomaly=6, dim=4, seed=9)
@@ -242,53 +228,60 @@ class TestBuildDistributions:
                 assert sup_anom[row] == (in_support and table.y[row] == 1)
 
 
-def _share_cluster(sub, manifest):
-    sub["query_normal_cluster"] = sub["support_normal_cluster"]
+def _first(subsets, **change):
+    """``subsets`` with subset 0 replaced by a copy carrying ``change``."""
+    return (replace(subsets[0], **change),) + subsets[1:]
 
 
-def _same_kinds(sub, manifest):
-    sub["query_pseudo_kind"] = sub["support_pseudo_kind"]
+def _share_cluster(subsets):
+    return _first(subsets, query_normal_cluster=subsets[0].support_normal_cluster)
 
 
-def _seen_is_unseen(sub, manifest):
-    sub["virtual_seen"].append(sub["virtual_unseen"][0])
+def _same_kinds(subsets):
+    return _first(subsets, query_pseudo_kind=subsets[0].support_pseudo_kind)
 
 
-def _unseen_out_of_query(sub, manifest):
-    sub["query_ids"].remove(sub["virtual_unseen"][0])
+def _seen_is_unseen(subsets):
+    sub = subsets[0]
+    return _first(subsets, seen_rows=np.append(sub.seen_rows, sub.unseen_rows[0]))
 
 
-def _unseen_in_support(sub, manifest):
-    sub["support_ids"].append(sub["virtual_unseen"][0])
+def _unseen_out_of_query(subsets):
+    sub = subsets[0]
+    return _first(subsets, query_rows=sub.query_rows[sub.query_rows != sub.unseen_rows[0]])
 
 
-def _seen_in_strict_query(sub, manifest):
-    sub["query_ids"].append(sub["virtual_seen"][0])
+def _unseen_in_support(subsets):
+    sub = subsets[0]
+    return _first(subsets, support_rows=np.append(sub.support_rows, sub.unseen_rows[0]))
 
 
-def _uncover_a_normal(sub, manifest):
-    normal = sub["support_ids"][0]
-    for m in manifest["subsets"]:
-        for side in ("support_ids", "query_ids"):
-            m[side] = [s for s in m[side] if s != normal]
+def _seen_in_strict_query(subsets):
+    sub = subsets[0]
+    return _first(subsets, query_rows=np.append(sub.query_rows, sub.seen_rows[0]))
+
+
+def _uncover_a_normal(subsets):
+    normal = subsets[0].support_rows[0]
+    return tuple(replace(sub, support_rows=sub.support_rows[sub.support_rows != normal],
+                         query_rows=sub.query_rows[sub.query_rows != normal])
+                 for sub in subsets)
 
 
 class TestValidateRejects:
     """Each check of DistributionCollection.validate, violated on purpose in
-    an otherwise valid collection (edited through its manifest, so the test
-    does not depend on how a subset stores its members)."""
+    an otherwise valid collection: the edit replaces subsets with corrupted
+    copies, and the collection takes them in place of its own."""
 
     @staticmethod
-    def _manifest(strict):
+    def _collection(strict):
         ds = make_dataset(n_normal=30, n_anomaly=10, dim=4, seed=12)
-        coll = build_distributions(ds, kmeans(ds, 3, seed=0), 4,
+        return build_distributions(ds, kmeans(ds, 3, seed=0), 4,
                                    strict_openness=strict, seed=0)
-        return ds, coll.to_manifest()
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_unedited_manifest_is_valid(self, strict):
-        ds, manifest = self._manifest(strict)
-        DistributionCollection.from_manifest(ds, manifest).validate()
+        self._collection(strict).validate()
 
     @pytest.mark.parametrize("edit, strict, message", [
         (_share_cluster, False, "subset 0: support and query share a cluster"),
@@ -300,8 +293,7 @@ class TestValidateRejects:
         (_uncover_a_normal, False, "some normal samples appear in no subset"),
     ], ids=lambda v: getattr(v, "__name__", None))
     def test_violation_raises(self, edit, strict, message):
-        ds, manifest = self._manifest(strict)
-        edit(manifest["subsets"][0], manifest)
-        coll = DistributionCollection.from_manifest(ds, manifest)
+        coll = self._collection(strict)
+        coll = replace(coll, subsets=edit(coll.subsets))
         with pytest.raises(ValidationError, match=re.escape(message)):
             coll.validate()

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from hetanom.losses import DeviationPrior, base_loss_grad, deviation_loss_dscore
+from hetanom.losses import base_loss_grad, deviation_loss_dscore
 from hetanom.nets import AdamState, ScorerNet
 from hetanom.partition import TrainingTable
 from hetanom.seeding import rng_for
@@ -39,7 +39,7 @@ def reference_adam(lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return step
 
 
-def reference_support_epoch(net, adam_step, X, y, prior, cfg, rng):
+def reference_support_epoch(net, adam_step, X, y, cfg, rng):
     """The per-base loop: balanced batches (half normals, half anomalies,
     with replacement only where a side is short) and one Adam step each."""
     normal_rows = np.flatnonzero(y == 0)
@@ -52,7 +52,7 @@ def reference_support_epoch(net, adam_step, X, y, prior, cfg, rng):
         half = cfg.batch_size // 2
         rows = np.concatenate([draw(normal_rows, cfg.batch_size - half),
                                draw(anomaly_rows, half)])
-        _, grad = base_loss_grad(net, X[rows], y[rows], prior, cfg.reduction)
+        _, grad = base_loss_grad(net, X[rows], y[rows], cfg.margin)
         net.theta = adam_step(net.theta, grad)
 
 
@@ -68,7 +68,7 @@ class TestStackedScorer:
     def test_forward_and_backward(self, G):
         nets, stack, X, y = self.nets_and_batch(G)
         scores, cache = stack.forward_with_cache(X)
-        dscores = deviation_loss_dscore(scores, y, DeviationPrior.analytic()) / 32
+        dscores = deviation_loss_dscore(scores, y, 5.0) / 32
         grad = stack.backward(cache, dscores)
         assert scores.shape == (G, 32) and grad.shape == stack.theta.shape
         for i, net in enumerate(nets):
@@ -76,14 +76,12 @@ class TestStackedScorer:
             np.testing.assert_array_equal(bits(scores[i]), bits(alone))
             np.testing.assert_array_equal(bits(grad[i]), bits(net.backward(cache_i, dscores[i])))
 
-    @pytest.mark.parametrize("reduction", ["mean", "sum"])
-    def test_base_loss_grad(self, G, reduction):
+    def test_base_loss_grad(self, G):
         nets, stack, X, y = self.nets_and_batch(G)
-        prior = DeviationPrior.analytic()
-        losses, grads = base_loss_grad(stack, X, y, prior, reduction)
+        losses, grads = base_loss_grad(stack, X, y, 5.0)
         assert losses.shape == (G,)
         for i, net in enumerate(nets):
-            loss_i, grad_i = base_loss_grad(net, X[i], y[i], prior, reduction)
+            loss_i, grad_i = base_loss_grad(net, X[i], y[i], 5.0)
             assert bits(losses[i]) == bits(loss_i)
             np.testing.assert_array_equal(bits(grads[i]), bits(grad_i))
 
@@ -134,14 +132,13 @@ class TestRaggedTraining:
     def test_train_bases_epoch_matches_per_base_loop(self):
         table = unequal_table(self.SIZES)
         cfg = TrainConfig(T=len(self.SIZES), batch_size=16, hidden=8, seed=3)
-        prior = cfg.prior()
         for epoch in range(2):
             g = ScorerNet.init(4, 8, rng_for(3, "init", epoch))
-            stack, scores = train_bases_epoch(g, table, cfg, prior, epoch)
+            stack, scores = train_bases_epoch(g, table, cfg, epoch)
             for i, rows in enumerate(table.support_rows):
-                want = g.copy()
+                want = ScorerNet(g.dim, g.hidden, g.theta.copy())
                 reference_support_epoch(want, reference_adam(cfg.lr_base), table.X[rows],
-                                        table.y[rows], prior, cfg,
+                                        table.y[rows], cfg,
                                         rng_for(cfg.seed, "batches", epoch))
                 np.testing.assert_array_equal(bits(stack.theta[i]), bits(want.theta))
                 np.testing.assert_array_equal(bits(scores[:, i]), bits(want.forward(table.X)))
@@ -150,14 +147,13 @@ class TestRaggedTraining:
         # persistent Adam: each net's step count runs on across epochs
         table = unequal_table(self.SIZES, seed=1)
         cfg = TrainConfig(batch_size=16, hidden=8)
-        prior = cfg.prior()
         init = [ScorerNet.init(4, 8, np.random.default_rng(s)) for s in range(len(self.SIZES))]
         seeds = [10 + i for i in range(len(self.SIZES))]
-        got = train_scorers(init, table.X, table.y, table.support_rows, cfg, 3, seeds, prior)
+        got = train_scorers(init, table.X, table.y, table.support_rows, cfg, 3, seeds)
         for i, rows in enumerate(table.support_rows):
-            net = init[i].copy()
+            net = ScorerNet(init[i].dim, init[i].hidden, init[i].theta.copy())
             adam_step = reference_adam(cfg.lr_base)
             for epoch in range(3):
-                reference_support_epoch(net, adam_step, table.X[rows], table.y[rows], prior,
-                                        cfg, rng_for(seeds[i], "plain", epoch))
+                reference_support_epoch(net, adam_step, table.X[rows], table.y[rows], cfg,
+                                        rng_for(seeds[i], "plain", epoch))
             np.testing.assert_array_equal(bits(got[i].theta), bits(net.theta))

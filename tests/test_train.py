@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from hetanom.errors import ConfigurationError, ContractError, NumericError
-from hetanom.losses import DeviationPrior, base_loss, base_loss_grad
+from hetanom.losses import base_loss, base_loss_grad
 from hetanom.nets import AdamState, ScorerNet
 from hetanom.partition import build_distributions, kmeans
 from hetanom.seeding import derive_seed, rng_for
 from hetanom.train import (
     ImportanceState,
-    ScoreHistory,
     TrainConfig,
     fit,
     generalization_errors,
@@ -18,7 +17,7 @@ from hetanom.train import (
     train_bases_epoch,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, train_support_epoch
 
 
 class TestConfig:
@@ -100,24 +99,6 @@ class TestGeneralizationErrors:
         assert abs(full[0] - reduced[0]) < 1e-15
 
 
-class TestScoreHistory:
-    def test_window_order_and_fill(self):
-        hist = ScoreHistory(n_samples=2, k=3, t=1)
-        assert not hist.full
-        for e in range(4):
-            hist.append(np.full((2, 1), float(e)))
-        assert hist.full
-        window = hist.window()
-        np.testing.assert_array_equal(window[0, :, 0], [1.0, 2.0, 3.0])
-
-    def test_shape_contract(self):
-        hist = ScoreHistory(2, 3, 4)
-        with pytest.raises(ContractError):
-            hist.append(np.zeros((2, 3)))
-        with pytest.raises(ContractError):
-            hist.window()
-
-
 class TestTrainBasesEpoch:
     def test_divergence_after_epoch_on_different_supports(self):
         ds = make_dataset(n_normal=40, n_anomaly=8, dim=4, seed=3)
@@ -126,7 +107,7 @@ class TestTrainBasesEpoch:
         table = coll.training_table()
         cfg = TrainConfig(T=3, C=3, seed=5)
         g = ScorerNet.init(ds.dim, cfg.hidden, rng_for(5, "init"))
-        stack, _ = train_bases_epoch(g, table, cfg, DeviationPrior.analytic(), epoch=0)
+        stack, _ = train_bases_epoch(g, table, cfg, epoch=0)
         assert not (stack.theta[0] == stack.theta[1]).all()
 
     def test_identical_subsets_identical_params(self):
@@ -141,7 +122,7 @@ class TestTrainBasesEpoch:
                             query_rows=table.query_rows)
         cfg = TrainConfig(T=2, C=2, seed=9)
         g = ScorerNet.init(ds.dim, cfg.hidden, rng_for(9, "init"))
-        stack, scores = train_bases_epoch(g, table, cfg, DeviationPrior.analytic(), epoch=0)
+        stack, scores = train_bases_epoch(g, table, cfg, epoch=0)
         assert (stack.theta[0] == stack.theta[1]).all()
         assert (scores[:, 0] == scores[:, 1]).all()
 
@@ -150,12 +131,9 @@ class TestTrainBasesEpoch:
         ds = make_dataset(n_normal=2, n_anomaly=1, dim=2, seed=5)
         zero = ScorerNet(2, 4, np.zeros(ScorerNet.param_count(2, 4)))
         cfg = TrainConfig(T=1, batch_size=2, seed=0)
-        prior = DeviationPrior.analytic()
-        from hetanom.train import _train_support_epoch
-
-        net = zero.copy()
-        _train_support_epoch(net, AdamState(cfg.lr_base), ds.features[:1],
-                             np.array([0]), prior, cfg, rng_for(0, "x"))
+        net = ScorerNet(zero.dim, zero.hidden, zero.theta.copy())
+        train_support_epoch(net, AdamState(cfg.lr_base), ds.features[:1],
+                            np.array([0]), cfg, rng_for(0, "x"))
         assert (net.theta == zero.theta).all()
 
 
@@ -188,14 +166,13 @@ class TestFit:
     def test_one_epoch_reduces_support_loss(self, benchmark_ds):
         # measured on the fixed benchmark: one epoch helps >= 6 of 7 bases
         cfg = TrainConfig(epochs=1, seed=0)
-        prior = cfg.prior()
         res = fit(benchmark_ds, cfg)
         table = res.table
         g0 = ScorerNet.init(benchmark_ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
         improved = 0
         for i in range(cfg.T):
             rows = table.support_rows[i]
-            before = base_loss(g0, table.X[rows], table.y[rows], prior)
+            before = base_loss(g0, table.X[rows], table.y[rows], cfg.margin)
             after = res.log[0]["support_loss"][i]
             improved += int(after < before)
         assert improved >= 6
@@ -226,24 +203,20 @@ class TestDegenerateEquivalence:
         cfg = TrainConfig(T=1, epochs=6, seed=11)
         res = fit(small_ds, cfg)
 
-        prior = cfg.prior()
         clusters = kmeans(small_ds, cfg.C, seed=derive_seed(cfg.seed, "clusters"))
         coll = build_distributions(small_ds, clusters, 1, seed=derive_seed(cfg.seed, "subsets"))
         table = coll.training_table()
         sup = table.support_rows[0]
         qry = table.query_rows[0]
 
-        from hetanom.train import _train_support_epoch
-
         g = ScorerNet.init(small_ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
         g_opt = AdamState(cfg.lr_unified)
         trajectory = []
         for epoch in range(cfg.epochs):
-            phi = g.copy()
-            _train_support_epoch(phi, AdamState(cfg.lr_base), table.X[sup],
-                                 table.y[sup], prior, cfg,
-                                 rng_for(cfg.seed, "batches", epoch))
-            _, grad = base_loss_grad(phi, table.X[qry], table.y[qry], prior)
+            phi = ScorerNet(g.dim, g.hidden, g.theta.copy())
+            train_support_epoch(phi, AdamState(cfg.lr_base), table.X[sup],
+                                table.y[sup], cfg, rng_for(cfg.seed, "batches", epoch))
+            _, grad = base_loss_grad(phi, table.X[qry], table.y[qry], cfg.margin)
             g = ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, 1.0 * grad))
             trajectory.append(g.theta.copy())
 
@@ -253,9 +226,8 @@ class TestDegenerateEquivalence:
 class TestUnifiedUpdateLinearity:
     def test_uniform_weights_match_scaled_unweighted(self):
         # aggregated gradient with uniform weights == unweighted sum / T
-        from hetanom.losses import DeviationPrior, cdl_loss
+        from hetanom.losses import cdl_loss
 
-        prior = DeviationPrior.analytic()
         rng = np.random.default_rng(2)
         bases = []
         for s in range(4):
@@ -263,8 +235,8 @@ class TestUnifiedUpdateLinearity:
             X = rng.normal(size=(6, 3))
             y = rng.integers(0, 2, size=6)
             bases.append((net, X, y))
-        _, weighted, _ = cdl_loss(bases, np.full(4, 0.25), prior)
-        _, unweighted, _ = cdl_loss(bases, None, prior)
+        _, weighted, _ = cdl_loss(bases, np.full(4, 0.25), 5.0)
+        unweighted = [base_loss_grad(net, X, y, 5.0)[1] for net, X, y in bases]
         agg_w = np.sum(weighted, axis=0)
         agg_u = np.sum(unweighted, axis=0) / 4.0
         np.testing.assert_allclose(agg_w, agg_u, atol=1e-12)
