@@ -3,7 +3,7 @@
 Trains T base scorers on simulated heterogeneous anomaly distributions
 and collaboratively learns one unified scorer from their importance-
 weighted query losses. Includes a synthetic benchmark and an evaluation
-harness with general/hard/cross-domain protocols.
+harness with general and hard protocols.
 """
 
 from .data import (
@@ -18,7 +18,6 @@ from .evaluate import (
     EvalResult,
     ProtocolSpec,
     auc,
-    run_cross_domain,
     run_protocol,
     run_variant,
     sweep,
@@ -64,7 +63,6 @@ __all__ = [
     "ingest_csv",
     "kmeans",
     "load_checkpoint",
-    "run_cross_domain",
     "run_protocol",
     "run_variant",
     "save_checkpoint",

@@ -33,7 +33,7 @@ from .schema import build, typed
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
-MANIFEST_VERSION = 3
+MANIFEST_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,6 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigurationError("protocol: required section")
     protocol = build("protocol", ProtocolSpec, proto_raw)
     protocol.validate(prefix="protocol.")
-    if protocol.kind == "cross_domain":
-        raise ConfigurationError("protocol.kind: the CLI runs 'general' and 'hard' only; "
-                                 "cross_domain runs through evaluate.run_cross_domain")
 
     variants_raw = raw.get("variants", ["AHL"])
     if not isinstance(variants_raw, list) or not variants_raw:
@@ -139,6 +136,8 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigurationError("sweep.param: must be 'C' or 'K'")
         if not sweep_spec.values:
             raise ConfigurationError("sweep.values: must be a non-empty list")
+        if len(set(sweep_spec.values)) != len(sweep_spec.values):
+            raise ConfigurationError("sweep.values: must be distinct")
         for i, value in enumerate(sweep_spec.values):
             swept_config(train, sweep_spec.param, value).validate(
                 prefix=f"sweep.values[{i}]: ")
@@ -262,11 +261,13 @@ def execute_replay(manifest_path: Path, out_dir: Path, threads: int = 1) -> str:
     for key in ("config", "results_sha256"):
         if key not in manifest:
             raise ReplayError(f"manifest: missing field {key!r}")
+    command = manifest.get("command", "run")
+    if command not in ("run", "sweep"):
+        raise ReplayError(f"manifest: command {command!r} is neither 'run' nor 'sweep'")
     config = parse_config(manifest["config"])
     recorded_ds = manifest.get("dataset_sha256")
     if recorded_ds is not None and _dataset_checksum(config.dataset) != recorded_ds:
         raise ReplayError("dataset file changed since the recorded run")
-    command = manifest.get("command", "run")
     if command == "sweep":
         checksum = execute_sweep(config, out_dir, threads)
     else:
@@ -352,9 +353,7 @@ def main(argv=None) -> int:
             else:
                 spec = default_benchmark()
             if args.seed is not None:
-                spec = MixtureSpec(dim=spec.dim, seed=args.seed,
-                                   normal_components=spec.normal_components,
-                                   anomaly_components=spec.anomaly_components)
+                spec = replace(spec, seed=args.seed)
             ds = generate(spec)
             write_csv(ds, args.out)
             print(f"wrote {len(ds.ids)} samples ({ds.n_normal} normal, "

@@ -3,8 +3,7 @@
 The two same-domain protocols differ only in how the training anomalies
 are drawn: the general protocol samples them from every anomaly class,
 the hard protocol from a single class so that all other classes are
-unseen at training time. The cross-domain protocol trains on a source
-dataset and fine-tunes on the target's normals only.
+unseen at training time.
 """
 
 from __future__ import annotations
@@ -12,23 +11,15 @@ from __future__ import annotations
 import io
 import csv as _csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .data import ANOMALY, FeatureDataset, SplitSpec, split_rows
-from .errors import ConfigurationError, ContractError, ShapeError, UndefinedMetricError
+from .errors import ConfigurationError, ContractError, UndefinedMetricError
 from .nets import ScorerNet, one_blas_thread
 from .seeding import derive_seed, rng_for
-from .train import (
-    WEIGHTS_ACCURACY,
-    FitResult,
-    TrainConfig,
-    fit,
-    simulate,
-    train_scorer,
-    train_scorers,
-)
+from .train import FitResult, TrainConfig, fit, simulate, train_scorer, train_scorers
 
 #: the repo's fixed evaluation seeds
 BENCHMARK_SEEDS = tuple(range(10))
@@ -70,19 +61,18 @@ def auc(scores, labels) -> float:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    kind: str  # general | hard | cross_domain
+    kind: str  # general | hard
     m_anomalies: int = 10
     seen_class: str | None = None
     seeds: tuple[int, ...] = BENCHMARK_SEEDS
-    fine_tune_epochs: int = 10
     train_fraction: float = 0.75
 
     def validate(self, prefix: str = "") -> None:
         def bad(name, msg):
             raise ConfigurationError(f"{prefix}{name}: {msg}")
 
-        if self.kind not in ("general", "hard", "cross_domain"):
-            bad("kind", "must be 'general', 'hard' or 'cross_domain'")
+        if self.kind not in ("general", "hard"):
+            bad("kind", "must be 'general' or 'hard'")
         if self.m_anomalies < 1:
             bad("m_anomalies", "must be >= 1")
         if self.kind == "hard" and not self.seen_class:
@@ -91,8 +81,6 @@ class ProtocolSpec:
             bad("seeds", "must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             bad("seeds", "must be distinct")
-        if self.fine_tune_epochs < 0:
-            bad("fine_tune_epochs", "must be >= 0")
         if not (0.0 < self.train_fraction < 1.0):
             bad("train_fraction", "must lie in (0, 1)")
 
@@ -107,14 +95,7 @@ class SeedResult:
     seen_classes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "auc_overall": self.auc_overall,
-            "auc_seen": self.auc_seen,
-            "auc_unseen": self.auc_unseen,
-            "auc_unseen_macro": self.auc_unseen_macro,
-            "seen_classes": list(self.seen_classes),
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -167,7 +148,7 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
         res = fit(ds, cfg)
         return VariantModel(name, [res.unified], res.training_sample_ids(), res)
     if name == "CDL_minus":
-        res = fit(ds, replace(cfg, weight_mode=WEIGHTS_ACCURACY))
+        res = fit(ds, cfg, accuracy_weights=True)
         return VariantModel(name, [res.unified], res.training_sample_ids(), res)
     if name == "Homogeneous":
         net = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", 0))
@@ -206,7 +187,11 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
 def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):
     """Per-seed train/test construction: normals split by train_fraction,
     M training anomalies per the protocol, every other anomaly to test."""
-    norm_train, norm_test = _split_normals(ds, derive_seed(seed, "normal-split"), spec)
+    normal_rows = ds.normal_rows()
+    first, second = split_rows(ds.labels[normal_rows], SplitSpec(
+        seed=derive_seed(seed, "normal-split"),
+        fractions=(spec.train_fraction, 1.0 - spec.train_fraction)))
+    norm_train, norm_test = normal_rows[first], normal_rows[second]
     anomaly_rows = ds.anomaly_rows()
     if spec.kind == "hard":
         pool = np.array([r for r in anomaly_rows.tolist() if ds.class_tags[r] == spec.seen_class],
@@ -226,14 +211,6 @@ def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):
     test_rows = np.sort(np.concatenate([norm_test, rest]))
     seen_classes = tuple(sorted({ds.class_tags[r] for r in picked.tolist()}))
     return ds.take(train_rows), ds.take(test_rows), seen_classes
-
-
-def _split_normals(ds: FeatureDataset, seed: int, spec: ProtocolSpec):
-    """The normal rows of ``ds``, split by the protocol's train fraction."""
-    normal_rows = ds.normal_rows()
-    first, second = split_rows(ds.labels[normal_rows], SplitSpec(
-        seed=seed, fractions=(spec.train_fraction, 1.0 - spec.train_fraction)))
-    return normal_rows[first], normal_rows[second]
 
 
 def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
@@ -292,8 +269,6 @@ def run_protocol(ds: FeatureDataset, spec: ProtocolSpec, cfg: TrainConfig,
     aggregation is by ascending seed.
     """
     spec.validate()
-    if spec.kind == "cross_domain":
-        raise ConfigurationError("kind: use run_cross_domain for cross_domain specs")
     variant = canonical_variant(variant)
 
     def one_seed(seed: int) -> SeedResult:
@@ -306,43 +281,6 @@ def run_protocol(ds: FeatureDataset, spec: ProtocolSpec, cfg: TrainConfig,
         return _score_test(model, test_ds, seed, seen_classes)
 
     return EvalResult(variant=variant, kind=spec.kind,
-                      per_seed=_map_seeds(one_seed, spec.seeds, threads))
-
-
-def run_cross_domain(source: FeatureDataset, target: FeatureDataset,
-                     cfg: TrainConfig, spec: ProtocolSpec | None = None,
-                     threads: int = 1) -> EvalResult:
-    """Fit on the source domain, fine-tune on target normals only, then
-    evaluate on the target test split (all target anomalies are unseen)."""
-    if source.dim != target.dim:
-        raise ShapeError(f"source dim {source.dim} != target dim {target.dim}")
-    spec = spec or ProtocolSpec(kind="cross_domain")
-    if spec.kind != "cross_domain":
-        raise ConfigurationError("kind: run_cross_domain needs a cross_domain spec")
-    spec.validate()
-
-    def one_seed(seed: int) -> SeedResult:
-        root = derive_seed(cfg.seed, "protocol", seed)
-        src_spec = replace(spec, kind="general")
-        src_train, _, _ = _protocol_split(source, src_spec, root)
-        res = fit(src_train, replace(cfg, seed=derive_seed(root, "fit")))
-
-        tgt_train_rows, tgt_test_rows = _split_normals(
-            target, derive_seed(root, "target-split"), spec)
-        tgt_train = target.take(tgt_train_rows)
-        net = res.unified
-        if spec.fine_tune_epochs > 0:
-            net = train_scorer(net, tgt_train.features,
-                               np.zeros(len(tgt_train.ids), dtype=np.int64),
-                               cfg, spec.fine_tune_epochs,
-                               seed=derive_seed(root, "fine-tune"))
-        test_ds = target.take(np.sort(np.concatenate([tgt_test_rows, target.anomaly_rows()])))
-        # leakage is audited within the target namespace: only the
-        # fine-tuning normals could overlap the target test set
-        model = VariantModel("AHL", [net], frozenset(tgt_train.ids))
-        return _score_test(model, test_ds, seed, seen_classes=())
-
-    return EvalResult(variant="AHL", kind="cross_domain",
                       per_seed=_map_seeds(one_seed, spec.seeds, threads))
 
 

@@ -27,7 +27,7 @@ FEW_SHOT = "few_shot"
 ONE_SHOT = "one_shot"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterAssignment:
     """Result of k-means over the normal samples of one dataset: ``rows``
     are the dataset's normal rows in ascending order, ``assign[j]`` is the
@@ -174,7 +174,7 @@ def _rows(values) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistributionCollection:
     """The T subsets built over one dataset plus their pseudo anomalies."""
 
@@ -231,7 +231,7 @@ class DistributionCollection:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainingTable:
     """Flat arrays over all samples referenced by any subset (real ones
     first, pseudo anomalies appended), with per-subset row indices."""
@@ -259,7 +259,6 @@ def build_distributions(
     ds: FeatureDataset,
     clusters: ClusterAssignment,
     T: int,
-    mode: str = FEW_SHOT,
     strict_openness: bool = False,
     seed: int = 0,
 ) -> DistributionCollection:
@@ -269,20 +268,19 @@ def build_distributions(
     (one feeds the support set, the other the query set); the last subset
     uses all normals, split randomly in half. Real anomalies are divided
     per subset into virtual seen (support, and also query unless
-    ``strict_openness``) and virtual unseen (query only); in
-    :data:`ONE_SHOT` mode every anomaly lands on both sides, which
-    overrides ``strict_openness``. Two distinct pseudo recipes per subset
-    corrupt support and query normals respectively, each making as many
-    pseudo anomalies as the support has real ones.
+    ``strict_openness``) and virtual unseen (query only). A dataset with a
+    single anomaly is built in :data:`ONE_SHOT` mode: the anomaly lands on
+    both sides, which overrides ``strict_openness``. Two distinct pseudo
+    recipes per subset corrupt support and query normals respectively, each
+    making as many pseudo anomalies as the support has real ones.
     """
     if T < 1:
         raise ConfigurationError(f"T must be >= 1, got {T}")
-    if mode not in (FEW_SHOT, ONE_SHOT):
-        raise ConfigurationError(f"unknown subset mode {mode!r}")
     if T > 1 and clusters.k < 2:
         raise ConfigurationError("need >= 2 normal clusters to build two-cluster subsets")
     if ds.n_anomaly < 1:
         raise ContractError("dataset has no anomalies to distribute")
+    mode = ONE_SHOT if ds.n_anomaly == 1 else FEW_SHOT
 
     normal_rows = ds.normal_rows()
     if clusters.ids != ds.ids or not np.array_equal(clusters.rows, normal_rows):

@@ -23,18 +23,8 @@ from .data import FeatureDataset
 from .errors import ConfigurationError, ContractError, NumericError
 from .losses import base_loss_grad, cdl_loss, score_loss
 from .nets import AdamState, ScorerNet, SequencePredictor, one_blas_thread
-from .partition import (
-    FEW_SHOT,
-    ONE_SHOT,
-    DistributionCollection,
-    TrainingTable,
-    build_distributions,
-    kmeans,
-)
+from .partition import DistributionCollection, TrainingTable, build_distributions, kmeans
 from .seeding import derive_seed, rng_for
-
-WEIGHTS_SEQUENCE = "sequence"
-WEIGHTS_ACCURACY = "accuracy"
 
 
 @dataclass(frozen=True)
@@ -54,7 +44,6 @@ class TrainConfig:
     c_other: float = 0.5
     margin: float = 5.0
     strict_openness: bool = False
-    weight_mode: str = WEIGHTS_SEQUENCE
     seed: int = 0
 
     def validate(self, prefix: str = "") -> None:
@@ -71,8 +60,6 @@ class TrainConfig:
         if self.K > self.warmup_epochs:
             bad("K", f"must be <= warmup_epochs ({self.warmup_epochs}) so histories "
                      "fill before first use")
-        if self.weight_mode not in (WEIGHTS_SEQUENCE, WEIGHTS_ACCURACY):
-            bad("weight_mode", "must be 'sequence' or 'accuracy'")
 
 
 @dataclass(frozen=True)
@@ -279,19 +266,19 @@ def _support_losses(scores, table: TrainingTable, margin: float) -> list[float]:
 
 def simulate(ds: FeatureDataset, cfg: TrainConfig):
     """Simulate the T open-set subsets of ``ds``: cluster its normals, then
-    build the subsets, in one-shot mode when ``ds`` has a single anomaly.
-    Returns (clusters, collection, training table)."""
+    build the subsets. Returns (clusters, collection, training table)."""
     clusters = kmeans(ds, cfg.C, seed=derive_seed(cfg.seed, "clusters"))
-    collection = build_distributions(
-        ds, clusters, cfg.T, mode=ONE_SHOT if ds.n_anomaly == 1 else FEW_SHOT,
-        strict_openness=cfg.strict_openness, seed=derive_seed(cfg.seed, "subsets"),
-    )
+    collection = build_distributions(ds, clusters, cfg.T, strict_openness=cfg.strict_openness,
+                                     seed=derive_seed(cfg.seed, "subsets"))
     return clusters, collection, collection.training_table()
 
 
 @one_blas_thread()
-def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult:
-    """Full training loop; a pure function of (dataset, config)."""
+def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
+        accuracy_weights: bool = False) -> FitResult:
+    """Full training loop; a pure function of (dataset, config).
+    ``accuracy_weights`` replaces the sequence predictor's importance
+    weights with each base's detection accuracy (the CDL_minus variant)."""
     cfg.validate()
     if ds.n_anomaly < 1:
         raise ContractError("training data must contain at least one anomaly")
@@ -301,7 +288,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
     g_opt = AdamState(cfg.lr_unified)
     seq_net = None
     seq_opt = None
-    if cfg.weight_mode == WEIGHTS_SEQUENCE:
+    if not accuracy_weights:
         seq_net = SequencePredictor.init(cfg.T, rng_for(cfg.seed, "init-seq"))
         seq_opt = AdamState(cfg.lr_seq)
     history: deque[np.ndarray] = deque(maxlen=cfg.K)  # the last K epochs' (n, T) scores
@@ -312,7 +299,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
         stack, scores = train_bases_epoch(g, table, cfg, epoch)
 
         seq_loss = None
-        if cfg.weight_mode == WEIGHTS_ACCURACY:
+        if accuracy_weights:
             state = accuracy_importance(scores, table, cfg, epoch)
         elif epoch >= cfg.warmup_epochs:
             state, seq_loss = estimate_importance(np.stack(history, axis=1), seq_net,
@@ -343,7 +330,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None) -> FitResult
 def train_scorer(net: ScorerNet, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                  epochs: int, seed: int) -> ScorerNet:
     """Plain standalone training: balanced minibatches, one persistent Adam.
-    Used by the Homogeneous baseline and by normals-only fine-tuning."""
+    Used by the Homogeneous baseline."""
     return train_scorers([net], X, y, [np.arange(len(y))], cfg, epochs, [seed])[0]
 
 

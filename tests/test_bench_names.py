@@ -27,10 +27,13 @@ def _spans_module():
     return module
 
 
+def _workloads_tree() -> ast.Module:
+    return ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+
+
 def _attributes_of(name: str) -> set[str]:
     """Every attribute ``workloads.py`` reads off the module it binds as ``name``."""
-    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
-    return {node.attr for node in ast.walk(tree)
+    return {node.attr for node in ast.walk(_workloads_tree())
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == name}
 
@@ -67,3 +70,23 @@ def test_execute_run_takes_threads_third():
     # the workload passes it positionally
     params = list(inspect.signature(cli.execute_run).parameters)
     assert params[:3] == ["config", "out_dir", "threads"]
+
+
+def _module_calls():
+    """Every ``ha.<fn>(...)`` and ``cli.<fn>(...)`` call in ``workloads.py``."""
+    calls = [node for node in ast.walk(_workloads_tree())
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id in ("ha", "cli")]
+    return [pytest.param(node, id=f"{node.func.value.id}.{node.func.attr}:{node.lineno}")
+            for node in sorted(calls, key=lambda node: (node.lineno, node.col_offset))]
+
+
+@pytest.mark.parametrize("call", _module_calls())
+def test_workload_calls_bind(call):
+    # the call's positional count and keyword names against the signature,
+    # so a renamed or removed parameter fails here and not in bench/run.py
+    owner = {"ha": hetanom, "cli": cli}[call.func.value.id]
+    assert not any(isinstance(a, ast.Starred) for a in call.args)
+    assert all(kw.arg is not None for kw in call.keywords)
+    signature = inspect.signature(getattr(owner, call.func.attr))
+    signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})

@@ -123,11 +123,30 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=rf"^dataset.{field}: "):
             parse_config(cfg)
 
-    def test_cross_domain_refused(self, tmp_path):
+    def test_cross_domain_refused(self, tmp_path, capsys):
         cfg = minimal_config(tmp_path / "out")
         cfg["protocol"]["kind"] = "cross_domain"
         with pytest.raises(ConfigurationError, match="^protocol.kind: "):
             parse_config(cfg)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == ("config error: protocol.kind: "
+                                           "must be 'general' or 'hard'\n")
+
+    @pytest.mark.parametrize("path", [("train", "weight_mode"), ("protocol", "fine_tune_epochs")])
+    def test_removed_field_refused(self, tmp_path, path):
+        cfg = minimal_config(tmp_path / "out")
+        cfg[path[0]][path[1]] = 1
+        field = re.escape(".".join(path))
+        with pytest.raises(ConfigurationError, match=rf"^{field}: unknown field$"):
+            parse_config(cfg)
+
+    def test_duplicate_sweep_values_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = minimal_config(out)
+        cfg["sweep"] = {"param": "C", "values": [2, 2]}
+        assert main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == "config error: sweep.values: must be distinct\n"
+        assert not out.exists()
 
     def test_invalid_sweep_value_names_its_index(self, tmp_path):
         cfg = minimal_config(tmp_path / "out")
@@ -226,15 +245,17 @@ class TestReplay:
                      "--out", str(tmp_path / "r")]) == 1
         assert "format_version" in capsys.readouterr().err
 
-    # each older format lists TrainConfig fields that are gone
+    # each older format lists config fields that are gone, by section
     @pytest.mark.parametrize("version, gone", [
-        (1, dict(plain_sgd=False, prior_mode="analytic", prior_draws=5000,
-                 subset_mode=None, pseudo_per_subset=None)),
-        (2, dict(reduction="mean")),
-    ], ids=["1", "2"])
+        (1, {"train": dict(plain_sgd=False, prior_mode="analytic", prior_draws=5000,
+                           subset_mode=None, pseudo_per_subset=None)}),
+        (2, {"train": dict(reduction="mean")}),
+        (3, {"train": dict(weight_mode="sequence"), "protocol": dict(fine_tune_epochs=10)}),
+    ], ids=["1", "2", "3"])
     def test_old_manifest_version_refused(self, tmp_path, version, gone):
         cfg = minimal_config(tmp_path / "out")
-        cfg["train"].update(gone)
+        for section, values in gone.items():
+            cfg[section].update(values)
         old = tmp_path / f"v{version}.json"
         old.write_text(json.dumps({"format_version": version, "command": "run", "config": cfg,
                                    "dataset_sha256": None, "results_sha256": "x"}))
@@ -247,7 +268,10 @@ class TestReplay:
         ({"format_version": MANIFEST_VERSION}, "manifest: missing field 'config'"),
         ({"format_version": MANIFEST_VERSION, "config": minimal_config("out")},
          "manifest: missing field 'results_sha256'"),
-    ], ids=["not-an-object", "no-config", "no-checksum"])
+        ({"format_version": MANIFEST_VERSION, "command": "train",
+          "config": minimal_config("out"), "results_sha256": "x"},
+         "manifest: command 'train' is neither 'run' nor 'sweep'"),
+    ], ids=["not-an-object", "no-config", "no-checksum", "unknown-command"])
     def test_malformed_manifest_refused_before_any_work(self, tmp_path, manifest, message):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from hetanom.errors import ConfigurationError, ShapeError, UndefinedMetricError
+from hetanom.errors import ConfigurationError, UndefinedMetricError
 from hetanom.evaluate import (
     EvalResult,
     ProtocolSpec,
     auc,
     canonical_variant,
-    run_cross_domain,
     run_protocol,
     run_variant,
     sweep,
@@ -15,8 +14,6 @@ from hetanom.evaluate import (
 )
 from hetanom.synth import Component, MixtureSpec, generate
 from hetanom.train import TrainConfig, fit
-
-from conftest import make_dataset
 
 
 def auc_bruteforce(scores, labels):
@@ -227,45 +224,6 @@ class TestVariants:
         for data in (ds, one_shot):
             model = run_variant("HADG_only", data, cfg)
             assert model.exposure_ids == fit(data, cfg).training_sample_ids()
-
-
-class TestCrossDomain:
-    def test_zero_shot_and_shifted_target(self):
-        source = tiny_benchmark(seed=2)
-        target_spec = MixtureSpec(
-            dim=6,
-            normal_components=(Component((1.0,) * 6, (1.0,) * 6, 60),),
-            anomaly_components=(Component((9.0,) * 6, (0.5,) * 6, 20, "hot"),),
-            seed=3,
-        )
-        target = generate(target_spec)
-        spec = ProtocolSpec(kind="cross_domain", m_anomalies=6, seeds=(0,),
-                            fine_tune_epochs=0)
-        res = run_cross_domain(source, target, FAST, spec)
-        assert 0.0 <= res.per_seed[0].auc_overall <= 1.0
-        spec10 = ProtocolSpec(kind="cross_domain", m_anomalies=6, seeds=(0,),
-                              fine_tune_epochs=3)
-        res10 = run_cross_domain(source, target, FAST, spec10)
-        assert 0.0 <= res10.per_seed[0].auc_overall <= 1.0
-
-    def test_dim_mismatch(self):
-        source = tiny_benchmark()
-        target = make_dataset(10, 2, dim=3)
-        with pytest.raises(ShapeError):
-            run_cross_domain(source, target, FAST)
-
-    def test_same_domain_close_to_in_domain_run(self):
-        # fixed-seed comparison: transferring to the same domain should land
-        # near the plain same-domain protocol result
-        ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="cross_domain", m_anomalies=6, seeds=(0, 1),
-                            fine_tune_epochs=3)
-        cross = run_cross_domain(ds, ds, FAST, spec)
-        same = run_protocol(ds, ProtocolSpec(kind="general", m_anomalies=6,
-                                             seeds=(0, 1)), FAST, "AHL")
-        c = cross.mean_std("auc_overall")[0]
-        s = same.mean_std("auc_overall")[0]
-        assert abs(c - s) < 0.02
 
 
 class TestSweep:

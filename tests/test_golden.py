@@ -1,7 +1,8 @@
 """Golden pins: the criterion-8 config must reproduce its recorded results
 checksum, per-epoch fit logs and checkpoints bit for bit, a default fit on
-the benchmark its recorded parameters and log, and subset simulation its
-recorded manifests and training tables."""
+the benchmark its recorded parameters and log (and a small CDL_minus fit
+its own), and subset simulation its recorded manifests and training
+tables."""
 
 import hashlib
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from hetanom import TrainConfig, fit
 from hetanom.cli import main as cli_main
+from hetanom.evaluate import run_variant
 from hetanom.synth import default_benchmark, generate
 from hetanom.train import simulate
 
@@ -21,6 +23,16 @@ GOLDEN = json.loads((GOLDEN_DIR / "criterion8.json").read_text())
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def theta_sha(net) -> str:
+    return hashlib.sha256(np.ascontiguousarray(net.theta, dtype="<f8").tobytes()).hexdigest()
+
+
+def log_sha(log) -> str:
+    """SHA-256 of a fit log as ``hetanom run`` writes it."""
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in log)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_criterion8_golden(tmp_path):
@@ -38,14 +50,20 @@ def test_criterion8_golden(tmp_path):
 def test_default_fit_golden():
     pins = json.loads((GOLDEN_DIR / "fit_default.json").read_text())
     res = fit(generate(default_benchmark(seed=1)), TrainConfig())
-
-    def theta_sha(net):
-        return hashlib.sha256(np.ascontiguousarray(net.theta, dtype="<f8").tobytes()).hexdigest()
-
-    log = "".join(json.dumps(record, sort_keys=True) + "\n" for record in res.log)
     assert theta_sha(res.unified) == pins["unified_theta_sha256"]
     assert theta_sha(res.seq_net) == pins["seq_theta_sha256"]
-    assert hashlib.sha256(log.encode("utf-8")).hexdigest() == pins["log_sha256"]
+    assert log_sha(res.log) == pins["log_sha256"]
+
+
+def test_cdl_minus_fit_golden():
+    # accuracy-based importance weights, the one thing CDL_minus changes
+    model = run_variant("CDL_minus", generate(default_benchmark(seed=1)),
+                        TrainConfig(T=3, C=3, epochs=8, hidden=16, seed=2))
+    res = model.fit_result
+    assert res.seq_net is None
+    assert theta_sha(res.unified) == \
+        "fbc88b12692a162fb8c6a8b7469a785d905aae444156fb273e3eee769abc4c07"
+    assert log_sha(res.log) == "9d09f6c655b2be29fab49b693533c93e37c5191fd8f0f2e6e5673b41ecdd6779"
 
 
 #: subset simulation on the default benchmark: (TrainConfig fields, rows kept)

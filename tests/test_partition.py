@@ -149,8 +149,9 @@ class TestBuildDistributions:
 
     def test_one_shot_anomaly_everywhere(self):
         ds = make_dataset(n_normal=30, n_anomaly=1, dim=4, seed=3)
-        coll = self._build(ds, C=3, T=4, mode=ONE_SHOT)
+        coll = self._build(ds, C=3, T=4)
         anomaly_id = ds.ids[int(ds.anomaly_rows()[0])]
+        assert coll.mode == ONE_SHOT
         for dd in coll.subsets:
             assert anomaly_id in set(dd.support_ids)
             assert anomaly_id in set(dd.query_ids)
@@ -188,6 +189,15 @@ class TestBuildDistributions:
         b = self._build(ds, seed=11)
         assert a.to_manifest() == b.to_manifest()
         assert (a.pseudo_features == b.pseudo_features).all()
+
+    def test_array_holding_structures_compare_by_identity(self):
+        # the generated __eq__ would compare their arrays, which raises
+        ds = make_dataset(n_normal=40, n_anomaly=8, dim=5, seed=7)
+        for build in (lambda: kmeans(ds, 3, seed=0), lambda: self._build(ds, seed=11),
+                      lambda: self._build(ds, seed=11).training_table()):
+            a, b = build(), build()
+            assert a == a
+            assert a != b
 
     def test_t1_gives_all_subset_only(self):
         ds = make_dataset(n_normal=20, n_anomaly=4, dim=3, seed=8)
