@@ -1,8 +1,9 @@
 """Batch experiment driver.
 
-Subcommands: ``run`` (execute a config), ``replay`` (reproduce a run from
-its manifest and verify the recorded checksum), ``sweep`` (hyperparameter
-sweep to plot-data CSV), ``gen-data`` (export the synthetic benchmark to
+Subcommands: ``run`` (execute a config: the protocol for every variant,
+or, when the config has a ``sweep`` section, a hyperparameter sweep to
+plot-data CSV), ``replay`` (reproduce a run from its manifest and verify
+the recorded checksum), ``gen-data`` (export the synthetic benchmark to
 CSV). All outputs are deterministic: rerunning a config produces
 byte-identical artifacts.
 """
@@ -14,7 +15,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from .data import FeatureDataset, ingest_csv, write_csv
@@ -33,7 +34,7 @@ from .schema import build, typed
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
-MANIFEST_VERSION = 4
+MANIFEST_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,14 @@ class DatasetSource:
 
     def load(self) -> FeatureDataset:
         if self.kind == "csv":
-            return ingest_csv(self.path)
+            return ingest_csv(self.csv_file())
         return generate(self.spec if self.spec is not None else default_benchmark())
 
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.path is not None:
-            out["path"] = self.path
-        if self.spec is not None:
-            out["spec"] = self.spec.to_dict()
-        return out
+    def csv_file(self) -> str:
+        """``path``, refused as a config error when no such file exists."""
+        if not Path(self.path).is_file():
+            raise ConfigurationError(f"dataset.path: no such file: {self.path}")
+        return self.path
 
 
 @dataclass(frozen=True)
@@ -72,29 +71,12 @@ class RunConfig:
     seed: int = 0
     sweep: SweepSpec | None = None
 
-    def to_dict(self) -> dict:
-        train = {f.name: getattr(self.train, f.name) for f in fields(TrainConfig)}
-        protocol = {f.name: getattr(self.protocol, f.name) for f in fields(ProtocolSpec)}
-        protocol["seeds"] = list(protocol["seeds"])
-        out = {
-            "dataset": self.dataset.to_dict(),
-            "train": train,
-            "protocol": protocol,
-            "variants": list(self.variants),
-            "seed": self.seed,
-        }
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        if self.sweep is not None:
-            out["sweep"] = {"param": self.sweep.param, "values": list(self.sweep.values)}
-        return out
-
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config dict; errors name the offending field path."""
     if not isinstance(raw, dict):
         raise ConfigurationError("config: must be a JSON object")
-    known_top = {"dataset", "train", "protocol", "variants", "output_dir", "seed", "sweep"}
+    known_top = {f.name for f in fields(RunConfig)}
     for key in raw:
         if key not in known_top:
             raise ConfigurationError(f"{key}: unknown field")
@@ -110,7 +92,10 @@ def parse_config(raw: dict) -> RunConfig:
     if dataset.kind == "synthetic" and dataset.path is not None:
         raise ConfigurationError("dataset.path: only a csv dataset takes a path")
 
-    train = build("train", TrainConfig, raw.get("train", {}))
+    train_raw = raw.get("train", {})
+    if isinstance(train_raw, dict) and "seed" in train_raw:
+        raise ConfigurationError("train.seed: set the top-level seed instead")
+    train = build("train", TrainConfig, train_raw)
     train.validate(prefix="train.")
 
     proto_raw = raw.get("protocol")
@@ -119,13 +104,13 @@ def parse_config(raw: dict) -> RunConfig:
     protocol = build("protocol", ProtocolSpec, proto_raw)
     protocol.validate(prefix="protocol.")
 
-    variants_raw = raw.get("variants", ["AHL"])
-    if not isinstance(variants_raw, list) or not variants_raw:
+    variants_raw = typed("variants", raw.get("variants", ["AHL"]), tuple[str, ...])
+    if not variants_raw:
         raise ConfigurationError("variants: must be a non-empty list")
     variants = []
     for i, name in enumerate(variants_raw):
         try:
-            variants.append(canonical_variant(str(name)))
+            variants.append(canonical_variant(name))
         except ConfigurationError as exc:
             raise ConfigurationError(f"variants[{i}]: {exc}") from None
 
@@ -141,6 +126,8 @@ def parse_config(raw: dict) -> RunConfig:
         for i, value in enumerate(sweep_spec.values):
             swept_config(train, sweep_spec.param, value).validate(
                 prefix=f"sweep.values[{i}]: ")
+        if len(variants) != 1:
+            raise ConfigurationError(f"variants: a sweep runs one variant, got {len(variants)}")
 
     return RunConfig(
         dataset=dataset,
@@ -178,74 +165,60 @@ def _sha256(data: bytes) -> str:
 
 
 def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
-    """Run every variant, write all artifacts, return the results checksum."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "logs").mkdir(exist_ok=True)
-    (out_dir / "checkpoints").mkdir(exist_ok=True)
+    """Run what the config describes, write its artifacts and manifest, and
+    return the results checksum. Without a ``sweep`` section that is the
+    protocol for every variant, with per-seed logs and checkpoints; with one,
+    a protocol run of the one variant per swept value."""
     ds = config.dataset.load()
     cfg = replace(config.train, seed=config.seed)
-
-    results = []
-    for variant in config.variants:
-
-        def sink(seed, model, variant=variant):
-            if model.fit_result is not None:
-                log_path = out_dir / "logs" / f"{variant}-seed{seed}.jsonl"
-                with open(log_path, "w", encoding="utf-8") as fh:
-                    for record in model.fit_result.log:
-                        fh.write(json.dumps(record, sort_keys=True) + "\n")
-            for i, net in enumerate(model.nets):
-                suffix = "" if len(model.nets) == 1 else f"-net{i}"
-                save_checkpoint(out_dir / "checkpoints" / f"{variant}-seed{seed}{suffix}.ckpt", net)
-
-        results.append(run_protocol(ds, config.protocol, cfg, variant,
-                                    threads=threads, model_sink=sink))
-
-    results_obj = {"results": [r.to_dict() for r in results]}
-    results_bytes = _canonical_json(results_obj)
-    (out_dir / "results.json").write_bytes(results_bytes)
-    (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
-    checksum = _sha256(results_bytes)
-    _write_manifest(config, out_dir, "run", checksum)
-    return checksum
-
-
-def execute_sweep(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
-    if config.sweep is None:
-        raise ConfigurationError("sweep: section required for the sweep command")
-    if len(config.variants) != 1:
-        raise ConfigurationError(f"variants: the sweep command runs one variant, "
-                                 f"got {len(config.variants)}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    ds = config.dataset.load()
-    cfg = replace(config.train, seed=config.seed)
-    entries = sweep(config.sweep.param, config.sweep.values, ds, config.protocol,
-                    cfg, variant=config.variants[0], threads=threads)
-    csv_text = sweep_csv(config.sweep.param, entries)
-    (out_dir / "sweep.csv").write_text(csv_text, encoding="utf-8")
-    results_obj = {"sweep": {str(v): r.to_dict() for v, r in entries}}
+    if config.sweep is not None:
+        entries = sweep(config.sweep.param, config.sweep.values, ds, config.protocol,
+                        cfg, variant=config.variants[0], threads=threads)
+        csv_text = sweep_csv(config.sweep.param, entries)
+        (out_dir / "sweep.csv").write_text(csv_text, encoding="utf-8")
+        results_obj = {"sweep": {str(v): r.to_dict() for v, r in entries}}
+    else:
+        (out_dir / "logs").mkdir(exist_ok=True)
+        (out_dir / "checkpoints").mkdir(exist_ok=True)
+        results = []
+        for variant in config.variants:
+
+            def sink(seed, model, variant=variant):
+                if model.fit_result is not None:
+                    log_path = out_dir / "logs" / f"{variant}-seed{seed}.jsonl"
+                    with open(log_path, "w", encoding="utf-8") as fh:
+                        for record in model.fit_result.log:
+                            fh.write(json.dumps(record, sort_keys=True) + "\n")
+                for i, net in enumerate(model.nets):
+                    suffix = "" if len(model.nets) == 1 else f"-net{i}"
+                    save_checkpoint(out_dir / "checkpoints" / f"{variant}-seed{seed}{suffix}.ckpt",
+                                    net)
+
+            results.append(run_protocol(ds, config.protocol, cfg, variant,
+                                        threads=threads, model_sink=sink))
+        (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
+        results_obj = {"results": [r.to_dict() for r in results]}
+
     results_bytes = _canonical_json(results_obj)
     (out_dir / "results.json").write_bytes(results_bytes)
     checksum = _sha256(results_bytes)
-    _write_manifest(config, out_dir, "sweep", checksum)
-    return checksum
-
-
-def _write_manifest(config: RunConfig, out_dir: Path, command: str, checksum: str) -> None:
+    recorded = asdict(config)
+    del recorded["train"]["seed"]  # the top-level seed replaces it
     manifest = {
         "format_version": MANIFEST_VERSION,
-        "command": command,
-        "config": config.to_dict(),
+        "config": recorded,
         "dataset_sha256": _dataset_checksum(config.dataset),
         "results_sha256": checksum,
     }
     (out_dir / "manifest.json").write_bytes(_canonical_json(manifest))
+    return checksum
 
 
 def _dataset_checksum(source: DatasetSource) -> str | None:
     if source.kind != "csv":
         return None
-    return _sha256(Path(source.path).read_bytes())
+    return _sha256(Path(source.csv_file()).read_bytes())
 
 
 def execute_replay(manifest_path: Path, out_dir: Path, threads: int = 1) -> str:
@@ -261,17 +234,11 @@ def execute_replay(manifest_path: Path, out_dir: Path, threads: int = 1) -> str:
     for key in ("config", "results_sha256"):
         if key not in manifest:
             raise ReplayError(f"manifest: missing field {key!r}")
-    command = manifest.get("command", "run")
-    if command not in ("run", "sweep"):
-        raise ReplayError(f"manifest: command {command!r} is neither 'run' nor 'sweep'")
     config = parse_config(manifest["config"])
     recorded_ds = manifest.get("dataset_sha256")
     if recorded_ds is not None and _dataset_checksum(config.dataset) != recorded_ds:
         raise ReplayError("dataset file changed since the recorded run")
-    if command == "sweep":
-        checksum = execute_sweep(config, out_dir, threads)
-    else:
-        checksum = execute_run(config, out_dir, threads)
+    checksum = execute_run(config, out_dir, threads)
     if checksum != manifest["results_sha256"]:
         raise ReplayError(
             f"replay produced checksum {checksum}, "
@@ -309,9 +276,9 @@ def _resolve_out(config: RunConfig, args) -> Path:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="hetanom",
                                      description="batch experiment driver")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_run = sub.add_parser("run", help="execute a run config")
+    p_run = sub.add_parser("run", help="execute a run config (a sweep, if it has one)")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the global seed")
@@ -322,12 +289,6 @@ def main(argv=None) -> int:
     p_replay.add_argument("--out", required=True)
     p_replay.add_argument("--threads", type=int, default=None)
 
-    p_sweep = sub.add_parser("sweep", help="hyperparameter sweep")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--threads", type=int, default=None)
-
     p_gen = sub.add_parser("gen-data", help="export the synthetic benchmark to CSV")
     p_gen.add_argument("--out", required=True, help="output CSV file")
     p_gen.add_argument("--spec", default=None, help="JSON file with a mixture spec")
@@ -335,18 +296,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.subcommand == "run":
             config = _apply_overrides(load_config(args.config), args)
             checksum = execute_run(config, _resolve_out(config, args), _threads_from(args))
             print(f"ok results_sha256={checksum}")
-        elif args.command == "replay":
+        elif args.subcommand == "replay":
             checksum = execute_replay(Path(args.manifest), Path(args.out),
                                       _threads_from(args))
             print(f"replay ok results_sha256={checksum}")
-        elif args.command == "sweep":
-            config = _apply_overrides(load_config(args.config), args)
-            checksum = execute_sweep(config, _resolve_out(config, args), _threads_from(args))
-            print(f"ok results_sha256={checksum}")
         else:  # gen-data
             if args.spec is not None:
                 spec = MixtureSpec.from_dict(_read_json(args.spec, "spec"))

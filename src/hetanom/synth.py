@@ -77,24 +77,11 @@ class MixtureSpec:
         if len(set(tags)) != len(tags):
             raise ConfigurationError("anomaly class tags must be unique")
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "seed": self.seed,
-            "normal_components": [
-                {"mean": list(c.mean), "std": list(c.std), "count": c.count, "class_tag": c.class_tag}
-                for c in self.normal_components
-            ],
-            "anomaly_components": [
-                {"mean": list(c.mean), "std": list(c.std), "count": c.count, "class_tag": c.class_tag}
-                for c in self.anomaly_components
-            ],
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureSpec":
-        """Read ``to_dict``'s form, checking every value's type (no coercion);
-        errors name the value's path, as in ``spec.normal_components[0].count``."""
+        """Read ``dataclasses.asdict``'s form, checking every value's type
+        (no coercion); errors name the value's path, as in
+        ``spec.normal_components[0].count``."""
         return build("spec", cls, d)
 
 

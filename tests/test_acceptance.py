@@ -12,9 +12,11 @@ import pytest
 
 import hetanom as ha
 from hetanom.cli import main as cli_main
-from hetanom.evaluate import _protocol_split
-from hetanom.losses import base_loss, base_loss_grad, cdl_loss, deviation_loss_dscore
-from hetanom.nets import AdamState
+from hetanom.data import ingest_csv, write_csv
+from hetanom.evaluate import _protocol_split, run_variant
+from hetanom.losses import (base_loss, base_loss_grad, cdl_loss, deviation_loss,
+                            deviation_loss_dscore)
+from hetanom.nets import AdamState, ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
 from hetanom.partition import ALL_NORMALS
 from hetanom.seeding import derive_seed, rng_for
 
@@ -56,11 +58,11 @@ def test_criterion_1_gradient_correctness():
 
         # scorer + deviation loss chain
         for _ in range(20):
-            net = ha.ScorerNet.init(3, 4, rng)
+            net = ScorerNet.init(3, 4, rng)
             X = rng.normal(size=(5, 3))
             y = rng.integers(0, 2, size=5)
             _, grad = base_loss_grad(net, X, y, margin)
-            fd_check(lambda t: base_loss(ha.ScorerNet(3, 4, t), X, y, margin),
+            fd_check(lambda t: base_loss(ScorerNet(3, 4, t), X, y, margin),
                      net.theta, grad, range(len(net.theta)))
 
         # deviation loss w.r.t. the score (skip the two kinks)
@@ -71,15 +73,15 @@ def test_criterion_1_gradient_correctness():
                 score += 0.01
             analytic = float(deviation_loss_dscore(score, yv, margin))
             h = 1e-6
-            lo = float(ha.deviation_loss(score - h, yv, margin))
-            hi = float(ha.deviation_loss(score + h, yv, margin))
+            lo = float(deviation_loss(score - h, yv, margin))
+            hi = float(deviation_loss(score + h, yv, margin))
             assert grad_close(analytic, (hi - lo) / (2 * h))
 
         # weighted aggregation: per-base gradients
         for _ in range(20):
             bases = []
             for _b in range(2):
-                net = ha.ScorerNet.init(2, 3, rng)
+                net = ScorerNet.init(2, 3, rng)
                 X = rng.normal(size=(4, 2))
                 y = rng.integers(0, 2, size=4)
                 bases.append((net, X, y))
@@ -88,13 +90,13 @@ def test_criterion_1_gradient_correctness():
             for b, (net, X, y) in enumerate(bases):
                 def loss_at(theta, b=b):
                     trial = list(bases)
-                    trial[b] = (ha.ScorerNet(2, 3, theta), bases[b][1], bases[b][2])
+                    trial[b] = (ScorerNet(2, 3, theta), bases[b][1], bases[b][2])
                     return cdl_loss(trial, w, margin)[0]
                 fd_check(loss_at, net.theta, grads[b], range(len(net.theta)))
 
         # sequence predictor under its squared-error objective
         for point in range(20):
-            net = ha.SequencePredictor.init(2, rng)
+            net = SequencePredictor.init(2, rng)
             history = rng.normal(size=(3, 3, 2))
             target = rng.normal(size=(3, 2))
             out, cache = net.forward_with_cache(history)
@@ -102,7 +104,7 @@ def test_criterion_1_gradient_correctness():
             grad = net.backward(cache, (2.0 / diff.size) * diff)
 
             def seq_loss_at(theta):
-                d = ha.SequencePredictor(2, theta).forward(history) - target
+                d = SequencePredictor(2, theta).forward(history) - target
                 return float((d ** 2).mean())
 
             coords = rng.choice(len(net.theta), size=60, replace=False)
@@ -140,21 +142,21 @@ def test_criterion_3_degenerate_equivalence(small_ds):
         table = coll.training_table()
         sup, qry = table.support_rows[0], table.query_rows[0]
 
-        g = ha.ScorerNet.init(small_ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
+        g = ScorerNet.init(small_ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
         g_opt = AdamState(cfg.lr_unified)
         for epoch in range(cfg.epochs):
-            phi = ha.ScorerNet(g.dim, g.hidden, g.theta.copy())
+            phi = ScorerNet(g.dim, g.hidden, g.theta.copy())
             train_support_epoch(phi, AdamState(cfg.lr_base), table.X[sup],
                                 table.y[sup], cfg, rng_for(cfg.seed, "batches", epoch))
             _, grad = base_loss_grad(phi, table.X[qry], table.y[qry], cfg.margin)
-            g = ha.ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, grad))
+            g = ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, grad))
             assert (trajectory[epoch] == g.theta).all(), f"epoch {epoch} diverged"
         assert time.time() - start < 30.0
 
 
 def test_criterion_4_analytic_values():
     with criterion(4, "hand-computed loss and softmax values to 1e-12"):
-        assert abs(float(ha.deviation_loss(2.0, 1, 5.0)) - 3.0) < 1e-12
+        assert abs(float(deviation_loss(2.0, 1, 5.0)) - 3.0) < 1e-12
         from hetanom.train import importance_weights
         w = importance_weights(np.array([0.0, math.log(2.0)]))
         assert abs(w[0] - 2.0 / 3.0) < 1e-12
@@ -274,14 +276,14 @@ def test_criterion_8_determinism_and_replay(tmp_path):
 def test_criterion_9_serialization(tmp_path, benchmark_ds):
     with criterion(9, "checkpoint and CSV round-trips are exact"):
         rng = np.random.default_rng(9)
-        for net in (ha.ScorerNet.init(16, 64, rng), ha.SequencePredictor.init(7, rng)):
+        for net in (ScorerNet.init(16, 64, rng), SequencePredictor.init(7, rng)):
             path = tmp_path / "net.ckpt"
-            ha.save_checkpoint(path, net)
-            back = ha.load_checkpoint(path)
+            save_checkpoint(path, net)
+            back = load_checkpoint(path)
             assert (back.theta == net.theta).all()
         csv_path = tmp_path / "bench.csv"
-        ha.write_csv(benchmark_ds, csv_path)
-        back = ha.ingest_csv(csv_path)
+        write_csv(benchmark_ds, csv_path)
+        back = ingest_csv(csv_path)
         assert back.ids == benchmark_ds.ids
         assert (back.features == benchmark_ds.features).all()
         np.testing.assert_array_equal(back.labels, benchmark_ds.labels)
@@ -295,7 +297,7 @@ def test_criterion_10_no_leakage(benchmark_ds):
         for seed in spec.seeds:
             root = derive_seed(cfg.seed, "protocol", seed)
             train_ds, test_ds, _ = _protocol_split(benchmark_ds, spec, root)
-            model = ha.run_variant("AHL", train_ds,
+            model = run_variant("AHL", train_ds,
                                    replace(cfg, seed=derive_seed(root, "fit")))
             res = model.fit_result
             test_ids = set(test_ds.ids)

@@ -1,10 +1,11 @@
 import json
 import re
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_sweep, main, parse_config
+from hetanom.cli import MANIFEST_VERSION, execute_replay, main, parse_config
 from hetanom.data import ingest_csv
 from hetanom.errors import ConfigurationError, ReplayError
 
@@ -67,6 +68,13 @@ class TestParseConfig:
         cfg = minimal_config(tmp_path / "out", variants=("Wrong",))
         with pytest.raises(ConfigurationError, match=r"variants\[0\]"):
             parse_config(cfg)
+
+    def test_manifest_config_round_trips(self, tmp_path):
+        # the manifest records asdict(config), less train.seed
+        config = parse_config(minimal_config(tmp_path / "out"))
+        recorded = asdict(config)
+        del recorded["train"]["seed"]
+        assert parse_config(recorded) == config
 
     def test_csv_needs_path(self):
         with pytest.raises(ConfigurationError, match="dataset.path"):
@@ -144,8 +152,19 @@ class TestParseConfig:
         out = tmp_path / "out"
         cfg = minimal_config(out)
         cfg["sweep"] = {"param": "C", "values": [2, 2]}
-        assert main(["sweep", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err == "config error: sweep.values: must be distinct\n"
+        assert not out.exists()
+
+    def test_train_seed_refused(self, tmp_path, capsys):
+        # the top-level seed is the one that seeds training
+        out = tmp_path / "out"
+        cfg = minimal_config(out)
+        cfg["train"]["seed"] = 123
+        with pytest.raises(ConfigurationError, match="^train.seed: .*top-level seed"):
+            parse_config(cfg)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: train.seed: ")
         assert not out.exists()
 
     def test_invalid_sweep_value_names_its_index(self, tmp_path):
@@ -169,6 +188,15 @@ class TestRunCommand:
         assert (out / "results.csv").exists()
         assert (out / "logs" / "AHL-seed0.jsonl").exists()
         assert (out / "checkpoints" / "AHL-seed0.ckpt").exists()
+
+    def test_missing_csv_dataset_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = minimal_config(out)
+        missing = tmp_path / "absent.csv"
+        cfg["dataset"] = {"kind": "csv", "path": str(missing)}
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: dataset.path: no such file: {missing}\n"
+        assert not out.exists()
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         cfg = minimal_config(tmp_path / "out")
@@ -224,6 +252,20 @@ class TestReplay:
                      "--out", str(tmp_path / "replayed")]) == 0
         assert (tmp_path / "replayed" / "results.json").read_bytes() == \
             (out / "results.json").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert "command" not in manifest and "seed" not in manifest["config"]["train"]
+
+    def test_missing_csv_dataset_refused_before_any_work(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        cfg = minimal_config("out")
+        cfg["dataset"] = {"kind": "csv", "path": str(missing)}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"format_version": MANIFEST_VERSION, "config": cfg,
+                                    "dataset_sha256": "x", "results_sha256": "x"}))
+        assert main(["replay", "--manifest", str(path),
+                     "--out", str(tmp_path / "replayed")]) == 2
+        assert capsys.readouterr().err == f"config error: dataset.path: no such file: {missing}\n"
+        assert not (tmp_path / "replayed").exists()
 
     def test_tampered_seed_detected(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -251,7 +293,8 @@ class TestReplay:
                            subset_mode=None, pseudo_per_subset=None)}),
         (2, {"train": dict(reduction="mean")}),
         (3, {"train": dict(weight_mode="sequence"), "protocol": dict(fine_tune_epochs=10)}),
-    ], ids=["1", "2", "3"])
+        (4, {"train": dict(seed=0)}),
+    ], ids=["1", "2", "3", "4"])
     def test_old_manifest_version_refused(self, tmp_path, version, gone):
         cfg = minimal_config(tmp_path / "out")
         for section, values in gone.items():
@@ -268,10 +311,7 @@ class TestReplay:
         ({"format_version": MANIFEST_VERSION}, "manifest: missing field 'config'"),
         ({"format_version": MANIFEST_VERSION, "config": minimal_config("out")},
          "manifest: missing field 'results_sha256'"),
-        ({"format_version": MANIFEST_VERSION, "command": "train",
-          "config": minimal_config("out"), "results_sha256": "x"},
-         "manifest: command 'train' is neither 'run' nor 'sweep'"),
-    ], ids=["not-an-object", "no-config", "no-checksum", "unknown-command"])
+    ], ids=["not-an-object", "no-config", "no-checksum"])
     def test_malformed_manifest_refused_before_any_work(self, tmp_path, manifest, message):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
@@ -295,21 +335,32 @@ class TestReplay:
 
 
 class TestSweepCommand:
+    """A config with a ``sweep`` section: ``run`` runs the sweep."""
+
     def test_sweep_csv_written(self, tmp_path):
         out = tmp_path / "out"
         cfg = minimal_config(out, epochs=2)
         cfg["sweep"] = {"param": "C", "values": [2, 3]}
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        assert main(["run", "--config", str(cfg_path)]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.json",
+                                                         "sweep.csv"]
+        assert main(["replay", "--manifest", str(out / "manifest.json"),
+                     "--out", str(tmp_path / "replayed")]) == 0
+        for name in ("results.json", "sweep.csv"):
+            assert (tmp_path / "replayed" / name).read_bytes() == (out / name).read_bytes()
 
-    def test_more_than_one_variant_refused_before_writing(self, tmp_path):
+    def test_more_than_one_variant_refused_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = minimal_config(out, variants=("AHL", "Homogeneous"))
         cfg["sweep"] = {"param": "C", "values": [2]}
-        with pytest.raises(ConfigurationError, match="^variants: "):
-            execute_sweep(parse_config(cfg), out)
+        with pytest.raises(ConfigurationError,
+                           match="^variants: a sweep runs one variant, got 2$"):
+            parse_config(cfg)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: variants: ")
         assert not out.exists()
 
 

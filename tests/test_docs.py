@@ -1,0 +1,33 @@
+"""The shipped configs and the README's CLI block against the CLI itself,
+so neither can go on naming what the CLI no longer accepts."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from hetanom.cli import load_config, main
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    load_config(path)
+
+
+def _readme_subcommands():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n+```bash\n(.*?)```", text, re.S).group(1)
+    return sorted(set(re.findall(r"^hetanom\s+(\S+)", block, re.M)))
+
+
+def test_readme_cli_block_names_subcommands():
+    assert _readme_subcommands()
+
+
+@pytest.mark.parametrize("subcommand", _readme_subcommands())
+def test_readme_subcommand_accepted(subcommand, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main([subcommand, "--help"])
+    assert exit_.value.code == 0

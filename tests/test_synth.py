@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -64,7 +67,7 @@ class TestGenerate:
 
     def test_spec_dict_roundtrip(self):
         spec = default_benchmark()
-        assert MixtureSpec.from_dict(spec.to_dict()) == spec
+        assert MixtureSpec.from_dict(json.loads(json.dumps(asdict(spec)))) == spec
 
 
 class TestSynthesizePseudo:
