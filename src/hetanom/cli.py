@@ -71,6 +71,22 @@ class RunConfig:
     seed: int = 0
     sweep: SweepSpec | None = None
 
+    def __post_init__(self):
+        """Refuse a sweep the run could not carry out, whether the config
+        came from a file or was built in Python."""
+        if self.sweep is None:
+            return
+        values = self.sweep.values
+        if not values:
+            raise ConfigurationError("sweep.values: must be a non-empty list")
+        if len(set(values)) != len(values):
+            raise ConfigurationError("sweep.values: must be distinct")
+        for i, value in enumerate(values):
+            swept_config(self.train, self.sweep.param, value).validate(
+                prefix=f"sweep.values[{i}]: ")
+        if len(self.variants) != 1:
+            raise ConfigurationError(f"variants: a sweep runs one variant, got {len(self.variants)}")
+
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a raw config dict; errors name the offending field path."""
@@ -114,21 +130,7 @@ def parse_config(raw: dict) -> RunConfig:
         except ConfigurationError as exc:
             raise ConfigurationError(f"variants[{i}]: {exc}") from None
 
-    sweep_spec = None
-    if raw.get("sweep") is not None:
-        sweep_spec = build("sweep", SweepSpec, raw["sweep"])
-        if sweep_spec.param not in ("C", "K"):
-            raise ConfigurationError("sweep.param: must be 'C' or 'K'")
-        if not sweep_spec.values:
-            raise ConfigurationError("sweep.values: must be a non-empty list")
-        if len(set(sweep_spec.values)) != len(sweep_spec.values):
-            raise ConfigurationError("sweep.values: must be distinct")
-        for i, value in enumerate(sweep_spec.values):
-            swept_config(train, sweep_spec.param, value).validate(
-                prefix=f"sweep.values[{i}]: ")
-        if len(variants) != 1:
-            raise ConfigurationError(f"variants: a sweep runs one variant, got {len(variants)}")
-
+    sweep_raw = raw.get("sweep")
     return RunConfig(
         dataset=dataset,
         train=train,
@@ -136,7 +138,7 @@ def parse_config(raw: dict) -> RunConfig:
         variants=tuple(variants),
         output_dir=typed("output_dir", raw.get("output_dir"), str | None),
         seed=typed("seed", raw.get("seed", 0), int),
-        sweep=sweep_spec,
+        sweep=None if sweep_raw is None else build("sweep", SweepSpec, sweep_raw),
     )
 
 
@@ -205,6 +207,8 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     checksum = _sha256(results_bytes)
     recorded = asdict(config)
     del recorded["train"]["seed"]  # the top-level seed replaces it
+    if config.dataset.kind == "csv":  # so the run replays from any directory
+        recorded["dataset"]["path"] = str(Path(config.dataset.path).resolve())
     manifest = {
         "format_version": MANIFEST_VERSION,
         "config": recorded,

@@ -3,15 +3,19 @@
 A dataset is an immutable table of (id, feature vector, binary label,
 class tag). Label 0 marks normal samples, label 1 anomalies; the class
 tag names the anomaly class (or normal mode) and is only used by the
-evaluation protocols, never by training losses.
+evaluation protocols, never by training losses. Subsets are taken by row:
+``take`` checks its rows, not its ids, since distinct rows of a validated
+dataset have distinct ids.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,38 +45,38 @@ class FeatureDataset:
     features: np.ndarray
     labels: np.ndarray
     class_tags: tuple[str, ...]
-    _row_of: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        self._init(self.ids, self.features, self.labels, self.class_tags, ids_distinct=False)
+
+    def _init(self, ids, features, labels, class_tags, ids_distinct: bool) -> None:
+        """Validate the four columns and store them read-only. ``ids_distinct``
+        skips hashing the ids, for callers that already know them distinct."""
+        feats = np.asarray(features, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
         if feats.ndim != 2:
             raise ValidationError("features must be a 2-D array")
         n = feats.shape[0]
-        if not (len(self.ids) == n == labels.shape[0] == len(self.class_tags)):
+        if not (len(ids) == n == labels.shape[0] == len(class_tags)):
             raise ValidationError("ids, features, labels, class_tags lengths differ")
         if n == 0:
             raise ValidationError("dataset is empty")
         if not np.isfinite(feats).all():
             bad = int(np.argwhere(~np.isfinite(feats))[0][0])
-            raise ValidationError(f"non-finite feature value in sample {self.ids[bad]!r}")
+            raise ValidationError(f"non-finite feature value in sample {ids[bad]!r}")
         if not np.isin(labels, (NORMAL, ANOMALY)).all():
             bad = int(np.argwhere(~np.isin(labels, (NORMAL, ANOMALY)))[0][0])
-            raise ValidationError(f"label of sample {self.ids[bad]!r} is not in {{0, 1}}")
-        row_of = dict(zip(self.ids, range(n)))
-        if len(row_of) != n:
-            seen = set()
-            dup = next(i for i in self.ids if i in seen or seen.add(i))
-            raise ValidationError(f"duplicate sample id {dup!r}")
+            raise ValidationError(f"label of sample {ids[bad]!r} is not in {{0, 1}}")
+        if not ids_distinct and len(set(ids)) != n:
+            _raise_duplicate(ids)
         if not (labels == NORMAL).any():
             raise ValidationError("dataset has no normal samples")
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "ids", tuple(self.ids))
-        object.__setattr__(self, "class_tags", tuple(self.class_tags))
-        object.__setattr__(self, "_row_of", row_of)
+        object.__setattr__(self, "ids", tuple(ids))
+        object.__setattr__(self, "class_tags", tuple(class_tags))
 
     @property
     def dim(self) -> int:
@@ -95,21 +99,47 @@ class FeatureDataset:
     def anomaly_rows(self) -> np.ndarray:
         return np.flatnonzero(self.labels == ANOMALY)
 
+    @functools.cached_property
+    def _row_of(self) -> dict[str, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
+
     def row_of(self, sample_id: str) -> int:
+        """The row of ``sample_id``; the id index is built on the first call."""
         return self._row_of[sample_id]
 
     def take(self, rows) -> "FeatureDataset":
         """New dataset containing the given rows, in the given order (fancy
-        indexing copies, so the new arrays share no memory with these)."""
+        indexing copies, so the new arrays share no memory with these).
+
+        Distinct rows of this dataset have distinct ids, so the rows are
+        checked instead of the ids: a repeated row raises
+        :class:`ValidationError` naming the first id that repeats, and a row
+        out of range raises ``IndexError``."""
         rows = np.asarray(rows, dtype=np.int64)
+        n = len(self.ids)
+        features, labels = self.features[rows], self.labels[rows]
+        if rows.size and rows.min() < 0:  # negative rows count from the end
+            rows = rows % n
         picked = rows.tolist()
-        ids, tags = self.ids, self.class_tags
-        return FeatureDataset(
-            ids=tuple([ids[i] for i in picked]),
-            features=self.features[rows],
-            labels=self.labels[rows],
-            class_tags=tuple([tags[i] for i in picked]),
-        )
+        ids = _pick(self.ids, picked)
+        if np.bincount(rows, minlength=n).max() > 1:
+            _raise_duplicate(ids)
+        ds = object.__new__(FeatureDataset)
+        ds._init(ids, features, labels, _pick(self.class_tags, picked), ids_distinct=True)
+        return ds
+
+
+def _raise_duplicate(ids) -> None:
+    seen = set()
+    dup = next(i for i in ids if i in seen or seen.add(i))
+    raise ValidationError(f"duplicate sample id {dup!r}")
+
+
+def _pick(values: tuple, rows: list[int]) -> tuple:
+    """``tuple(values[r] for r in rows)``, gathered in C."""
+    if len(rows) == 1:  # itemgetter of one key returns the bare item
+        return (values[rows[0]],)
+    return operator.itemgetter(*rows)(values) if rows else ()
 
 
 @dataclass(frozen=True)

@@ -290,17 +290,15 @@ def swept_config(cfg: TrainConfig, param: str, value: int) -> TrainConfig:
     use."""
     if param == "C":
         return replace(cfg, C=value)
-    return replace(cfg, K=value, warmup_epochs=max(cfg.warmup_epochs, value))
+    if param == "K":
+        return replace(cfg, K=value, warmup_epochs=max(cfg.warmup_epochs, value))
+    raise ConfigurationError(f"sweep.param: must be 'C' or 'K', got {param!r}")
 
 
 def sweep(param: str, values, ds: FeatureDataset, spec: ProtocolSpec,
           cfg: TrainConfig, variant: str = "AHL", threads: int = 1):
     """One protocol run per hyperparameter value (see ``swept_config``);
     returns [(value, EvalResult)]."""
-    if param not in ("C", "K"):
-        raise ConfigurationError(f"param: can only sweep C or K, not {param!r}")
-    if not values:
-        raise ConfigurationError("values: must be non-empty")
     return [(value, run_protocol(ds, spec, swept_config(cfg, param, int(value)), variant,
                                  threads=threads))
             for value in values]

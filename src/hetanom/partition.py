@@ -55,7 +55,10 @@ def kmeans(ds: FeatureDataset, k: int, seed: int, max_iters: int = 100,
     iterations until the largest centroid shift drops below ``tol``.
 
     Empty clusters are repaired by moving the point farthest from its own
-    centroid into the empty cluster. Deterministic per seed.
+    centroid into the empty cluster. The points are assigned once more to
+    the final centroids unless the last Lloyd step left every centroid
+    bitwise unchanged without a repair, when that assignment is already
+    the answer. Deterministic per seed.
     """
     rows = ds.normal_rows()
     X = ds.features[rows]
@@ -73,32 +76,39 @@ def kmeans(ds: FeatureDataset, k: int, seed: int, max_iters: int = 100,
         centroids[j] = X[int(rng.choice(n, p=probs))]
         d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
 
-    assign = np.zeros(n, dtype=np.int64)
+    settled = False
     for _ in range(max_iters):
-        assign = _assign_with_repair(X, centroids)
+        assign, repaired = _assign_with_repair(X, centroids)
         new_centroids = np.empty_like(centroids)
         for c in range(k):
             new_centroids[c] = X[assign == c].mean(axis=0)
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        # a repair moves a point without an argmin, so only a step with no
+        # repair and no moved centroid leaves the final assignment to repeat
+        settled = not repaired and np.array_equal(new_centroids, centroids)
         centroids = new_centroids
         if shift < tol:
             break
-    assign = _assign_with_repair(X, centroids)
+    if not settled:
+        assign, _ = _assign_with_repair(X, centroids)
 
     return ClusterAssignment(k=k, rows=rows, assign=assign, centroids=centroids, ids=ds.ids)
 
 
-def _assign_with_repair(X, centroids):
+def _assign_with_repair(X, centroids) -> tuple[np.ndarray, bool]:
+    """Each row's nearest centroid, with empty clusters repaired (which
+    moves ``centroids`` in place), and whether any repair was made."""
     k = centroids.shape[0]
     dist = np.empty((X.shape[0], k))
     for c in range(k):  # one column at a time: no (n, k, d) temporary
         dist[:, c] = ((X - centroids[c]) ** 2).sum(axis=1)
     assign = dist.argmin(axis=1)
+    repaired = False
     while True:
         counts = np.bincount(assign, minlength=k)
         empties = np.flatnonzero(counts == 0)
         if empties.size == 0:
-            return assign
+            return assign, repaired
         # move the point farthest from its own centroid into the empty
         # cluster; sole members stay put, so each repair strictly reduces
         # the number of empty clusters
@@ -108,6 +118,7 @@ def _assign_with_repair(X, centroids):
         centroids[empties[0]] = X[far]
         dist[:, empties[0]] = ((X - centroids[empties[0]]) ** 2).sum(axis=1)
         assign[far] = empties[0]
+        repaired = True
 
 
 def _id_view(rows_field: str, kind) -> property:

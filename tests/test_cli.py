@@ -1,13 +1,16 @@
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from hetanom.cli import MANIFEST_VERSION, execute_replay, main, parse_config
+from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_run, main, parse_config
 from hetanom.data import ingest_csv
 from hetanom.errors import ConfigurationError, ReplayError
+from hetanom.evaluate import ProtocolSpec, sweep
+from hetanom.synth import MixtureSpec, generate
+from hetanom.train import TrainConfig
 
 
 def minimal_config(out_dir, seeds=(0,), variants=("AHL",), epochs=3):
@@ -393,4 +396,56 @@ class TestGenData:
         assert main(["gen-data", "--out", str(out), "--spec", str(spec_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+
+class TestRelativeCsvPath:
+    def test_run_in_one_directory_replays_from_another(self, tmp_path, monkeypatch):
+        csv_dir = tmp_path / "csvt"
+        csv_dir.mkdir()
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(minimal_config("out")["dataset"]["spec"]))
+        assert main(["gen-data", "--out", str(csv_dir / "data.csv"),
+                     "--spec", str(spec_path)]) == 0
+        cfg = minimal_config("r1")
+        cfg["dataset"] = {"kind": "csv", "path": "data.csv"}
+        write_config(csv_dir, cfg)
+        monkeypatch.chdir(csv_dir)
+        assert main(["run", "--config", "config.json"]) == 0
+        manifest = json.loads((csv_dir / "r1" / "manifest.json").read_text())
+        assert manifest["config"]["dataset"]["path"] == str((csv_dir / "data.csv").resolve())
+        monkeypatch.chdir(tmp_path)
+        assert main(["replay", "--manifest", "csvt/r1/manifest.json",
+                     "--out", "replayed"]) == 0
+        assert (tmp_path / "replayed" / "results.json").read_bytes() == \
+            (csv_dir / "r1" / "results.json").read_bytes()
+
+
+class TestSweepChecksHaveOneOwner:
+    def test_bad_param_same_message_from_config_and_library(self, tmp_path, capsys):
+        cfg = minimal_config(tmp_path / "out")
+        cfg["sweep"] = {"param": "T", "values": [2]}
+        message = "sweep.param: must be 'C' or 'K', got 'T'"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            parse_config(cfg)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        ds = generate(MixtureSpec.from_dict(cfg["dataset"]["spec"]))
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            sweep("T", [2], ds, ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,)),
+                  TrainConfig(T=3, C=2, epochs=1, hidden=8))
+
+    def test_empty_values_refused(self, tmp_path):
+        cfg = minimal_config(tmp_path / "out")
+        cfg["sweep"] = {"param": "C", "values": []}
+        with pytest.raises(ConfigurationError, match="^sweep.values: must be a non-empty list$"):
+            parse_config(cfg)
+
+    def test_python_built_sweep_with_two_variants_refused_before_writing(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = minimal_config(out)
+        cfg["sweep"] = {"param": "C", "values": [2]}
+        config = parse_config(cfg)
+        with pytest.raises(ConfigurationError, match="^variants: a sweep runs one variant, got 2$"):
+            execute_run(replace(config, variants=("AHL", "Homogeneous")), out)
         assert not out.exists()

@@ -152,3 +152,77 @@ class TestStratifiedSplit:
     def test_fraction_validation(self):
         with pytest.raises(Exception, match="fractions"):
             SplitSpec(seed=0, fractions=(0.6, 0.3))
+
+
+class TestTakeMatchesConstructor:
+    """``take`` checks rows instead of hashing ids; what it builds must be
+    the dataset the constructor builds from the same columns."""
+
+    @staticmethod
+    def big():
+        rng = np.random.default_rng(5)
+        n = 10_000
+        labels = (rng.random(n) < 0.1).astype(np.int64)
+        return FeatureDataset(ids=tuple(f"r{i}" for i in rng.permutation(n)),
+                              features=rng.normal(size=(n, 6)), labels=labels,
+                              class_tags=tuple(f"t{i % 7}" for i in range(n)))
+
+    @staticmethod
+    def assert_same(sub, ds, rows):
+        rows = np.asarray(rows)
+        ref = FeatureDataset(ids=tuple(ds.ids[r] for r in rows),
+                             features=ds.features[rows], labels=ds.labels[rows],
+                             class_tags=tuple(ds.class_tags[r] for r in rows))
+        assert type(sub.ids) is tuple and type(sub.class_tags) is tuple
+        assert sub.ids == ref.ids and sub.class_tags == ref.class_tags
+        assert sub.features.tobytes() == ref.features.tobytes()
+        assert sub.labels.tobytes() == ref.labels.tobytes()
+        assert sub.features.dtype == ref.features.dtype and sub.labels.dtype == ref.labels.dtype
+        for part, whole in ((sub.features, ds.features), (sub.labels, ds.labels)):
+            assert not part.flags.writeable
+            assert not np.shares_memory(part, whole)
+
+    def test_permuted_and_sorted_rows(self):
+        ds = self.big()
+        rows = np.random.default_rng(6).permutation(len(ds))[:7000]
+        self.assert_same(ds.take(rows), ds, rows)
+        self.assert_same(ds.take(np.sort(rows)), ds, np.sort(rows))
+        self.assert_same(ds.take(rows.tolist()), ds, rows)
+
+    def test_one_row_takes(self):
+        ds = self.big()
+        normal = int(ds.normal_rows()[3])
+        for rows in ([normal], np.array([normal]), [normal - len(ds)]):
+            sub = ds.take(rows)
+            assert len(sub) == 1 and sub.ids == (ds.ids[normal],)
+            self.assert_same(sub, ds, [normal])
+
+    def test_repeat_names_the_first_repeat_in_take_order(self):
+        ds = make_dataset(4, 2)
+        with pytest.raises(ValidationError, match=r"^duplicate sample id 's2'$"):
+            ds.take([2, 0, 2, 0])
+        with pytest.raises(ValidationError, match=r"^duplicate sample id 's3'$"):
+            ds.take([3, 1, -3])
+
+    def test_out_of_range_refused(self):
+        ds = make_dataset(4, 2)
+        for rows in ([0, 6], [0, -7]):
+            with pytest.raises(IndexError):
+                ds.take(rows)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([], "dataset is empty"),
+        ([4, 5], "dataset has no normal samples"),
+    ])
+    def test_constructor_checks_still_run(self, rows, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make_dataset(4, 2).take(rows)
+
+    def test_row_of_on_constructed_and_taken(self):
+        ds = self.big()
+        assert [ds.row_of(ds.ids[r]) for r in (0, 4321, len(ds) - 1)] == [0, 4321, len(ds) - 1]
+        rows = np.arange(len(ds))[::-3]
+        sub = ds.take(rows)
+        assert [sub.row_of(i) for i in sub.ids] == list(range(len(sub)))
+        with pytest.raises(KeyError):
+            sub.row_of(ds.ids[1])

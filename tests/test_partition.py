@@ -9,9 +9,11 @@ from hetanom.errors import CapacityError, ConfigurationError, ContractError, Val
 from hetanom.partition import (
     ALL_NORMALS,
     ONE_SHOT,
+    _assign_with_repair,
     build_distributions,
     kmeans,
 )
+from hetanom.seeding import rng_for
 from conftest import make_dataset
 
 
@@ -307,3 +309,89 @@ class TestValidateRejects:
         coll = replace(coll, subsets=edit(coll.subsets))
         with pytest.raises(ValidationError, match=re.escape(message)):
             coll.validate()
+
+
+def _reference_kmeans(X, k, rng, max_iters=100, tol=1e-6):
+    """k-means as it ran before it skipped its final assignment: the final
+    assignment always runs. Returns (centroids, assign, whether the last
+    Lloyd step repaired an empty cluster)."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
+    centroids[0] = X[int(rng.integers(n))]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centroids[j] = X[int(rng.choice(n, p=probs))]
+        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+    repaired = False
+    for _ in range(max_iters):
+        assign, repaired = _reference_assign(X, centroids)
+        new_centroids = np.empty_like(centroids)
+        for c in range(k):
+            new_centroids[c] = X[assign == c].mean(axis=0)
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < tol:
+            break
+    assign, _ = _reference_assign(X, centroids)
+    return centroids, assign, repaired
+
+
+def _reference_assign(X, centroids):
+    k = centroids.shape[0]
+    dist = np.empty((X.shape[0], k))
+    for c in range(k):
+        dist[:, c] = ((X - centroids[c]) ** 2).sum(axis=1)
+    assign = dist.argmin(axis=1)
+    repaired = False
+    while True:
+        counts = np.bincount(assign, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return assign, repaired
+        own = dist[np.arange(len(assign)), assign].copy()
+        own[counts[assign] <= 1] = -np.inf
+        far = int(own.argmax())
+        centroids[empties[0]] = X[far]
+        dist[:, empties[0]] = ((X - centroids[empties[0]]) ** 2).sum(axis=1)
+        assign[far] = empties[0]
+        repaired = True
+
+
+class TestKmeansMatchesReference:
+    """``kmeans`` skips its final assignment when the last Lloyd step
+    settled; the result must stay bitwise the reference's."""
+
+    @staticmethod
+    def check(ds, k, seed, **kwargs):
+        ca = kmeans(ds, k, seed=seed, **kwargs)
+        X = ds.features[ds.normal_rows()]
+        centroids, assign, repaired = _reference_kmeans(X, k, rng_for(seed, "kmeans"), **kwargs)
+        assert ca.centroids.tobytes() == centroids.tobytes()
+        assert ca.assign.tobytes() == assign.tobytes()
+        return repaired
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_benchmark_bitwise(self, benchmark_ds, k):
+        for seed in range(3):
+            self.check(benchmark_ds, k, seed)
+
+    def test_max_iters_cut_bitwise(self, benchmark_ds):
+        for max_iters in (1, 2):
+            self.check(benchmark_ds, 5, 4, max_iters=max_iters)
+
+    @pytest.mark.parametrize("max_iters", [1, 100])
+    def test_repair_on_the_last_step_bitwise(self, max_iters):
+        # two distinct points for three clusters: every Lloyd step leaves a
+        # cluster empty and repairs it, the last step included
+        ds = normals_only([[0.0, 0.0]] * 4 + [[5.0, 1.0]] * 3)
+        for seed in range(4):
+            assert self.check(ds, 3, seed, max_iters=max_iters)
+
+    def test_assign_reports_repairs(self):
+        X = np.array([[0.0], [0.0], [5.0]])
+        assign, repaired = _assign_with_repair(X, np.array([[0.0], [5.0], [50.0]]))
+        assert repaired and sorted(assign.tolist()) == [0, 1, 2]
+        assign, repaired = _assign_with_repair(X, np.array([[0.0], [5.0]]))
+        assert not repaired and assign.tolist() == [0, 0, 1]
