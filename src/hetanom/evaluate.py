@@ -48,8 +48,13 @@ def auc(scores, labels) -> float:
     n_neg = int(len(labels) - m)
     if m == 0 or n_neg == 0:
         raise UndefinedMetricError("AUC needs at least one positive and one negative")
-    order = np.argsort(scores, kind="stable")
+    # the order inside a run of equal scores leaves its midranks as they
+    # are, so any sort will do; NaNs sort last, each its own run, and are
+    # put back in row order, as a stable sort leaves them
+    order = np.argsort(scores)
     s_sorted = scores[order]
+    if np.isnan(s_sorted[-1]):
+        order[np.searchsorted(s_sorted, np.nan):].sort()
     # runs of equal sorted scores (NaN equals nothing, so each is its own run)
     start = np.flatnonzero(np.concatenate(([True], s_sorted[1:] != s_sorted[:-1])))
     end = np.append(start[1:], len(scores)) - 1

@@ -21,9 +21,23 @@ Every product in training is small (batch 32, hidden width 7 in the
 LSTM, a few thousand rows at most), too small for a second BLAS thread
 to pay; OpenBLAS would still wake one and leave it spinning between
 calls. ``one_blas_thread`` runs a scope on one BLAS thread and restores
-the process's count when the outermost scope exits; training enters it.
-Where the BLAS has no ``openblas_set_num_threads_local`` (MKL,
-Accelerate, OpenBLAS before 0.3.27) it does nothing.
+the process's count when the outermost scope exits; training enters it,
+and so does ``ScorerNet.forward``. Where the BLAS has no
+``openblas_set_num_threads_local`` (MKL, Accelerate, OpenBLAS before
+0.3.27) it does nothing.
+
+A row's output can depend on where the row sits in the batch:
+OpenBLAS's matrix-vector product (the scorer's ``a1 @ w2``, the sequence
+predictor's output map at ``t_dim=1``) runs the last ``n % 4`` rows of a
+call, and a one-row call, down other kernels, and at two threads it
+splits the rows at a point that is not a multiple of 4. Calls whose rows
+start at multiples of 4 from the first row, none of them one row long,
+give every row the bits of one whole-batch call on one thread. Both
+nets' inference runs a long batch that way (``_aligned_blocks``): in
+blocks of ``SCORE_ROWS`` or ``INFER_ROWS`` rows from the first row, a
+lone last row joining the block before it, so the temporaries stay in
+cache and the outputs do not depend on the block size or, for
+``ScorerNet.forward``, on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -102,6 +116,13 @@ def _sigmoid(x):
     return out
 
 
+def _aligned_blocks(n, size):
+    """Slices of ``size`` rows covering n rows from the first, a lone last
+    row joining the block before it (see the module notes)."""
+    stops = [*range(size, n - 1, size), n]
+    return [slice(start, stop) for start, stop in zip([0, *stops], stops)]
+
+
 def _both_directions(x):
     """(K, d, n) sequence -> C-ordered (K, 2, d, n): as read, and reversed.
     (BLAS results depend on the memory layout, so it is fixed here.)"""
@@ -124,6 +145,11 @@ class ScorerNet:
     inputs (G, n, d), each row of it with its own parameters; one net is
     the unstacked case of the same code.
     """
+
+    # a power of two, so a multiple of 4; at the default hidden width of
+    # 64 a block's two (rows, hidden) temporaries take 1 MB, inside a
+    # core's L2 cache
+    SCORE_ROWS = 1024
 
     def __init__(self, dim: int, hidden: int, theta: np.ndarray):
         self.dim = dim
@@ -156,11 +182,18 @@ class ScorerNet:
         return w1, b1, w2, b2
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Scores for a batch (n, d) -> (n,); a stack scores (G, n, d) -> (G, n)."""
+        """Scores for a batch (n, d) -> (n,); a stack scores (G, n, d) -> (G, n).
+
+        Runs on one BLAS thread, in aligned blocks of ``SCORE_ROWS`` rows
+        (see the module notes).
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim < 2 or X.shape[-1] != self.dim:
             raise ShapeError(f"input must be a batch (n, {self.dim}), got {X.shape}")
-        return self.forward_with_cache(X)[0]
+        with one_blas_thread():
+            return np.concatenate([self.forward_with_cache(X[..., rows, :])[0]
+                                   for rows in _aligned_blocks(X.shape[-2], self.SCORE_ROWS)],
+                                  axis=-1)
 
     def forward_with_cache(self, X):
         w1, b1, w2, b2 = self._views()
@@ -283,10 +316,10 @@ class SequencePredictor:
             raise ShapeError(f"history must be (n, K, {self.t_dim}), got {S.shape}")
         if keep:
             return self._forward(S, keep=True)
-        # rows are independent: blocks of at most INFER_ROWS keep the
-        # temporaries small, and no block of a longer input has one row
-        blocks = np.array_split(S, max(1, -(-len(S) // self.INFER_ROWS)))
-        return np.concatenate([self._forward(block, keep=False)[0] for block in blocks]), None
+        # rows are independent: aligned blocks keep the temporaries small
+        # and every row's bits those of one call (see the module notes)
+        return np.concatenate([self._forward(S[rows], keep=False)[0]
+                               for rows in _aligned_blocks(len(S), self.INFER_ROWS)]), None
 
     def _forward(self, S, keep):
         H = self.HIDDEN

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hetanom.data import FeatureDataset
-from hetanom.nets import ScorerNet
+from hetanom.nets import ScorerNet, _blas_set_threads
 from hetanom.synth import default_benchmark, generate
 from hetanom.train import _epoch_batches, _train_stack
 
@@ -19,6 +19,24 @@ def small_ds() -> FeatureDataset:
     full = generate(default_benchmark())
     rows = list(range(0, 1200, 3)) + list(range(1200, 1440, 4))
     return full.take(rows)
+
+
+@pytest.fixture
+def set_blas_threads():
+    """OpenBLAS's ``openblas_set_num_threads_local``, for a test to set the
+    process's thread count with; the count the test found is put back
+    after it. Skips where the BLAS lacks the symbol or will not run more
+    than one thread."""
+    set_threads = _blas_set_threads()
+    if set_threads is None:
+        pytest.skip("the BLAS has no openblas_set_num_threads_local")
+    original = set_threads(2)
+    try:
+        if set_threads(2) < 2:
+            pytest.skip("the BLAS will not run more than one thread")
+        yield set_threads
+    finally:
+        set_threads(original)
 
 
 def make_dataset(n_normal=8, n_anomaly=4, dim=3, seed=0, tag="blob"):

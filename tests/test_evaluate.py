@@ -53,6 +53,22 @@ def auc_tie_loop(scores, labels):
     return (int(ranks2[pos].sum()) - m * (m + 1)) / (2 * m * n_neg)
 
 
+def auc_stable_sort(scores, labels):
+    """``auc`` on a stable sort, as it was before it took the default sort:
+    doubled midranks of the runs of equal sorted scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    pos = np.asarray(labels) == 1
+    m = int(pos.sum())
+    n_neg = len(scores) - m
+    order = np.argsort(scores, kind="stable")
+    s_sorted = scores[order]
+    start = np.flatnonzero(np.concatenate(([True], s_sorted[1:] != s_sorted[:-1])))
+    end = np.append(start[1:], len(scores)) - 1
+    ranks2 = np.empty(len(scores), dtype=np.int64)
+    ranks2[order] = np.repeat(start + end + 2, end - start + 1)
+    return (int(ranks2[pos].sum()) - m * (m + 1)) / (2 * m * n_neg)
+
+
 class TestAuc:
     def test_perfect_ranking(self):
         assert auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
@@ -92,6 +108,21 @@ class TestAuc:
         scores = rng.integers(0, 40, size=5000) / 8.0
         labels = rng.integers(0, 2, size=5000)
         assert auc(scores, labels) == auc_tie_loop(scores, labels)
+
+    def test_matches_the_stable_sort_with_ties_signed_zeros_infs_and_nans(self):
+        # only NaNs (each its own run) are placed by the order of the sort
+        rng = np.random.default_rng(3)
+        pool = np.array([0.0, -0.0, np.nan, 0.25, -0.25, 1.0, np.inf, -np.inf])
+        for _ in range(3000):
+            n = int(rng.integers(2, 300))
+            labels = rng.integers(0, 2, size=n)
+            labels[rng.choice(n, size=2, replace=False)] = [0, 1]
+            scores = rng.choice(pool[: rng.integers(2, len(pool) + 1)], size=n)
+            assert auc(scores, labels) == auc_stable_sort(scores, labels)
+        scores = rng.normal(size=37_790)
+        scores[rng.choice(len(scores), size=500, replace=False)] = np.nan
+        labels = rng.integers(0, 2, size=len(scores))
+        assert auc(scores, labels) == auc_stable_sort(scores, labels)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(1)

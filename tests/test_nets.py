@@ -98,6 +98,76 @@ def finite_difference(fn, theta, h=1e-5, coords=None):
     return grad
 
 
+@pytest.mark.skipif(_blas_set_threads() is None,
+                    reason="the BLAS has no openblas_set_num_threads_local")
+class TestScorerBlocks:
+    """``forward`` scores in aligned blocks on one BLAS thread; every score
+    is bit for bit that of one whole-batch call on one thread."""
+
+    def test_scores_do_not_depend_on_the_blas_thread_count(self, set_blas_threads):
+        # at two threads OpenBLAS splits one whole-batch matrix-vector
+        # product of this size at a row that is not a multiple of 4
+        rng = np.random.default_rng(11)
+        net = ScorerNet.init(16, 64, rng)
+        X = rng.normal(size=(37_790, 16))
+        set_blas_threads(1)
+        one = net.forward(X)
+        set_blas_threads(2)
+        two = net.forward(X)
+        assert one.tobytes() == two.tobytes()
+
+    def test_aligned_blocks_give_the_whole_batch_bits(self):
+        # calls whose rows start at multiples of 4, none of them one row
+        # long, give every row its whole-batch bits (blocks of 2, 3 or 5
+        # rows do not, nor does a one-row block)
+        rng = np.random.default_rng(12)
+        net = ScorerNet.init(16, 64, rng)
+        n = 3 * 4096 + 1
+        X = rng.normal(size=(n, 16))
+        cuts = [np.arange(size, n - 1, size) for size in (4, 8, 12, 100, 1024, 4096)]
+        cuts.append(np.unique(4 * rng.integers(1, n // 4, size=40)))
+        with one_blas_thread():
+            whole = net.forward_with_cache(X)[0]
+            for stops in cuts:
+                blocks = np.split(X, stops)
+                assert min(map(len, blocks)) > 1
+                scores = np.concatenate([net.forward_with_cache(b)[0] for b in blocks])
+                assert scores.tobytes() == whole.tobytes(), stops[:3]
+
+    @pytest.mark.parametrize("dim, hidden", [(1, 1), (3, 5), (7, 13), (16, 64)])
+    def test_forward_matches_one_unblocked_call(self, dim, hidden):
+        rng = np.random.default_rng(13)
+        net = ScorerNet(dim, hidden, rng.normal(size=ScorerNet.param_count(dim, hidden)))
+        B = ScorerNet.SCORE_ROWS
+        X = rng.normal(size=(3 * B + 8, dim))
+        sizes = [*range(1, 41), *(B * k + r for k in (1, 2, 3) for r in range(8))]
+        with one_blas_thread():
+            for n in sizes:
+                whole = net.forward_with_cache(X[:n])[0]
+                assert net.forward(X[:n]).tobytes() == whole.tobytes(), n
+
+    def test_lone_last_row_joins_the_block_before(self, monkeypatch):
+        B = ScorerNet.SCORE_ROWS
+        net = ScorerNet.init(3, 4, np.random.default_rng(0))
+        rows = []
+        inner = ScorerNet.forward_with_cache
+        monkeypatch.setattr(ScorerNet, "forward_with_cache",
+                            lambda self, X: rows.append(len(X)) or inner(self, X))
+        for n in (B, B + 1, 2 * B + 1, 2 * B + 2):
+            net.forward(np.zeros((n, 3)))
+        assert rows == [B, B + 1, B, B + 1, B, B, 2]
+
+
+    def test_a_stack_scores_as_its_nets_do(self):
+        # a (G, n, d) stack runs the same aligned blocks, net by net
+        rng = np.random.default_rng(14)
+        theta = rng.normal(size=(3, ScorerNet.param_count(16, 64)))
+        X = rng.normal(size=(3, 2 * ScorerNet.SCORE_ROWS + 5, 16))
+        stacked = ScorerNet(16, 64, theta).forward(X)
+        for g in range(3):
+            assert stacked[g].tobytes() == ScorerNet(16, 64, theta[g]).forward(X[g]).tobytes()
+
+
 class TestScorerGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -246,6 +316,17 @@ class TestSequencePredictor:
                                           out.view(np.uint64))
             assert cache is not None
         assert net.forward_with_cache(history, keep=False)[1] is None
+
+    @pytest.mark.parametrize("t_dim", [1, 7])
+    def test_inference_blocks_give_the_one_call_bits(self, t_dim):
+        # at t_dim=1 the output map is a matrix-vector product, whose bits
+        # depend on where a call cuts the rows (see the module notes)
+        net = SequencePredictor.init(t_dim, np.random.default_rng(0))
+        S = np.random.default_rng(100).normal(size=(3120, 5, t_dim))
+        with one_blas_thread():
+            for n in (513, 514, 515, 1025, 1029, 2050, 3120):
+                whole = net._forward(S[:n], keep=False)[0]
+                assert net.forward(S[:n]).tobytes() == whole.tobytes(), n
 
     def test_zero_parameters_zero_output(self):
         net = SequencePredictor(3, np.zeros_like(SequencePredictor.init(3, np.random.default_rng(0)).theta))
@@ -400,6 +481,16 @@ class TestOneBlasThread:
             TrainConfig(T=2, C=2, epochs=6, hidden=8, seed=0),
             checkpoint_hook=lambda epoch, g: seen.append(blas_threads()))
         assert seen == [1] * 6
+        assert blas_threads() == 3
+
+    def test_scorer_forward_scores_on_one_thread_and_restores(self, monkeypatch):
+        seen = []
+        inner = ScorerNet.forward_with_cache
+        monkeypatch.setattr(ScorerNet, "forward_with_cache",
+                            lambda self, X: seen.append(blas_threads()) or inner(self, X))
+        net = ScorerNet.init(3, 4, np.random.default_rng(0))
+        net.forward(np.zeros((2 * ScorerNet.SCORE_ROWS, 3)))
+        assert seen == [1, 1]
         assert blas_threads() == 3
 
     def test_restored_when_fit_raises(self):
