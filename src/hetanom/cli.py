@@ -15,13 +15,15 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .data import FeatureDataset, ingest_csv, write_csv
 from .errors import ConfigurationError, HetanomError, ReplayError
 from .evaluate import (
     ProtocolSpec,
+    SweepSpec,
+    anomaly_pool,
     canonical_variant,
     results_csv,
     run_protocol,
@@ -30,7 +32,7 @@ from .evaluate import (
     swept_config,
 )
 from .nets import save_checkpoint
-from .schema import build, typed
+from .schema import build
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
@@ -42,6 +44,16 @@ class DatasetSource:
     kind: str  # "csv" | "synthetic"
     path: str | None = None
     spec: MixtureSpec | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("csv", "synthetic"):
+            raise ConfigurationError("kind: must be 'csv' or 'synthetic'")
+        if self.kind == "csv" and not self.path:
+            raise ConfigurationError("path: required for csv datasets")
+        if self.kind == "csv" and self.spec is not None:
+            raise ConfigurationError("spec: only a synthetic dataset takes a spec")
+        if self.kind == "synthetic" and self.path is not None:
+            raise ConfigurationError("path: only a csv dataset takes a path")
 
     def load(self) -> FeatureDataset:
         if self.kind == "csv":
@@ -56,90 +68,42 @@ class DatasetSource:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    param: str
-    values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RunConfig:
     dataset: DatasetSource
-    train: TrainConfig
     protocol: ProtocolSpec
-    variants: tuple[str, ...]
+    train: TrainConfig = TrainConfig()
+    variants: tuple[str, ...] = ("AHL",)
     output_dir: str | None = None
     seed: int = 0
     sweep: SweepSpec | None = None
 
     def __post_init__(self):
-        """Refuse a sweep the run could not carry out, whether the config
-        came from a file or was built in Python."""
+        """Canonicalise the variants; refuse a sweep the run cannot carry out."""
+        if not self.variants:
+            raise ConfigurationError("variants: must be a non-empty list")
+        variants = []
+        for i, name in enumerate(self.variants):
+            try:
+                variants.append(canonical_variant(name))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"variants[{i}]: {exc}") from None
+        object.__setattr__(self, "variants", tuple(variants))
         if self.sweep is None:
             return
-        values = self.sweep.values
-        if not values:
-            raise ConfigurationError("sweep.values: must be a non-empty list")
-        if len(set(values)) != len(values):
-            raise ConfigurationError("sweep.values: must be distinct")
-        for i, value in enumerate(values):
-            swept_config(self.train, self.sweep.param, value).validate(
-                prefix=f"sweep.values[{i}]: ")
+        for i, value in enumerate(self.sweep.values):
+            try:
+                swept_config(self.train, self.sweep.param, value)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"sweep.values[{i}]: {exc}") from None
         if len(self.variants) != 1:
             raise ConfigurationError(f"variants: a sweep runs one variant, got {len(self.variants)}")
 
 
 def parse_config(raw: dict) -> RunConfig:
-    """Validate a raw config dict; errors name the offending field path."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config: must be a JSON object")
-    known_top = {f.name for f in fields(RunConfig)}
-    for key in raw:
-        if key not in known_top:
-            raise ConfigurationError(f"{key}: unknown field")
-
-    ds_raw = raw.get("dataset")
-    if not isinstance(ds_raw, dict) or ds_raw.get("kind") not in ("csv", "synthetic"):
-        raise ConfigurationError("dataset.kind: must be 'csv' or 'synthetic'")
-    dataset = build("dataset", DatasetSource, ds_raw)
-    if dataset.kind == "csv" and not dataset.path:
-        raise ConfigurationError("dataset.path: required for csv datasets")
-    if dataset.kind == "csv" and dataset.spec is not None:
-        raise ConfigurationError("dataset.spec: only a synthetic dataset takes a spec")
-    if dataset.kind == "synthetic" and dataset.path is not None:
-        raise ConfigurationError("dataset.path: only a csv dataset takes a path")
-
-    train_raw = raw.get("train", {})
-    if isinstance(train_raw, dict) and "seed" in train_raw:
+    """The run config in the JSON object ``raw``; errors name the field's path."""
+    if isinstance(raw, dict) and isinstance(raw.get("train"), dict) and "seed" in raw["train"]:
         raise ConfigurationError("train.seed: set the top-level seed instead")
-    train = build("train", TrainConfig, train_raw)
-    train.validate(prefix="train.")
-
-    proto_raw = raw.get("protocol")
-    if not isinstance(proto_raw, dict):
-        raise ConfigurationError("protocol: required section")
-    protocol = build("protocol", ProtocolSpec, proto_raw)
-    protocol.validate(prefix="protocol.")
-
-    variants_raw = typed("variants", raw.get("variants", ["AHL"]), tuple[str, ...])
-    if not variants_raw:
-        raise ConfigurationError("variants: must be a non-empty list")
-    variants = []
-    for i, name in enumerate(variants_raw):
-        try:
-            variants.append(canonical_variant(name))
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"variants[{i}]: {exc}") from None
-
-    sweep_raw = raw.get("sweep")
-    return RunConfig(
-        dataset=dataset,
-        train=train,
-        protocol=protocol,
-        variants=tuple(variants),
-        output_dir=typed("output_dir", raw.get("output_dir"), str | None),
-        seed=typed("seed", raw.get("seed", 0), int),
-        sweep=None if sweep_raw is None else build("sweep", SweepSpec, sweep_raw),
-    )
+    return build("", RunConfig, raw)
 
 
 def load_config(path) -> RunConfig:
@@ -172,6 +136,7 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     protocol for every variant, with per-seed logs and checkpoints; with one,
     a protocol run of the one variant per swept value."""
     ds = config.dataset.load()
+    anomaly_pool(ds, config.protocol)  # refuse what the data cannot carry before writing
     cfg = replace(config.train, seed=config.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.sweep is not None:
@@ -270,11 +235,10 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     return config
 
 
-def _resolve_out(config: RunConfig, args) -> Path:
-    out = getattr(args, "out", None) or config.output_dir
-    if not out:
+def _resolve_out(config: RunConfig) -> Path:
+    if not config.output_dir:
         raise ConfigurationError("output_dir: set it in the config or pass --out")
-    return Path(out)
+    return Path(config.output_dir)
 
 
 def main(argv=None) -> int:
@@ -302,7 +266,7 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "run":
             config = _apply_overrides(load_config(args.config), args)
-            checksum = execute_run(config, _resolve_out(config, args), _threads_from(args))
+            checksum = execute_run(config, _resolve_out(config), _threads_from(args))
             print(f"ok results_sha256={checksum}")
         elif args.subcommand == "replay":
             checksum = execute_replay(Path(args.manifest), Path(args.out),

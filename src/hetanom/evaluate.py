@@ -72,22 +72,19 @@ class ProtocolSpec:
     seeds: tuple[int, ...] = BENCHMARK_SEEDS
     train_fraction: float = 0.75
 
-    def validate(self, prefix: str = "") -> None:
-        def bad(name, msg):
-            raise ConfigurationError(f"{prefix}{name}: {msg}")
-
+    def __post_init__(self):
         if self.kind not in ("general", "hard"):
-            bad("kind", "must be 'general' or 'hard'")
+            raise ConfigurationError("kind: must be 'general' or 'hard'")
         if self.m_anomalies < 1:
-            bad("m_anomalies", "must be >= 1")
+            raise ConfigurationError("m_anomalies: must be >= 1")
         if self.kind == "hard" and not self.seen_class:
-            bad("seen_class", "required for the hard protocol")
+            raise ConfigurationError("seen_class: required for the hard protocol")
         if not self.seeds:
-            bad("seeds", "must be non-empty")
+            raise ConfigurationError("seeds: must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
-            bad("seeds", "must be distinct")
+            raise ConfigurationError("seeds: must be distinct")
         if not (0.0 < self.train_fraction < 1.0):
-            bad("train_fraction", "must lie in (0, 1)")
+            raise ConfigurationError("train_fraction: must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,6 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
     """Train one variant on ``ds``; the returned model records every sample
     id its training structures touched, for leakage audits."""
     name = canonical_variant(name)
-    cfg.validate()
     if name == "AHL":
         res = fit(ds, cfg)
         return VariantModel(name, [res.unified], res.training_sample_ids(), res)
@@ -198,16 +194,7 @@ def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):
         fractions=(spec.train_fraction, 1.0 - spec.train_fraction)))
     norm_train, norm_test = normal_rows[first], normal_rows[second]
     anomaly_rows = ds.anomaly_rows()
-    if spec.kind == "hard":
-        pool = np.array([r for r in anomaly_rows.tolist() if ds.class_tags[r] == spec.seen_class],
-                        dtype=np.int64)
-        if pool.size == 0:
-            raise ConfigurationError(f"seen_class: {spec.seen_class!r} not present in dataset")
-    else:
-        pool = anomaly_rows
-    if spec.m_anomalies > pool.size:
-        raise ConfigurationError(
-            f"m_anomalies: {spec.m_anomalies} exceeds the {pool.size} available anomalies")
+    pool = anomaly_pool(ds, spec)
     picked = np.sort(rng_for(seed, "anomaly-pick").choice(pool, size=spec.m_anomalies,
                                                           replace=False))
     rest = np.setdiff1d(anomaly_rows, picked)
@@ -216,6 +203,24 @@ def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):
     test_rows = np.sort(np.concatenate([norm_test, rest]))
     seen_classes = tuple(sorted({ds.class_tags[r] for r in picked.tolist()}))
     return ds.take(train_rows), ds.take(test_rows), seen_classes
+
+
+def anomaly_pool(ds: FeatureDataset, spec: ProtocolSpec) -> np.ndarray:
+    """The anomaly rows the protocol draws its M training anomalies from,
+    refused as a config error when ``ds`` holds too few."""
+    anomaly_rows = ds.anomaly_rows()
+    if spec.kind == "hard":
+        pool = np.array([r for r in anomaly_rows.tolist() if ds.class_tags[r] == spec.seen_class],
+                        dtype=np.int64)
+        if pool.size == 0:
+            raise ConfigurationError(
+                f"protocol.seen_class: {spec.seen_class!r} not present in dataset")
+    else:
+        pool = anomaly_rows
+    if spec.m_anomalies > pool.size:
+        raise ConfigurationError(
+            f"protocol.m_anomalies: {spec.m_anomalies} exceeds the {pool.size} available anomalies")
+    return pool
 
 
 def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
@@ -273,7 +278,6 @@ def run_protocol(ds: FeatureDataset, spec: ProtocolSpec, cfg: TrainConfig,
     persisting logs and checkpoints). Seeds may run in parallel;
     aggregation is by ascending seed.
     """
-    spec.validate()
     variant = canonical_variant(variant)
 
     def one_seed(seed: int) -> SeedResult:
@@ -289,21 +293,38 @@ def run_protocol(ds: FeatureDataset, spec: ProtocolSpec, cfg: TrainConfig,
                       per_seed=_map_seeds(one_seed, spec.seeds, threads))
 
 
+@dataclass(frozen=True)
+class SweepSpec:
+    param: str
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.param not in ("C", "K"):
+            raise ConfigurationError(f"param: must be 'C' or 'K', got {self.param!r}")
+        if not self.values:
+            raise ConfigurationError("values: must be a non-empty list")
+        if len(set(self.values)) != len(self.values):
+            raise ConfigurationError("values: must be distinct")
+
+
 def swept_config(cfg: TrainConfig, param: str, value: int) -> TrainConfig:
-    """``cfg`` with the swept hyperparameter set to ``value``. Sweeping the
-    history length K raises the warmup so buffers still fill before first
-    use."""
+    """``cfg`` with the swept hyperparameter (a ``SweepSpec.param``) set to
+    ``value``. Sweeping the history length K raises the warmup so buffers
+    still fill before first use."""
     if param == "C":
         return replace(cfg, C=value)
-    if param == "K":
-        return replace(cfg, K=value, warmup_epochs=max(cfg.warmup_epochs, value))
-    raise ConfigurationError(f"sweep.param: must be 'C' or 'K', got {param!r}")
+    return replace(cfg, K=value, warmup_epochs=max(cfg.warmup_epochs, value))
 
 
 def sweep(param: str, values, ds: FeatureDataset, spec: ProtocolSpec,
           cfg: TrainConfig, variant: str = "AHL", threads: int = 1):
     """One protocol run per hyperparameter value (see ``swept_config``);
-    returns [(value, EvalResult)]."""
+    returns [(value, EvalResult)]. ``param`` and ``values`` are refused as
+    in a config's ``sweep`` section."""
+    try:
+        SweepSpec(param, tuple(values))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"sweep.{exc}") from None
     return [(value, run_protocol(ds, spec, swept_config(cfg, param, int(value)), variant,
                                  threads=threads))
             for value in values]

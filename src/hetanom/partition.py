@@ -26,6 +26,9 @@ ALL_NORMALS = -1  # marks the subset built from every normal cluster
 FEW_SHOT = "few_shot"
 ONE_SHOT = "one_shot"
 
+KMEANS_MAX_ITERS = 100
+KMEANS_TOL = 1e-6
+
 
 @dataclass(frozen=True, eq=False)
 class ClusterAssignment:
@@ -49,10 +52,10 @@ class ClusterAssignment:
         return self.rows[self.assign == cluster]
 
 
-def kmeans(ds: FeatureDataset, k: int, seed: int, max_iters: int = 100,
-           tol: float = 1e-6) -> ClusterAssignment:
-    """Cluster the normal rows of ``ds`` with k-means++ seeding and Lloyd
-    iterations until the largest centroid shift drops below ``tol``.
+def kmeans(ds: FeatureDataset, k: int, seed: int) -> ClusterAssignment:
+    """Cluster the normal rows of ``ds`` with k-means++ seeding and at most
+    ``KMEANS_MAX_ITERS`` Lloyd iterations, until the largest centroid shift
+    drops below ``KMEANS_TOL``.
 
     Empty clusters are repaired by moving the point farthest from its own
     centroid into the empty cluster. The points are assigned once more to
@@ -77,7 +80,7 @@ def kmeans(ds: FeatureDataset, k: int, seed: int, max_iters: int = 100,
         d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
 
     settled = False
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         assign, repaired = _assign_with_repair(X, centroids)
         new_centroids = np.empty_like(centroids)
         for c in range(k):
@@ -87,7 +90,7 @@ def kmeans(ds: FeatureDataset, k: int, seed: int, max_iters: int = 100,
         # repair and no moved centroid leaves the final assignment to repeat
         settled = not repaired and np.array_equal(new_centroids, centroids)
         centroids = new_centroids
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
     if not settled:
         assign, _ = _assign_with_repair(X, centroids)

@@ -4,7 +4,8 @@ Every value is checked against its field's annotation instead of being
 coerced: a ``bool`` is not a number, a float is not an integer, a JSON
 list becomes a tuple, and a nested dataclass is read the same way. Every
 refusal is a ``ConfigurationError`` that names the value's path, for
-example ``dataset.spec.normal_components[0].count``.
+example ``dataset.spec.normal_components[0].count``. Value checks live in
+each dataclass's ``__post_init__``, whose messages start with a field name.
 """
 
 from __future__ import annotations
@@ -43,21 +44,23 @@ def typed(path: str, value, hint):
 
 
 def build(path: str, cls, raw):
-    """An instance of the dataclass ``cls`` from the JSON object ``raw``:
-    unknown and missing fields are refused, every field is ``typed``, and a
-    ConfigurationError from the constructor is prefixed with ``path``."""
+    """An instance of the dataclass ``cls`` from the JSON object ``raw`` at
+    ``path`` ("" at the top level): unknown and missing fields are refused,
+    every field is ``typed``, and a ConfigurationError from the constructor,
+    which starts with a field name, gets ``path`` and a ``.`` in front."""
+    prefix = f"{path}." if path else ""
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: must be a JSON object")
+        raise ConfigurationError(f"{path or 'config'}: must be a JSON object")
     hints = typing.get_type_hints(cls)
     known = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(raw) - set(known)
     if unknown:
-        raise ConfigurationError(f"{path}.{sorted(unknown)[0]}: unknown field")
+        raise ConfigurationError(f"{prefix}{sorted(unknown)[0]}: unknown field")
     for name, f in known.items():
         if name not in raw and f.default is dataclasses.MISSING:
-            raise ConfigurationError(f"{path}.{name}: required field")
-    values = {k: typed(f"{path}.{k}", v, hints[k]) for k, v in raw.items()}
+            raise ConfigurationError(f"{prefix}{name}: required field")
+    values = {k: typed(f"{prefix}{k}", v, hints[k]) for k, v in raw.items()}
     try:
         return cls(**values)
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        raise ConfigurationError(f"{prefix}{exc}") from None

@@ -47,11 +47,13 @@ class Component:
         object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
         object.__setattr__(self, "std", tuple(float(v) for v in self.std))
         if self.count < 1:
-            raise ConfigurationError("component count must be >= 1")
-        if any(s <= 0 for s in self.std):
-            raise ConfigurationError("component stddevs must be > 0")
+            raise ConfigurationError("count: must be >= 1")
+        if not all(math.isfinite(v) for v in self.mean):
+            raise ConfigurationError("mean: must be finite")
+        if not all(0 < s < math.inf for s in self.std):
+            raise ConfigurationError("std: must be > 0 and finite")
         if len(self.mean) != len(self.std):
-            raise ConfigurationError("component mean/std lengths differ")
+            raise ConfigurationError(f"std: has {len(self.std)} values, mean has {len(self.mean)}")
 
 
 @dataclass(frozen=True)
@@ -65,17 +67,18 @@ class MixtureSpec:
         object.__setattr__(self, "normal_components", tuple(self.normal_components))
         object.__setattr__(self, "anomaly_components", tuple(self.anomaly_components))
         if self.dim < 1:
-            raise ConfigurationError("dim must be positive")
+            raise ConfigurationError("dim: must be >= 1")
         if not self.normal_components:
-            raise ConfigurationError("at least one normal component required")
-        for comp in self.normal_components + self.anomaly_components:
-            if len(comp.mean) != self.dim:
-                raise ConfigurationError("component dimension differs from spec dim")
+            raise ConfigurationError("normal_components: must be non-empty")
+        for side in ("normal_components", "anomaly_components"):
+            for i, comp in enumerate(getattr(self, side)):
+                if len(comp.mean) != self.dim:
+                    raise ConfigurationError(f"{side}[{i}].mean: must have dim ({self.dim}) values")
         tags = [c.class_tag for c in self.anomaly_components]
-        if any(not t for t in tags):
-            raise ConfigurationError("anomaly components need non-empty class tags")
-        if len(set(tags)) != len(tags):
-            raise ConfigurationError("anomaly class tags must be unique")
+        for i, tag in enumerate(tags):
+            if not tag or tag in tags[:i]:
+                raise ConfigurationError(f"anomaly_components[{i}].class_tag: must be non-empty "
+                                         "and unique")
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureSpec":

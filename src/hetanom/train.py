@@ -46,20 +46,23 @@ class TrainConfig:
     strict_openness: bool = False
     seed: int = 0
 
-    def validate(self, prefix: str = "") -> None:
-        def bad(name, msg):
-            raise ConfigurationError(f"{prefix}{name}: {msg}")
-
+    def __post_init__(self):
         for name in ("T", "C", "K", "epochs", "warmup_epochs", "batch_size",
                      "seq_batch_size", "hidden"):
-            if int(getattr(self, name)) < 1:
-                bad(name, "must be >= 1")
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name}: must be >= 1")
         for name in ("lr_base", "lr_unified", "lr_seq", "margin"):
-            if getattr(self, name) <= 0:
-                bad(name, "must be > 0")
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails both
+                raise ConfigurationError(f"{name}: must be > 0 and finite")
+        for name in ("c_unseen", "c_other"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name}: must be finite")
+        if self.T > 1 and self.C < 2:
+            raise ConfigurationError("C: must be >= 2 when T > 1 (each of the first T - 1 "
+                                     "subsets draws two normal clusters)")
         if self.K > self.warmup_epochs:
-            bad("K", f"must be <= warmup_epochs ({self.warmup_epochs}) so histories "
-                     "fill before first use")
+            raise ConfigurationError(f"K: must be <= warmup_epochs ({self.warmup_epochs}) so "
+                                     "histories fill before first use")
 
 
 @dataclass(frozen=True)
@@ -279,7 +282,6 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
     """Full training loop; a pure function of (dataset, config).
     ``accuracy_weights`` replaces the sequence predictor's importance
     weights with each base's detection accuracy (the CDL_minus variant)."""
-    cfg.validate()
     if ds.n_anomaly < 1:
         raise ContractError("training data must contain at least one anomaly")
     _, collection, table = simulate(ds, cfg)

@@ -176,6 +176,46 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=r"^sweep.values\[1\]: C: must be >= 1"):
             parse_config(cfg)
 
+    def test_one_cluster_for_several_subsets_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = minimal_config(out, variants=("Homogeneous",))
+        cfg["train"]["C"] = 1
+        with pytest.raises(ConfigurationError, match=r"^train.C: must be >= 2 when T > 1"):
+            parse_config(cfg)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err.startswith("config error: train.C: ")
+        assert not out.exists()
+        cfg["train"]["C"] = 2
+        cfg["sweep"] = {"param": "C", "values": [2, 1]}
+        with pytest.raises(ConfigurationError,
+                           match=r"^sweep.values\[1\]: C: must be >= 2 when T > 1"):
+            parse_config(cfg)
+
+    def test_one_subset_runs_on_one_cluster(self, tmp_path):
+        cfg = minimal_config(tmp_path / "out")
+        cfg["train"].update(T=1, C=1)
+        assert parse_config(cfg).train.C == 1
+
+    @pytest.mark.parametrize("protocol, message", [
+        ({"kind": "hard", "seen_class": "nope", "m_anomalies": 6},
+         "protocol.seen_class: 'nope' not present in dataset"),
+        ({"kind": "general", "m_anomalies": 41},
+         "protocol.m_anomalies: 41 exceeds the 40 available anomalies"),
+        ({"kind": "hard", "seen_class": "hot", "m_anomalies": 21},
+         "protocol.m_anomalies: 21 exceeds the 20 available anomalies"),
+    ], ids=["seen-class", "m-general", "m-hard"])
+    @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+    def test_protocol_the_data_cannot_carry_refused_before_writing(
+            self, tmp_path, capsys, protocol, message, sweep):
+        out = tmp_path / "out"
+        cfg = minimal_config(out)
+        cfg["protocol"].update(protocol)
+        if sweep:
+            cfg["sweep"] = {"param": "C", "values": [2]}
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
 
 class TestRunCommand:
     def test_minimal_run_writes_results(self, tmp_path):

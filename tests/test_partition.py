@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hetanom import partition
 from hetanom.data import FeatureDataset
 from hetanom.errors import CapacityError, ConfigurationError, ContractError, ValidationError
 from hetanom.partition import (
@@ -365,7 +366,8 @@ class TestKmeansMatchesReference:
 
     @staticmethod
     def check(ds, k, seed, **kwargs):
-        ca = kmeans(ds, k, seed=seed, **kwargs)
+        # kmeans reads KMEANS_MAX_ITERS, which the max_iters tests patch
+        ca = kmeans(ds, k, seed=seed)
         X = ds.features[ds.normal_rows()]
         centroids, assign, repaired = _reference_kmeans(X, k, rng_for(seed, "kmeans"), **kwargs)
         assert ca.centroids.tobytes() == centroids.tobytes()
@@ -377,14 +379,16 @@ class TestKmeansMatchesReference:
         for seed in range(3):
             self.check(benchmark_ds, k, seed)
 
-    def test_max_iters_cut_bitwise(self, benchmark_ds):
+    def test_max_iters_cut_bitwise(self, benchmark_ds, monkeypatch):
         for max_iters in (1, 2):
+            monkeypatch.setattr(partition, "KMEANS_MAX_ITERS", max_iters)
             self.check(benchmark_ds, 5, 4, max_iters=max_iters)
 
     @pytest.mark.parametrize("max_iters", [1, 100])
-    def test_repair_on_the_last_step_bitwise(self, max_iters):
+    def test_repair_on_the_last_step_bitwise(self, max_iters, monkeypatch):
         # two distinct points for three clusters: every Lloyd step leaves a
         # cluster empty and repairs it, the last step included
+        monkeypatch.setattr(partition, "KMEANS_MAX_ITERS", max_iters)
         ds = normals_only([[0.0, 0.0]] * 4 + [[5.0, 1.0]] * 3)
         for seed in range(4):
             assert self.check(ds, 3, seed, max_iters=max_iters)

@@ -7,6 +7,7 @@ from hetanom.errors import ConfigurationError, ContractError, NumericError
 from hetanom.losses import base_loss, base_loss_grad
 from hetanom.nets import AdamState, ScorerNet
 from hetanom.partition import build_distributions, kmeans
+from hetanom.schema import build
 from hetanom.seeding import derive_seed, rng_for
 from hetanom.train import (
     ImportanceState,
@@ -22,17 +23,17 @@ from conftest import make_dataset, train_support_epoch
 
 class TestConfig:
     def test_defaults_valid(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_field_names_in_errors(self):
         with pytest.raises(ConfigurationError, match="train.T"):
-            TrainConfig(T=0).validate(prefix="train.")
+            build("train", TrainConfig, {"T": 0})
         with pytest.raises(ConfigurationError, match="K"):
-            TrainConfig(K=9, warmup_epochs=5).validate()
+            TrainConfig(K=9, warmup_epochs=5)
 
     def test_lr_positive(self):
         with pytest.raises(ConfigurationError, match="lr_base"):
-            TrainConfig(lr_base=0.0).validate()
+            TrainConfig(lr_base=0.0)
 
 
 class TestImportanceWeights:
