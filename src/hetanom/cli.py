@@ -21,10 +21,12 @@ from pathlib import Path
 from .data import FeatureDataset, ingest_csv, write_csv
 from .errors import ConfigurationError, HetanomError, ReplayError
 from .evaluate import (
+    CLUSTERING_VARIANTS,
     ProtocolSpec,
     SweepSpec,
     anomaly_pool,
     canonical_variant,
+    check_clusters,
     results_csv,
     run_protocol,
     sweep,
@@ -137,6 +139,10 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     a protocol run of the one variant per swept value."""
     ds = config.dataset.load()
     anomaly_pool(ds, config.protocol)  # refuse what the data cannot carry before writing
+    if set(config.variants) & set(CLUSTERING_VARIANTS):
+        swept_C = config.sweep is not None and config.sweep.param == "C"
+        for C in config.sweep.values if swept_C else (config.train.C,):
+            check_clusters(ds, config.protocol, C)
     cfg = replace(config.train, seed=config.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.sweep is not None:

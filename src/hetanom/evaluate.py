@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import ANOMALY, FeatureDataset, SplitSpec, split_rows
+from .data import ANOMALY, FeatureDataset, SplitSpec, _largest_remainder, split_rows
 from .errors import ConfigurationError, ContractError, UndefinedMetricError
 from .nets import ScorerNet, one_blas_thread
 from .seeding import derive_seed, rng_for
@@ -25,6 +25,7 @@ from .train import FitResult, TrainConfig, fit, simulate, train_scorer, train_sc
 BENCHMARK_SEEDS = tuple(range(10))
 
 VARIANTS = ("AHL", "HADG_only", "RamHADG", "RamFULL", "CDL_minus", "Homogeneous")
+CLUSTERING_VARIANTS = ("AHL", "CDL_minus", "HADG_only")  # they run kmeans on the normals
 _VARIANT_LOOKUP = {v.lower().replace("_", "").replace("-", ""): v for v in VARIANTS}
 
 
@@ -221,6 +222,14 @@ def anomaly_pool(ds: FeatureDataset, spec: ProtocolSpec) -> np.ndarray:
         raise ConfigurationError(
             f"protocol.m_anomalies: {spec.m_anomalies} exceeds the {pool.size} available anomalies")
     return pool
+
+
+def check_clusters(ds: FeatureDataset, spec: ProtocolSpec, C: int) -> None:
+    """Refuse a ``train.C`` above the normals one seed of the protocol trains on."""
+    f = spec.train_fraction
+    n_train = _largest_remainder(ds.n_normal, (f, 1.0 - f))[0]
+    if C > n_train:
+        raise ConfigurationError(f"train.C: {C} exceeds the {n_train} normals a seed trains on")
 
 
 def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,

@@ -28,6 +28,7 @@ ONE_SHOT = "one_shot"
 
 KMEANS_MAX_ITERS = 100
 KMEANS_TOL = 1e-6
+KMEANS_BLOCK = 2048  # rows per distance block: the block stays in cache
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,18 +71,23 @@ def kmeans(ds: FeatureDataset, k: int, seed: int) -> ClusterAssignment:
         raise CapacityError(f"k-means needs >= {k} normal samples, got {n}")
     rng = rng_for(seed, "kmeans")
 
+    # dist[c]: each row's squared distance to centroids[c], from the seeding on
+    dist = np.empty((k, n))
+    scratch = np.empty((min(n, KMEANS_BLOCK), ds.dim))
     centroids = np.empty((k, ds.dim), dtype=np.float64)
     centroids[0] = X[int(rng.integers(n))]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    _sq_dists(X, centroids[0], dist[0], scratch)
+    d2 = dist[0].copy()
     for j in range(1, k):
         total = d2.sum()
         probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
         centroids[j] = X[int(rng.choice(n, p=probs))]
-        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+        _sq_dists(X, centroids[j], dist[j], scratch)
+        np.minimum(d2, dist[j], out=d2)
 
     settled = False
-    for _ in range(KMEANS_MAX_ITERS):
-        assign, repaired = _assign_with_repair(X, centroids)
+    for step in range(KMEANS_MAX_ITERS):
+        assign, repaired = _assign_with_repair(X, centroids, dist, scratch, fill=step > 0)
         new_centroids = np.empty_like(centroids)
         for c in range(k):
             new_centroids[c] = X[assign == c].mean(axis=0)
@@ -93,19 +99,30 @@ def kmeans(ds: FeatureDataset, k: int, seed: int) -> ClusterAssignment:
         if shift < KMEANS_TOL:
             break
     if not settled:
-        assign, _ = _assign_with_repair(X, centroids)
+        assign, _ = _assign_with_repair(X, centroids, dist, scratch)
 
     return ClusterAssignment(k=k, rows=rows, assign=assign, centroids=centroids, ids=ds.ids)
 
 
-def _assign_with_repair(X, centroids) -> tuple[np.ndarray, bool]:
+def _sq_dists(X, centroid, out, scratch) -> None:
+    """``out[i] = ((X[i] - centroid) ** 2).sum()``, bit for bit, computed in
+    blocks of ``len(scratch)`` rows: no (n, d) temporary."""
+    for a in range(0, len(X), len(scratch)):
+        block = scratch[: len(X) - a]
+        np.subtract(X[a : a + len(block)], centroid, out=block)
+        block *= block
+        np.add.reduce(block, axis=1, out=out[a : a + len(block)])
+
+
+def _assign_with_repair(X, centroids, dist, scratch, fill=True) -> tuple[np.ndarray, bool]:
     """Each row's nearest centroid, with empty clusters repaired (which
-    moves ``centroids`` in place), and whether any repair was made."""
+    moves ``centroids`` in place), and whether any repair was made. The
+    (k, n) ``dist`` is filled unless ``fill=False`` says it is current."""
     k = centroids.shape[0]
-    dist = np.empty((X.shape[0], k))
-    for c in range(k):  # one column at a time: no (n, k, d) temporary
-        dist[:, c] = ((X - centroids[c]) ** 2).sum(axis=1)
-    assign = dist.argmin(axis=1)
+    if fill:
+        for c in range(k):
+            _sq_dists(X, centroids[c], dist[c], scratch)
+    assign = dist.argmin(axis=0)  # ties to the lowest cluster, as argmin(axis=1) of (n, k)
     repaired = False
     while True:
         counts = np.bincount(assign, minlength=k)
@@ -114,12 +131,12 @@ def _assign_with_repair(X, centroids) -> tuple[np.ndarray, bool]:
             return assign, repaired
         # move the point farthest from its own centroid into the empty
         # cluster; sole members stay put, so each repair strictly reduces
-        # the number of empty clusters
-        own = dist[np.arange(len(assign)), assign].copy()
+        # the number of empty clusters. The moved point is a sole member
+        # then, so no one reads its new cluster's (stale) row of dist
+        own = dist[assign, np.arange(len(assign))]
         own[counts[assign] <= 1] = -np.inf
         far = int(own.argmax())
         centroids[empties[0]] = X[far]
-        dist[:, empties[0]] = ((X - centroids[empties[0]]) ** 2).sum(axis=1)
         assign[far] = empties[0]
         repaired = True
 

@@ -89,29 +89,24 @@ class MixtureSpec:
 
 
 def generate(spec: MixtureSpec) -> FeatureDataset:
-    """Draw the mixture; exactly the requested counts, deterministic per seed."""
+    """Draw the mixture; exactly the requested counts, deterministic per seed.
+    Each component fills its rows of one table and shares one tag string."""
     rng = rng_for(spec.seed, "mixture")
-    ids, feats, labels, tags = [], [], [], []
-    for k, comp in enumerate(spec.normal_components):
-        x = np.asarray(comp.mean) + np.asarray(comp.std) * rng.standard_normal((comp.count, spec.dim))
-        for j in range(comp.count):
-            ids.append(f"n{len(ids):05d}")
-            tags.append(comp.class_tag or f"normal-{k}")
-            labels.append(0)
-        feats.append(x)
-    n_anom = 0
-    for comp in spec.anomaly_components:
-        x = np.asarray(comp.mean) + np.asarray(comp.std) * rng.standard_normal((comp.count, spec.dim))
-        for j in range(comp.count):
-            ids.append(f"a{n_anom:05d}")
-            n_anom += 1
-            tags.append(comp.class_tag)
-            labels.append(1)
-        feats.append(x)
+    comps = spec.normal_components + spec.anomaly_components
+    feats = np.empty((sum(c.count for c in comps), spec.dim))
+    tags: list[str] = []
+    for k, comp in enumerate(comps):
+        x = feats[len(tags) : len(tags) + comp.count]
+        rng.standard_normal(out=x)
+        x *= comp.std  # the bits of mean + std * z
+        x += comp.mean
+        tags += [comp.class_tag or f"normal-{k}"] * comp.count  # anomalies always have a tag
+    n_normal = sum(c.count for c in spec.normal_components)
+    n_anomaly = len(tags) - n_normal
     return FeatureDataset(
-        ids=tuple(ids),
-        features=np.vstack(feats),
-        labels=np.array(labels, dtype=np.int64),
+        ids=tuple([f"n{i:05d}" for i in range(n_normal)] + [f"a{i:05d}" for i in range(n_anomaly)]),
+        features=feats,
+        labels=np.repeat(np.array([0, 1], dtype=np.int64), (n_normal, n_anomaly)),
         class_tags=tuple(tags),
     )
 

@@ -58,3 +58,55 @@ def train_support_epoch(net, opt, X, y, cfg, rng) -> None:
     stack = ScorerNet(net.dim, net.hidden, net.theta[None])
     _train_stack(stack, opt, X, y, [_epoch_batches(rng, y, cfg.batch_size)], cfg.margin)
     net.theta = stack.theta[0]
+
+
+def reference_kmeans(X, k, rng, max_iters=100, tol=1e-6):
+    """k-means as it ran before it skipped its final assignment and computed
+    its distances in blocks: the final assignment always runs, and every
+    assignment makes its (n, k) distances one whole column at a time.
+    Returns (centroids, assign, whether the last Lloyd step repaired an
+    empty cluster)."""
+    n = X.shape[0]
+    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
+    centroids[0] = X[int(rng.integers(n))]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
+        centroids[j] = X[int(rng.choice(n, p=probs))]
+        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
+    repaired = False
+    for _ in range(max_iters):
+        assign, repaired = reference_assign_with_repair(X, centroids)
+        new_centroids = np.empty_like(centroids)
+        for c in range(k):
+            new_centroids[c] = X[assign == c].mean(axis=0)
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < tol:
+            break
+    assign, _ = reference_assign_with_repair(X, centroids)
+    return centroids, assign, repaired
+
+
+def reference_assign_with_repair(X, centroids):
+    """``partition._assign_with_repair`` before its distances were blocked:
+    two (n, d) temporaries per column of an (n, k) matrix."""
+    k =centroids.shape[0]
+    dist = np.empty((X.shape[0], k))
+    for c in range(k):
+        dist[:, c] = ((X - centroids[c]) ** 2).sum(axis=1)
+    assign = dist.argmin(axis=1)
+    repaired = False
+    while True:
+        counts = np.bincount(assign, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return assign, repaired
+        own = dist[np.arange(len(assign)), assign].copy()
+        own[counts[assign] <= 1] = -np.inf
+        far = int(own.argmax())
+        centroids[empties[0]] = X[far]
+        dist[:, empties[0]] = ((X - centroids[empties[0]]) ** 2).sum(axis=1)
+        assign[far] = empties[0]
+        repaired = True

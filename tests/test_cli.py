@@ -8,7 +8,7 @@ import pytest
 from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_run, main, parse_config
 from hetanom.data import ingest_csv
 from hetanom.errors import ConfigurationError, ReplayError
-from hetanom.evaluate import ProtocolSpec, sweep
+from hetanom.evaluate import ProtocolSpec, check_clusters, sweep
 from hetanom.synth import MixtureSpec, generate
 from hetanom.train import TrainConfig
 
@@ -215,6 +215,36 @@ class TestParseConfig:
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("variant", ["AHL", "CDL_minus", "HADG_only"])
+    @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+    def test_more_clusters_than_training_normals_refused_before_writing(
+            self, tmp_path, capsys, variant, sweep):
+        # 120 normals, of which a 0.75 split trains on 90
+        out = tmp_path / "out"
+        cfg = minimal_config(out, variants=(variant,))
+        if sweep:
+            cfg["sweep"] = {"param": "C", "values": [2, 100]}
+        else:
+            cfg["train"]["C"] = 100
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == ("config error: train.C: 100 exceeds the 90 normals "
+                                           "a seed trains on\n")
+        assert not out.exists()
+
+    def test_clusters_checked_against_the_training_split(self, tmp_path):
+        ds = parse_config(minimal_config(tmp_path / "out")).dataset.load()
+        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,), train_fraction=0.6)
+        check_clusters(ds, spec, 72)
+        with pytest.raises(ConfigurationError, match=r"^train.C: 73 exceeds the 72 normals"):
+            check_clusters(ds, spec, 73)
+
+    def test_variant_without_clusters_runs_with_a_large_C(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = minimal_config(out, variants=("Homogeneous",))
+        cfg["train"]["C"] = 100
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert (out / "results.json").exists()
 
 
 class TestRunCommand:

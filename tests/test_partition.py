@@ -15,7 +15,7 @@ from hetanom.partition import (
     kmeans,
 )
 from hetanom.seeding import rng_for
-from conftest import make_dataset
+from conftest import make_dataset, reference_assign_with_repair, reference_kmeans
 
 
 def normals_only(points, n_anomaly=1):
@@ -312,64 +312,17 @@ class TestValidateRejects:
             coll.validate()
 
 
-def _reference_kmeans(X, k, rng, max_iters=100, tol=1e-6):
-    """k-means as it ran before it skipped its final assignment: the final
-    assignment always runs. Returns (centroids, assign, whether the last
-    Lloyd step repaired an empty cluster)."""
-    n = X.shape[0]
-    centroids = np.empty((k, X.shape[1]), dtype=np.float64)
-    centroids[0] = X[int(rng.integers(n))]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        probs = d2 / total if total > 0 else np.full(n, 1.0 / n)
-        centroids[j] = X[int(rng.choice(n, p=probs))]
-        d2 = np.minimum(d2, ((X - centroids[j]) ** 2).sum(axis=1))
-    repaired = False
-    for _ in range(max_iters):
-        assign, repaired = _reference_assign(X, centroids)
-        new_centroids = np.empty_like(centroids)
-        for c in range(k):
-            new_centroids[c] = X[assign == c].mean(axis=0)
-        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
-        centroids = new_centroids
-        if shift < tol:
-            break
-    assign, _ = _reference_assign(X, centroids)
-    return centroids, assign, repaired
-
-
-def _reference_assign(X, centroids):
-    k = centroids.shape[0]
-    dist = np.empty((X.shape[0], k))
-    for c in range(k):
-        dist[:, c] = ((X - centroids[c]) ** 2).sum(axis=1)
-    assign = dist.argmin(axis=1)
-    repaired = False
-    while True:
-        counts = np.bincount(assign, minlength=k)
-        empties = np.flatnonzero(counts == 0)
-        if empties.size == 0:
-            return assign, repaired
-        own = dist[np.arange(len(assign)), assign].copy()
-        own[counts[assign] <= 1] = -np.inf
-        far = int(own.argmax())
-        centroids[empties[0]] = X[far]
-        dist[:, empties[0]] = ((X - centroids[empties[0]]) ** 2).sum(axis=1)
-        assign[far] = empties[0]
-        repaired = True
-
-
 class TestKmeansMatchesReference:
     """``kmeans`` skips its final assignment when the last Lloyd step
-    settled; the result must stay bitwise the reference's."""
+    settled and computes its distances in blocks of ``KMEANS_BLOCK`` rows;
+    the result must stay bitwise the reference's."""
 
     @staticmethod
     def check(ds, k, seed, **kwargs):
         # kmeans reads KMEANS_MAX_ITERS, which the max_iters tests patch
         ca = kmeans(ds, k, seed=seed)
         X = ds.features[ds.normal_rows()]
-        centroids, assign, repaired = _reference_kmeans(X, k, rng_for(seed, "kmeans"), **kwargs)
+        centroids, assign, repaired = reference_kmeans(X, k, rng_for(seed, "kmeans"), **kwargs)
         assert ca.centroids.tobytes() == centroids.tobytes()
         assert ca.assign.tobytes() == assign.tobytes()
         return repaired
@@ -395,7 +348,30 @@ class TestKmeansMatchesReference:
 
     def test_assign_reports_repairs(self):
         X = np.array([[0.0], [0.0], [5.0]])
-        assign, repaired = _assign_with_repair(X, np.array([[0.0], [5.0], [50.0]]))
+
+        def assign_to(centroids):
+            dist, scratch = np.empty((len(centroids), len(X))), np.empty((2, 1))
+            return _assign_with_repair(X, centroids, dist, scratch)
+
+        assign, repaired = assign_to(np.array([[0.0], [5.0], [50.0]]))
         assert repaired and sorted(assign.tolist()) == [0, 1, 2]
-        assign, repaired = _assign_with_repair(X, np.array([[0.0], [5.0]]))
+        assign, repaired = assign_to(np.array([[0.0], [5.0]]))
         assert not repaired and assign.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_blocked_distances_bitwise(self, blocks, extra):
+        # tables of blocks * KMEANS_BLOCK + extra rows, around the block cuts
+        n = blocks * partition.KMEANS_BLOCK + extra
+        rng = np.random.default_rng(n)
+        centers = rng.normal(0.0, 4.0, size=(6, 16))
+        ds = normals_only(centers[rng.integers(6, size=n)] + rng.normal(size=(n, 16)))
+        for k in range(2, 8):
+            self.check(ds, k, seed=k)
+
+    def test_blocked_repair_bitwise(self):
+        # two distinct points for three clusters, on a table of several
+        # distance blocks: every Lloyd step repairs an empty cluster
+        n = 2 * partition.KMEANS_BLOCK + 3
+        ds = normals_only([[0.0, 0.0]] * (n - 5) + [[5.0, 1.0]] * 5)
+        for seed in range(3):
+            assert self.check(ds, 3, seed)

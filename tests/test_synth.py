@@ -58,6 +58,24 @@ class TestGenerate:
             ds = generate(spec)
             assert ds.n_normal == 10 and ds.n_anomaly == 4
 
+    def test_rows_of_a_component_share_one_tag_object(self):
+        # a table of many rows keeps one tag string per component, not per row
+        spec = MixtureSpec(
+            dim=2,
+            normal_components=(
+                Component((0.0, 0.0), (1.0, 1.0), 300),
+                Component((4.0, 4.0), (0.5, 0.5), 200),
+            ),
+            anomaly_components=(Component((9.0, 9.0), (1.0, 1.0), 40, "far"),
+                                Component((-9.0, 9.0), (1.0, 1.0), 30, "left")),
+            seed=3,
+        )
+        ds = generate(spec)
+        assert len({id(t) for t in ds.class_tags}) == 4
+        assert ds.class_tags[:300] == ("normal-0",) * 300
+        assert ds.class_tags[300:500] == ("normal-1",) * 200
+        assert len(set(ds.ids)) == len(ds) == 570
+
     def test_spec_validation(self):
         with pytest.raises(ConfigurationError):
             Component((0.0,), (0.0,), 1)  # zero stddev
