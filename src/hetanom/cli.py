@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -57,16 +56,19 @@ class DatasetSource:
         if self.kind == "synthetic" and self.path is not None:
             raise ConfigurationError("path: only a csv dataset takes a path")
 
-    def load(self) -> FeatureDataset:
+    def load(self) -> tuple[FeatureDataset, str | None]:
+        """The dataset and, for a csv, the SHA-256 of the bytes it was read
+        from (the file is read once)."""
         if self.kind == "csv":
-            return ingest_csv(self.csv_file())
-        return generate(self.spec if self.spec is not None else default_benchmark())
+            data = self.csv_bytes()
+            return ingest_csv(self.path, data), _sha256(data)
+        return generate(self.spec if self.spec is not None else default_benchmark()), None
 
-    def csv_file(self) -> str:
-        """``path``, refused as a config error when no such file exists."""
+    def csv_bytes(self) -> bytes:
+        """The file at ``path``, refused as a config error when no such file exists."""
         if not Path(self.path).is_file():
             raise ConfigurationError(f"dataset.path: no such file: {self.path}")
-        return self.path
+        return Path(self.path).read_bytes()
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,11 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     """Run what the config describes, write its artifacts and manifest, and
     return the results checksum. Without a ``sweep`` section that is the
     protocol for every variant, with per-seed logs and checkpoints; with one,
-    a protocol run of the one variant per swept value."""
-    ds = config.dataset.load()
+    a protocol run of the one variant per swept value. Seeds run serially:
+    ``threads`` is accepted only as 1."""
+    if threads != 1:
+        raise ConfigurationError(f"threads: seeds run serially, so it must be 1, got {threads!r}")
+    ds, dataset_sha256 = config.dataset.load()
     anomaly_pool(ds, config.protocol)  # refuse what the data cannot carry before writing
     if set(config.variants) & set(CLUSTERING_VARIANTS):
         swept_C = config.sweep is not None and config.sweep.param == "C"
@@ -147,7 +152,7 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.sweep is not None:
         entries = sweep(config.sweep.param, config.sweep.values, ds, config.protocol,
-                        cfg, variant=config.variants[0], threads=threads)
+                        cfg, variant=config.variants[0])
         csv_text = sweep_csv(config.sweep.param, entries)
         (out_dir / "sweep.csv").write_text(csv_text, encoding="utf-8")
         results_obj = {"sweep": {str(v): r.to_dict() for v, r in entries}}
@@ -168,8 +173,7 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
                     save_checkpoint(out_dir / "checkpoints" / f"{variant}-seed{seed}{suffix}.ckpt",
                                     net)
 
-            results.append(run_protocol(ds, config.protocol, cfg, variant,
-                                        threads=threads, model_sink=sink))
+            results.append(run_protocol(ds, config.protocol, cfg, variant, model_sink=sink))
         (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
         results_obj = {"results": [r.to_dict() for r in results]}
 
@@ -183,20 +187,14 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     manifest = {
         "format_version": MANIFEST_VERSION,
         "config": recorded,
-        "dataset_sha256": _dataset_checksum(config.dataset),
+        "dataset_sha256": dataset_sha256,
         "results_sha256": checksum,
     }
     (out_dir / "manifest.json").write_bytes(_canonical_json(manifest))
     return checksum
 
 
-def _dataset_checksum(source: DatasetSource) -> str | None:
-    if source.kind != "csv":
-        return None
-    return _sha256(Path(source.csv_file()).read_bytes())
-
-
-def execute_replay(manifest_path: Path, out_dir: Path, threads: int = 1) -> str:
+def execute_replay(manifest_path: Path, out_dir: Path) -> str:
     """Re-execute a recorded run and verify it reproduces bitwise. The
     manifest is checked before any work starts."""
     manifest = _read_json(manifest_path, "manifest")
@@ -211,26 +209,15 @@ def execute_replay(manifest_path: Path, out_dir: Path, threads: int = 1) -> str:
             raise ReplayError(f"manifest: missing field {key!r}")
     config = parse_config(manifest["config"])
     recorded_ds = manifest.get("dataset_sha256")
-    if recorded_ds is not None and _dataset_checksum(config.dataset) != recorded_ds:
+    if recorded_ds is not None and (config.dataset.kind != "csv"
+                                    or _sha256(config.dataset.csv_bytes()) != recorded_ds):
         raise ReplayError("dataset file changed since the recorded run")
-    checksum = execute_run(config, out_dir, threads)
+    checksum = execute_run(config, out_dir)
     if checksum != manifest["results_sha256"]:
         raise ReplayError(
             f"replay produced checksum {checksum}, "
             f"manifest records {manifest['results_sha256']}")
     return checksum
-
-
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("AHL_THREADS")
-    if not env:
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ConfigurationError("AHL_THREADS: must be an integer") from None
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
@@ -256,12 +243,10 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the global seed")
-    p_run.add_argument("--threads", type=int, default=None)
 
     p_replay = sub.add_parser("replay", help="reproduce a run from its manifest")
     p_replay.add_argument("--manifest", required=True)
     p_replay.add_argument("--out", required=True)
-    p_replay.add_argument("--threads", type=int, default=None)
 
     p_gen = sub.add_parser("gen-data", help="export the synthetic benchmark to CSV")
     p_gen.add_argument("--out", required=True, help="output CSV file")
@@ -272,11 +257,10 @@ def main(argv=None) -> int:
     try:
         if args.subcommand == "run":
             config = _apply_overrides(load_config(args.config), args)
-            checksum = execute_run(config, _resolve_out(config), _threads_from(args))
+            checksum = execute_run(config, _resolve_out(config))
             print(f"ok results_sha256={checksum}")
         elif args.subcommand == "replay":
-            checksum = execute_replay(Path(args.manifest), Path(args.out),
-                                      _threads_from(args))
+            checksum = execute_replay(Path(args.manifest), Path(args.out))
             print(f"replay ok results_sha256={checksum}")
         else:  # gen-data
             if args.spec is not None:

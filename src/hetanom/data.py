@@ -205,12 +205,15 @@ def _largest_remainder(n: int, fractions) -> list[int]:
 CSV_HEAD = ("id", "label", "class")
 
 
-def ingest_csv(path) -> FeatureDataset:
+def ingest_csv(path, data: bytes | None = None) -> FeatureDataset:
     """Read a feature CSV (``id,label,class,f0..f{d-1}``) into a validated
-    dataset, preserving row order. Every error names ``path``."""
+    dataset, preserving row order; ``data``, when given, holds the file's
+    bytes, already read. Every error names ``path``."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            text = fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 import csv as _csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -268,38 +267,25 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
 
 
 @one_blas_thread()
-def _map_seeds(one_seed, seeds, threads: int) -> tuple:
-    """``one_seed`` over the seeds in ascending order, on a pool of
-    ``threads`` threads when that is more than one."""
-    seeds = sorted(seeds)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(one_seed, seeds))
-    return tuple(one_seed(s) for s in seeds)
-
-
 def run_protocol(ds: FeatureDataset, spec: ProtocolSpec, cfg: TrainConfig,
-                 variant: str = "AHL", threads: int = 1,
-                 model_sink=None) -> EvalResult:
-    """Run one variant across the protocol's seeds and aggregate the AUCs.
+                 variant: str = "AHL", model_sink=None) -> EvalResult:
+    """Run one variant across the protocol's seeds, in ascending order, and
+    aggregate the AUCs.
 
     ``model_sink(seed, model)`` is invoked with each trained model (for
-    persisting logs and checkpoints). Seeds may run in parallel;
-    aggregation is by ascending seed.
+    persisting logs and checkpoints).
     """
     variant = canonical_variant(variant)
-
-    def one_seed(seed: int) -> SeedResult:
+    per_seed = []
+    for seed in sorted(spec.seeds):
         root = derive_seed(cfg.seed, "protocol", seed)
         train_ds, test_ds, seen_classes = _protocol_split(ds, spec, root)
         seeded_cfg = replace(cfg, seed=derive_seed(root, "fit"))
         model = run_variant(variant, train_ds, seeded_cfg)
         if model_sink is not None:
             model_sink(seed, model)
-        return _score_test(model, test_ds, seed, seen_classes)
-
-    return EvalResult(variant=variant, kind=spec.kind,
-                      per_seed=_map_seeds(one_seed, spec.seeds, threads))
+        per_seed.append(_score_test(model, test_ds, seed, seen_classes))
+    return EvalResult(variant=variant, kind=spec.kind, per_seed=tuple(per_seed))
 
 
 @dataclass(frozen=True)
@@ -326,7 +312,7 @@ def swept_config(cfg: TrainConfig, param: str, value: int) -> TrainConfig:
 
 
 def sweep(param: str, values, ds: FeatureDataset, spec: ProtocolSpec,
-          cfg: TrainConfig, variant: str = "AHL", threads: int = 1):
+          cfg: TrainConfig, variant: str = "AHL"):
     """One protocol run per hyperparameter value (see ``swept_config``);
     returns [(value, EvalResult)]. ``param`` and ``values`` are refused as
     in a config's ``sweep`` section."""
@@ -334,8 +320,7 @@ def sweep(param: str, values, ds: FeatureDataset, spec: ProtocolSpec,
         SweepSpec(param, tuple(values))
     except ConfigurationError as exc:
         raise ConfigurationError(f"sweep.{exc}") from None
-    return [(value, run_protocol(ds, spec, swept_config(cfg, param, int(value)), variant,
-                                 threads=threads))
+    return [(value, run_protocol(ds, spec, swept_config(cfg, param, int(value)), variant))
             for value in values]
 
 

@@ -2,8 +2,8 @@
 
 Every randomized component draws from its own generator whose seed is
 derived from (root seed, tag path) by hashing. Sibling streams therefore
-never depend on construction order, which keeps parallel and serial
-executions bitwise identical.
+never depend on construction order: a seed's results are bitwise the same
+whichever seeds run with it and in whatever order they run.
 """
 
 from __future__ import annotations

@@ -223,7 +223,7 @@ def test_criterion_7_directional_heterogeneity(benchmark_ds):
         cfg = ha.TrainConfig()
         means = {}
         for variant in ("AHL", "Homogeneous", "HADG_only"):
-            res = ha.run_protocol(benchmark_ds, spec, cfg, variant, threads=2)
+            res = ha.run_protocol(benchmark_ds, spec, cfg, variant)
             means[variant] = res.mean_std("auc_unseen")[0]
         print(f"  recorded mean unseen AUC: "
               f"AHL={means['AHL']:.4f} "

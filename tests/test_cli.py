@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import asdict, replace
@@ -5,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from hetanom import cli
 from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_run, main, parse_config
-from hetanom.data import ingest_csv
+from hetanom.data import ingest_csv, write_csv
 from hetanom.errors import ConfigurationError, ReplayError
 from hetanom.evaluate import ProtocolSpec, check_clusters, sweep
 from hetanom.synth import MixtureSpec, generate
@@ -233,7 +235,7 @@ class TestParseConfig:
         assert not out.exists()
 
     def test_clusters_checked_against_the_training_split(self, tmp_path):
-        ds = parse_config(minimal_config(tmp_path / "out")).dataset.load()
+        ds, _ = parse_config(minimal_config(tmp_path / "out")).dataset.load()
         spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,), train_fraction=0.6)
         check_clusters(ds, spec, 72)
         with pytest.raises(ConfigurationError, match=r"^train.C: 73 exceeds the 72 normals"):
@@ -297,13 +299,21 @@ class TestRunCommand:
         man_b = json.loads(tree_b["manifest.json"])
         assert man_a["results_sha256"] == man_b["results_sha256"]
 
-    def test_non_integer_threads_variable_exit_2(self, tmp_path, capsys, monkeypatch):
+    def test_threads_other_than_one_refused_before_writing(self, tmp_path):
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, minimal_config(out))
-        monkeypatch.setenv("AHL_THREADS", "abc")
-        assert main(["run", "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == "config error: AHL_THREADS: must be an integer\n"
+        config = parse_config(minimal_config(out))
+        with pytest.raises(ConfigurationError, match="^threads: "):
+            execute_run(config, out, 2)
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["run", "--config", "config.json"],
+                                      ["replay", "--manifest", "manifest.json", "--out", "o"]],
+                             ids=["run", "replay"])
+    def test_threads_flag_is_gone(self, args, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(args + ["--threads", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_seed_override_changes_results(self, tmp_path):
         cfg = minimal_config(tmp_path / "o1")
@@ -489,6 +499,33 @@ class TestRelativeCsvPath:
                      "--out", "replayed"]) == 0
         assert (tmp_path / "replayed" / "results.json").read_bytes() == \
             (csv_dir / "r1" / "results.json").read_bytes()
+
+
+class TestCsvReadOnce:
+    """The manifest hashes the bytes the run read, whatever happens to the
+    file while the run lasts."""
+
+    @pytest.mark.parametrize("change", ["overwrite", "remove"])
+    def test_dataset_checksum_is_of_the_bytes_read(self, tmp_path, monkeypatch, change):
+        csv_path = tmp_path / "data.csv"
+        write_csv(generate(MixtureSpec.from_dict(minimal_config("out")["dataset"]["spec"])),
+                  csv_path)
+        original = csv_path.read_bytes()
+        cfg = minimal_config(tmp_path / "out")
+        cfg["dataset"] = {"kind": "csv", "path": str(csv_path)}
+        inner = cli.run_protocol
+
+        def changing_run_protocol(*args, **kwargs):
+            if change == "overwrite":
+                csv_path.write_bytes(b"id,label,class,f0\n")
+            else:
+                csv_path.unlink()
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_protocol", changing_run_protocol)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["dataset_sha256"] == hashlib.sha256(original).hexdigest()
 
 
 class TestSweepChecksHaveOneOwner:

@@ -31,3 +31,24 @@ def test_readme_subcommand_accepted(subcommand, capsys):
     with pytest.raises(SystemExit) as exit_:
         main([subcommand, "--help"])
     assert exit_.value.code == 0
+
+
+def _readme_cli_flags():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = re.search(r"\n## CLI\n(.*?)(?=\n## )", text, re.S).group(1)
+    spans = re.findall(r"`([^`\n]+)`", section)
+    return sorted({flag for span in spans for flag in re.findall(r"--[a-z][a-z-]*", span)})
+
+
+def test_readme_cli_section_names_flags():
+    assert "--config" in _readme_cli_flags()
+
+
+@pytest.mark.parametrize("flag", _readme_cli_flags())
+def test_readme_flag_accepted(flag, capsys):
+    helps = []
+    for subcommand in _readme_subcommands():
+        with pytest.raises(SystemExit):
+            main([subcommand, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert any(re.search(rf"{flag}\b", text) for text in helps), flag

@@ -201,12 +201,17 @@ class TestRunProtocol:
         model = run_variant("AHL", train_ds, replace(FAST, seed=derive_seed(root, "fit")))
         assert not set(test_ds.ids) & model.exposure_ids
 
-    def test_threads_match_serial(self):
+    def test_seeds_run_and_aggregate_in_ascending_order(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1, 2))
-        serial = run_protocol(ds, spec, FAST, "Homogeneous", threads=1)
-        parallel = run_protocol(ds, spec, FAST, "Homogeneous", threads=3)
-        assert serial == parallel
+        sunk = []
+        shuffled = run_protocol(ds, ProtocolSpec(kind="general", m_anomalies=6, seeds=(2, 0, 1)),
+                                FAST, "Homogeneous",
+                                model_sink=lambda seed, model: sunk.append(seed))
+        ordered = run_protocol(ds, ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1, 2)),
+                               FAST, "Homogeneous")
+        assert sunk == [0, 1, 2]
+        assert [r.seed for r in shuffled.per_seed] == [0, 1, 2]
+        assert shuffled == ordered
 
 
 class TestVariants:

@@ -562,10 +562,10 @@ class TestOneBlasThread:
         assert wrong == []
         assert blas_threads() == 3
 
-    def test_run_protocol_on_two_threads_restores(self):
+    def test_run_protocol_restores(self):
         seen = []
         spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1))
-        run_protocol(tiny_benchmark(), spec, FAST, "AHL", threads=2,
+        run_protocol(tiny_benchmark(), spec, FAST, "AHL",
                      model_sink=lambda seed, model: seen.append(blas_threads()))
         assert seen == [1, 1]
         assert blas_threads() == 3
