@@ -58,17 +58,14 @@ class DatasetSource:
 
     def load(self) -> tuple[FeatureDataset, str | None]:
         """The dataset and, for a csv, the SHA-256 of the bytes it was read
-        from (the file is read once)."""
+        from (the file is read once). A csv ``path`` that names no file is a
+        config error."""
         if self.kind == "csv":
-            data = self.csv_bytes()
+            if not Path(self.path).is_file():
+                raise ConfigurationError(f"dataset.path: no such file: {self.path}")
+            data = Path(self.path).read_bytes()
             return ingest_csv(self.path, data), _sha256(data)
         return generate(self.spec if self.spec is not None else default_benchmark()), None
-
-    def csv_bytes(self) -> bytes:
-        """The file at ``path``, refused as a config error when no such file exists."""
-        if not Path(self.path).is_file():
-            raise ConfigurationError(f"dataset.path: no such file: {self.path}")
-        return Path(self.path).read_bytes()
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,13 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     ``threads`` is accepted only as 1."""
     if threads != 1:
         raise ConfigurationError(f"threads: seeds run serially, so it must be 1, got {threads!r}")
-    ds, dataset_sha256 = config.dataset.load()
+    return _execute(config, *config.dataset.load(), out_dir)
+
+
+def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
+             out_dir: Path) -> str:
+    """``execute_run`` on the loaded dataset ``ds``; a csv's ``dataset_sha256``
+    goes into the manifest."""
     anomaly_pool(ds, config.protocol)  # refuse what the data cannot carry before writing
     if set(config.variants) & set(CLUSTERING_VARIANTS):
         swept_C = config.sweep is not None and config.sweep.param == "C"
@@ -196,7 +199,8 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
 
 def execute_replay(manifest_path: Path, out_dir: Path) -> str:
     """Re-execute a recorded run and verify it reproduces bitwise. The
-    manifest is checked before any work starts."""
+    manifest, and the dataset against its recorded checksum, are checked
+    before anything is written; the run uses the bytes that were checked."""
     manifest = _read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
         raise ReplayError("manifest: must be a JSON object")
@@ -204,15 +208,14 @@ def execute_replay(manifest_path: Path, out_dir: Path) -> str:
         raise ReplayError(
             f"manifest format_version {manifest.get('format_version')!r} "
             f"is not {MANIFEST_VERSION}")
-    for key in ("config", "results_sha256"):
+    for key in ("config", "results_sha256", "dataset_sha256"):
         if key not in manifest:
             raise ReplayError(f"manifest: missing field {key!r}")
     config = parse_config(manifest["config"])
-    recorded_ds = manifest.get("dataset_sha256")
-    if recorded_ds is not None and (config.dataset.kind != "csv"
-                                    or _sha256(config.dataset.csv_bytes()) != recorded_ds):
+    ds, dataset_sha256 = config.dataset.load()
+    if dataset_sha256 != manifest["dataset_sha256"]:
         raise ReplayError("dataset file changed since the recorded run")
-    checksum = execute_run(config, out_dir)
+    checksum = _execute(config, ds, dataset_sha256, out_dir)
     if checksum != manifest["results_sha256"]:
         raise ReplayError(
             f"replay produced checksum {checksum}, "

@@ -25,6 +25,8 @@ BENCHMARK_SEEDS = tuple(range(10))
 
 VARIANTS = ("AHL", "HADG_only", "RamHADG", "RamFULL", "CDL_minus", "Homogeneous")
 CLUSTERING_VARIANTS = ("AHL", "CDL_minus", "HADG_only")  # they run kmeans on the normals
+#: a seed's AUCs, in the order every results writer lists them
+METRICS = ("auc_overall", "auc_seen", "auc_unseen", "auc_unseen_macro")
 _VARIANT_LOOKUP = {v.lower().replace("_", "").replace("-", ""): v for v in VARIANTS}
 
 
@@ -96,9 +98,6 @@ class SeedResult:
     auc_unseen_macro: float | None
     seen_classes: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class EvalResult:
@@ -115,13 +114,13 @@ class EvalResult:
 
     def to_dict(self) -> dict:
         aggregate = {}
-        for metric in ("auc_overall", "auc_seen", "auc_unseen", "auc_unseen_macro"):
+        for metric in METRICS:
             ms = self.mean_std(metric)
             aggregate[metric] = None if ms is None else {"mean": ms[0], "std": ms[1]}
         return {
             "variant": self.variant,
             "kind": self.kind,
-            "per_seed": [r.to_dict() for r in self.per_seed],
+            "per_seed": [asdict(r) for r in self.per_seed],
             "aggregate": aggregate,
         }
 
@@ -136,8 +135,6 @@ class VariantModel:
     fit_result: FitResult | None = None
 
     def scores(self, X: np.ndarray) -> np.ndarray:
-        if len(self.nets) == 1:
-            return self.nets[0].forward(X)
         return np.mean([net.forward(X) for net in self.nets], axis=0)
 
 
@@ -324,36 +321,31 @@ def sweep(param: str, values, ds: FeatureDataset, spec: ProtocolSpec,
             for value in values]
 
 
+def _cell(value) -> str:
+    return "" if value is None else repr(value)
+
+
 def sweep_csv(param: str, entries) -> str:
-    """Plot-data CSV: one row per swept value with mean/std AUC columns."""
+    """Plot-data CSV: one row per swept value, with a mean and a std column
+    per metric in ``METRICS``."""
     buf = io.StringIO()
     writer = _csv.writer(buf)
-    writer.writerow([
-        "param", "value",
-        "auc_overall_mean", "auc_overall_std",
-        "auc_seen_mean", "auc_seen_std",
-        "auc_unseen_mean", "auc_unseen_std",
-    ])
+    writer.writerow(["param", "value", *(f"{m}_{s}" for m in METRICS for s in ("mean", "std"))])
     for value, result in entries:
         row = [param, value]
-        for metric in ("auc_overall", "auc_seen", "auc_unseen"):
-            ms = result.mean_std(metric)
-            row.extend(["", ""] if ms is None else [repr(ms[0]), repr(ms[1])])
+        for metric in METRICS:
+            row.extend(map(_cell, result.mean_std(metric) or (None, None)))
         writer.writerow(row)
     return buf.getvalue()
 
 
 def results_csv(results) -> str:
-    """One row per (variant, seed) with the three AUC columns."""
+    """One row per (variant, seed), with a column per metric in ``METRICS``."""
     buf = io.StringIO()
     writer = _csv.writer(buf)
-    writer.writerow(["variant", "kind", "seed", "auc_overall", "auc_seen", "auc_unseen"])
+    writer.writerow(["variant", "kind", "seed", *METRICS])
     for result in results:
         for r in result.per_seed:
-            writer.writerow([
-                result.variant, result.kind, r.seed,
-                repr(r.auc_overall),
-                "" if r.auc_seen is None else repr(r.auc_seen),
-                "" if r.auc_unseen is None else repr(r.auc_unseen),
-            ])
+            writer.writerow([result.variant, result.kind, r.seed,
+                             *(_cell(getattr(r, m)) for m in METRICS)])
     return buf.getvalue()

@@ -251,14 +251,16 @@ class SequencePredictor:
         if theta.shape != (pos,):
             raise ShapeError(f"sequence net wants {pos} parameters, got {theta.shape}")
         self.theta = theta
-        # flat positions of each layer's (2, 4H, ...) W, U and b stacks,
-        # gate rows reordered from i, f, g, o to i, f, o, g so the three
-        # sigmoid gates form one block
+        # flat positions of each layer's (2, 4H, ...) W, U and b stacks
+        # (forward, backward), gate rows in the parameters' order i, f, g, o;
+        # and the same reordered to i, f, o, g, so that the three sigmoid
+        # gates form one block
         flat = np.arange(pos)
-        self._ifog_index = {}
+        self._index, self._ifog_index = {}, {}
         for layer in ("l1", "l2"):
             for part in ("W", "U", "b"):
                 both = np.stack([self._view(flat, f"{layer}{d}.{part}") for d in "fb"])
+                self._index[layer, part] = both
                 self._ifog_index[layer, part] = (
                     both.reshape(2, 4, self.HIDDEN, -1)[:, [0, 1, 3, 2]].reshape(both.shape))
 
@@ -296,7 +298,7 @@ class SequencePredictor:
 
     def _stacked(self, layer, part):
         """(2, ...) stack of one block of a layer's forward and backward LSTM."""
-        return np.stack([self.block(f"{layer}f.{part}"), self.block(f"{layer}b.{part}")])
+        return self.theta[self._index[layer, part]]
 
     def _ifog(self, layer, part):
         """``_stacked`` with the gate rows in the order i, f, o, g."""
@@ -323,13 +325,13 @@ class SequencePredictor:
 
     def _forward(self, S, keep):
         H = self.HIDDEN
-        # each layer also gets its inputs rows-major, (2, K, n, d), for the
-        # weight gradients; layer 1's keep each row's history contiguous, as
-        # S has it (at an input width of 1 BLAS takes a vector path whose
-        # rounding depends on the stride)
+        # with ``keep`` each layer also gets its inputs rows-major, (2, K, n, d),
+        # for the weight gradients; layer 1's keep each row's history
+        # contiguous, as S has it (at an input width of 1 BLAS takes a vector
+        # path whose rounding depends on the stride)
         x = S.transpose(1, 0, 2)
         h1, cache1 = self._lstm_forward(_both_directions(S.transpose(1, 2, 0)),
-                                        np.stack([x, x[::-1]]), "l1", keep)
+                                        np.stack([x, x[::-1]]) if keep else None, "l1", keep)
         u = _both_directions(np.concatenate([h1[:, 0], h1[::-1, 1]], axis=1))
         h2, cache2 = self._lstm_forward(u, u.transpose(1, 0, 3, 2), "l2", keep)
         # the head runs rows-major: (n, 2H), each direction's final state
@@ -368,7 +370,8 @@ class SequencePredictor:
 
     def _lstm_forward(self, xs, xr, layer, keep):
         """Both directions over (K, 2, d, n) inputs -> (K, 2, H, n) states;
-        ``xr`` holds the same inputs rows-major, for the cache.
+        ``xr`` holds the same inputs rows-major, for the cache (unused
+        without ``keep``).
 
         The gate rows run in the order i, f, o, g, so one sigmoid call
         covers the three sigmoid gates.
@@ -445,10 +448,9 @@ class SequencePredictor:
             dW += dW_steps[:, t]
             dU += dU_steps[:, t]
             db += db_steps[:, t]
-        for k, direction in enumerate("fb"):
-            self._view(grad, f"{layer}{direction}.W")[...] = dW[k]
-            self._view(grad, f"{layer}{direction}.U")[...] = dU[k]
-            self._view(grad, f"{layer}{direction}.b")[...] = db[k]
+        grad[self._index[layer, "W"]] = dW
+        grad[self._index[layer, "U"]] = dU
+        grad[self._index[layer, "b"]] = db
         if not need_dx:
             return None
         dx = np.matmul(dzs, self._stacked(layer, "W")[:, None])

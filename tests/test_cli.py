@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -10,7 +11,7 @@ from hetanom import cli
 from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_run, main, parse_config
 from hetanom.data import ingest_csv, write_csv
 from hetanom.errors import ConfigurationError, ReplayError
-from hetanom.evaluate import ProtocolSpec, check_clusters, sweep
+from hetanom.evaluate import METRICS, ProtocolSpec, check_clusters, sweep
 from hetanom.synth import MixtureSpec, generate
 from hetanom.train import TrainConfig
 
@@ -264,6 +265,23 @@ class TestRunCommand:
         assert (out / "logs" / "AHL-seed0.jsonl").exists()
         assert (out / "checkpoints" / "AHL-seed0.ckpt").exists()
 
+    def test_results_csv_lists_every_metric(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = minimal_config(out, seeds=(0, 1), variants=("AHL", "Homogeneous"), epochs=2)
+        cfg["protocol"] = {"kind": "hard", "m_anomalies": 6, "seen_class": "hot",
+                           "seeds": [0, 1]}
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        with open(out / "results.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["variant", "kind", "seed", *METRICS]
+        assert rows[0][-1] == "auc_unseen_macro"
+        expected = [[entry["variant"], entry["kind"], str(r["seed"]),
+                     *("" if r[m] is None else repr(r[m]) for m in METRICS)]
+                    for entry in json.loads((out / "results.json").read_text())["results"]
+                    for r in entry["per_seed"]]
+        assert rows[1:] == expected and len(expected) == 4
+        assert all(row[-1] != "" for row in rows[1:])  # "cold" is unseen in every seed
+
     def test_missing_csv_dataset_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = minimal_config(out)
@@ -394,7 +412,10 @@ class TestReplay:
         ({"format_version": MANIFEST_VERSION}, "manifest: missing field 'config'"),
         ({"format_version": MANIFEST_VERSION, "config": minimal_config("out")},
          "manifest: missing field 'results_sha256'"),
-    ], ids=["not-an-object", "no-config", "no-checksum"])
+        ({"format_version": MANIFEST_VERSION, "config": minimal_config("out"),
+          "results_sha256": "x"},
+         "manifest: missing field 'dataset_sha256'"),
+    ], ids=["not-an-object", "no-config", "no-checksum", "no-dataset-checksum"])
     def test_malformed_manifest_refused_before_any_work(self, tmp_path, manifest, message):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
@@ -526,6 +547,47 @@ class TestCsvReadOnce:
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["dataset_sha256"] == hashlib.sha256(original).hexdigest()
+
+
+class TestReplayCsv:
+    """Replay reads a csv dataset once, checks those bytes against the
+    manifest's checksum before writing anything, and runs on them."""
+
+    def run_on_csv(self, tmp_path):
+        spec = MixtureSpec.from_dict(minimal_config("out")["dataset"]["spec"])
+        csv_path = tmp_path / "data.csv"
+        write_csv(generate(spec), csv_path)
+        cfg = minimal_config(tmp_path / "out", epochs=1)
+        cfg["dataset"] = {"kind": "csv", "path": str(csv_path)}
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        return spec, csv_path, tmp_path / "out" / "manifest.json"
+
+    @pytest.mark.parametrize("change", ["edited", "unrecorded"])
+    def test_unmatched_dataset_refused_before_writing(self, tmp_path, change):
+        spec, csv_path, manifest_path = self.run_on_csv(tmp_path)
+        if change == "edited":
+            write_csv(generate(replace(spec, seed=6)), csv_path)
+        else:  # a csv manifest whose checksum is null is not trusted
+            manifest = json.loads(manifest_path.read_text())
+            manifest["dataset_sha256"] = None
+            manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ReplayError, match="^dataset file changed since the recorded run$"):
+            execute_replay(manifest_path, tmp_path / "replayed")
+        assert not (tmp_path / "replayed").exists()
+
+    def test_replay_reads_the_csv_once(self, tmp_path, monkeypatch):
+        _, csv_path, manifest_path = self.run_on_csv(tmp_path)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            if path.name == csv_path.name:
+                reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        execute_replay(manifest_path, tmp_path / "replayed")
+        assert len(reads) == 1
 
 
 class TestSweepChecksHaveOneOwner:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hetanom.cli import load_config, main
+from hetanom.evaluate import METRICS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,3 +53,9 @@ def test_readme_flag_accepted(flag, capsys):
             main([subcommand, "--help"])
         helps.append(capsys.readouterr().out)
     assert any(re.search(rf"{flag}\b", text) for text in helps), flag
+
+
+@pytest.mark.parametrize("metric", METRICS)
+def test_readme_names_metric(metric):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.search(rf"\b{metric}\b", text), metric

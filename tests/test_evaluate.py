@@ -1,8 +1,12 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from hetanom.errors import ConfigurationError, UndefinedMetricError
 from hetanom.evaluate import (
+    METRICS,
     EvalResult,
     ProtocolSpec,
     auc,
@@ -285,6 +289,23 @@ class TestSweep:
         a = sweep_csv("C", sweep("C", [2], ds, spec, FAST))
         b = sweep_csv("C", sweep("C", [2], ds, spec, FAST))
         assert a == b
+
+    def test_csv_columns_follow_metrics(self):
+        from hetanom.evaluate import SeedResult
+        macro = EvalResult(variant="AHL", kind="hard", per_seed=(
+            SeedResult(0, 0.8, 1.0, 0.6, 0.65, ("a",)),
+            SeedResult(1, 0.7, 1.0, 0.5, 0.45, ("a",)),
+        ))
+        no_unseen = EvalResult(variant="AHL", kind="general", per_seed=(
+            SeedResult(0, 0.8, 0.9, None, None, ("a", "b")),
+        ))
+        rows = list(csv.reader(io.StringIO(sweep_csv("C", [(2, macro), (3, no_unseen)]))))
+        assert rows[0] == ["param", "value",
+                           *(f"{m}_{s}" for m in METRICS for s in ("mean", "std"))]
+        assert rows[0][-2:] == ["auc_unseen_macro_mean", "auc_unseen_macro_std"]
+        assert rows[1][-2:] == [repr(v) for v in macro.mean_std("auc_unseen_macro")]
+        assert rows[2] == ["C", "3", repr(0.8), repr(0.0), repr(0.9), repr(0.0), "", "", "", ""]
+        assert list(macro.to_dict()["aggregate"]) == list(METRICS)
 
     def test_bad_param(self):
         ds = tiny_benchmark()
