@@ -23,11 +23,11 @@ from .evaluate import (
     CLUSTERING_VARIANTS,
     ProtocolSpec,
     SweepSpec,
-    anomaly_pool,
     canonical_variant,
     check_clusters,
+    check_split,
     results_csv,
-    run_protocol,
+    run_protocols,
     sweep,
     sweep_csv,
     swept_config,
@@ -135,10 +135,12 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     """Run what the config describes, write its artifacts and manifest, and
     return the results checksum. Without a ``sweep`` section that is the
     protocol for every variant, with per-seed logs and checkpoints; with one,
-    a protocol run of the one variant per swept value. Seeds run serially:
-    ``threads`` is accepted only as 1."""
+    a protocol run of the one variant per swept value. Every (variant or
+    swept value, seed) job runs in one pool of forked workers sized from
+    the usable CPUs (see ``evaluate.run_protocols``); ``threads`` is no
+    thread count and is accepted only as 1."""
     if threads != 1:
-        raise ConfigurationError(f"threads: seeds run serially, so it must be 1, got {threads!r}")
+        raise ConfigurationError(f"threads: must be 1, got {threads!r}")
     return _execute(config, *config.dataset.load(), out_dir)
 
 
@@ -146,7 +148,7 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
              out_dir: Path) -> str:
     """``execute_run`` on the loaded dataset ``ds``; a csv's ``dataset_sha256``
     goes into the manifest."""
-    anomaly_pool(ds, config.protocol)  # refuse what the data cannot carry before writing
+    check_split(ds, config.protocol)  # refuse what the data cannot carry before writing
     if set(config.variants) & set(CLUSTERING_VARIANTS):
         swept_C = config.sweep is not None and config.sweep.param == "C"
         for C in config.sweep.values if swept_C else (config.train.C,):
@@ -162,21 +164,20 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
     else:
         (out_dir / "logs").mkdir(exist_ok=True)
         (out_dir / "checkpoints").mkdir(exist_ok=True)
-        results = []
-        for variant in config.variants:
 
-            def sink(seed, model, variant=variant):
-                if model.fit_result is not None:
-                    log_path = out_dir / "logs" / f"{variant}-seed{seed}.jsonl"
-                    with open(log_path, "w", encoding="utf-8") as fh:
-                        for record in model.fit_result.log:
-                            fh.write(json.dumps(record, sort_keys=True) + "\n")
-                for i, net in enumerate(model.nets):
-                    suffix = "" if len(model.nets) == 1 else f"-net{i}"
-                    save_checkpoint(out_dir / "checkpoints" / f"{variant}-seed{seed}{suffix}.ckpt",
-                                    net)
+        def sink(seed, model):
+            if model.fit_result is not None:
+                log_path = out_dir / "logs" / f"{model.name}-seed{seed}.jsonl"
+                with open(log_path, "w", encoding="utf-8") as fh:
+                    for record in model.fit_result.log:
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+            for i, net in enumerate(model.nets):
+                suffix = "" if len(model.nets) == 1 else f"-net{i}"
+                save_checkpoint(out_dir / "checkpoints" / f"{model.name}-seed{seed}{suffix}.ckpt",
+                                net)
 
-            results.append(run_protocol(ds, config.protocol, cfg, variant, model_sink=sink))
+        results = run_protocols(ds, config.protocol, [(v, cfg) for v in config.variants],
+                                model_sink=sink)
         (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
         results_obj = {"results": [r.to_dict() for r in results]}
 

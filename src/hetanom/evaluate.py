@@ -8,7 +8,11 @@ unseen at training time.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
+import signal
+import threading
 import csv as _csv
 from dataclasses import asdict, dataclass, replace
 
@@ -220,12 +224,36 @@ def anomaly_pool(ds: FeatureDataset, spec: ProtocolSpec) -> np.ndarray:
     return pool
 
 
+def check_split(ds: FeatureDataset, spec: ProtocolSpec) -> None:
+    """Refuse, as a config error, a protocol whose per-seed split ``ds``
+    cannot carry: too few anomalies to draw, none left to test, or a
+    normal part left empty."""
+    anomaly_pool(ds, spec)
+    if spec.m_anomalies == ds.n_anomaly:
+        raise ConfigurationError(
+            f"protocol.m_anomalies: {spec.m_anomalies} leaves none of the "
+            f"{ds.n_anomaly} anomalies to test")
+    f = spec.train_fraction
+    counts = _largest_remainder(ds.n_normal, (f, 1.0 - f))
+    if min(counts) == 0:
+        part = "train" if counts[0] == 0 else "test"
+        raise ConfigurationError(
+            f"protocol.train_fraction: {f} leaves no normal to {part} on "
+            f"({ds.n_normal} normals)")
+
+
 def check_clusters(ds: FeatureDataset, spec: ProtocolSpec, C: int) -> None:
-    """Refuse a ``train.C`` above the normals one seed of the protocol trains on."""
+    """Refuse a ``train.C`` above the normals one seed of the protocol trains
+    on, and a split that leaves fewer than 2 of them to corrupt into pseudo
+    anomalies."""
     f = spec.train_fraction
     n_train = _largest_remainder(ds.n_normal, (f, 1.0 - f))[0]
     if C > n_train:
         raise ConfigurationError(f"train.C: {C} exceeds the {n_train} normals a seed trains on")
+    if n_train < 2:
+        raise ConfigurationError(
+            f"protocol.train_fraction: {f} leaves {n_train} training normal; "
+            f"pseudo anomalies need at least 2")
 
 
 def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
@@ -263,26 +291,81 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
                       seen_classes=tuple(seen_classes))
 
 
+#: the (ds, spec, variant, cfg, seed) jobs of the running ``run_protocols``,
+#: set before its workers fork so that they inherit them
+_JOBS: tuple = ()
+
+
+def _run_job(index: int) -> tuple[SeedResult, VariantModel]:
+    """Train and score job ``index`` of ``_JOBS``: one variant on one seed's split."""
+    ds, spec, variant, cfg, seed = _JOBS[index]
+    root = derive_seed(cfg.seed, "protocol", seed)
+    train_ds, test_ds, seen_classes = _protocol_split(ds, spec, root)
+    model = run_variant(variant, train_ds, replace(cfg, seed=derive_seed(root, "fit")))
+    return _score_test(model, test_ds, seed, seen_classes), model
+
+
+def _usable_cpus() -> int:
+    # where the platform has no affinity call (macOS, Windows), the jobs run in-process
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _ignore_sigint():
+    # Ctrl-C reaches the parent, which stops the workers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 @one_blas_thread()
+def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
+                  model_sink=None) -> list[EvalResult]:
+    """Run each ``(variant, cfg)`` of ``runs`` across the protocol's seeds, in
+    ascending order, and aggregate the AUCs; one ``EvalResult`` per run.
+
+    The (run, seed) jobs run in one pool of forked workers, one per usable
+    CPU up to the job count, or in this process where ``fork`` is missing,
+    one CPU is usable, this process is daemonic or it runs other threads
+    (a lock one of them holds at the fork would stay held in the worker).
+    Results do not depend on the worker count. ``model_sink(seed, model)``
+    is invoked in this process with each trained model, in serial order
+    (for persisting logs and checkpoints). A failing job raises as it would
+    serially: the first in serial order wins, and no sink runs after it.
+    """
+    global _JOBS
+    import multiprocessing  # here, as at module level it adds 11-18 ms to ``import hetanom``
+
+    runs = [(canonical_variant(variant), cfg) for variant, cfg in runs]
+    seeds = sorted(spec.seeds)
+    jobs = tuple((ds, spec, variant, cfg, seed) for variant, cfg in runs for seed in seeds)
+    workers = min(_usable_cpus(), len(jobs))
+    pooled = (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+              and not multiprocessing.current_process().daemon
+              and threading.active_count() == 1)
+    per_seed = []
+    saved, _JOBS = _JOBS, jobs
+    try:
+        with contextlib.ExitStack() as stack:
+            if pooled:
+                # leaving the stack terminates and reaps the workers, also on an error
+                pool = stack.enter_context(
+                    multiprocessing.get_context("fork").Pool(workers, _ignore_sigint))
+                outputs = pool.imap(_run_job, range(len(jobs)))
+            else:
+                outputs = map(_run_job, range(len(jobs)))
+            for result, model in outputs:
+                if model_sink is not None:
+                    model_sink(result.seed, model)
+                per_seed.append(result)
+    finally:
+        _JOBS = saved
+    n = len(seeds)
+    return [EvalResult(variant, spec.kind, tuple(per_seed[i * n:(i + 1) * n]))
+            for i, (variant, _) in enumerate(runs)]
+
+
 def run_protocol(ds: FeatureDataset, spec: ProtocolSpec, cfg: TrainConfig,
                  variant: str = "AHL", model_sink=None) -> EvalResult:
-    """Run one variant across the protocol's seeds, in ascending order, and
-    aggregate the AUCs.
-
-    ``model_sink(seed, model)`` is invoked with each trained model (for
-    persisting logs and checkpoints).
-    """
-    variant = canonical_variant(variant)
-    per_seed = []
-    for seed in sorted(spec.seeds):
-        root = derive_seed(cfg.seed, "protocol", seed)
-        train_ds, test_ds, seen_classes = _protocol_split(ds, spec, root)
-        seeded_cfg = replace(cfg, seed=derive_seed(root, "fit"))
-        model = run_variant(variant, train_ds, seeded_cfg)
-        if model_sink is not None:
-            model_sink(seed, model)
-        per_seed.append(_score_test(model, test_ds, seed, seen_classes))
-    return EvalResult(variant=variant, kind=spec.kind, per_seed=tuple(per_seed))
+    """``run_protocols`` for one variant."""
+    return run_protocols(ds, spec, [(variant, cfg)], model_sink)[0]
 
 
 @dataclass(frozen=True)
@@ -317,8 +400,9 @@ def sweep(param: str, values, ds: FeatureDataset, spec: ProtocolSpec,
         SweepSpec(param, tuple(values))
     except ConfigurationError as exc:
         raise ConfigurationError(f"sweep.{exc}") from None
-    return [(value, run_protocol(ds, spec, swept_config(cfg, param, int(value)), variant))
-            for value in values]
+    results = run_protocols(ds, spec, [(variant, swept_config(cfg, param, int(value)))
+                                       for value in values])
+    return list(zip(values, results))
 
 
 def _cell(value) -> str:

@@ -1,13 +1,15 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import re
+import threading
 from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
-from hetanom import cli
+from hetanom import cli, evaluate
 from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_run, main, parse_config
 from hetanom.data import ingest_csv, write_csv
 from hetanom.errors import ConfigurationError, ReplayError
@@ -235,6 +237,29 @@ class TestParseConfig:
                                            "a seed trains on\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("protocol, train, message", [
+        ({"m_anomalies": 40}, {},
+         "protocol.m_anomalies: 40 leaves none of the 40 anomalies to test"),
+        ({"train_fraction": 0.999}, {},
+         "protocol.train_fraction: 0.999 leaves no normal to test on (120 normals)"),
+        ({"train_fraction": 0.001}, {},
+         "protocol.train_fraction: 0.001 leaves no normal to train on (120 normals)"),
+        ({"train_fraction": 0.01}, {"T": 1, "C": 1},
+         "protocol.train_fraction: 0.01 leaves 1 training normal; "
+         "pseudo anomalies need at least 2"),
+    ], ids=["no-test-anomaly", "no-test-normal", "no-train-normal", "one-train-normal"])
+    def test_split_the_data_cannot_carry_refused_before_writing(
+            self, tmp_path, capsys, protocol, train, message):
+        # 120 normals and 40 anomalies; each of these failed mid-run once,
+        # after other jobs had written their logs
+        out = tmp_path / "out"
+        cfg = minimal_config(out, seeds=(0, 1))
+        cfg["protocol"].update(protocol)
+        cfg["train"].update(train)
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_clusters_checked_against_the_training_split(self, tmp_path):
         ds, _ = parse_config(minimal_config(tmp_path / "out")).dataset.load()
         spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,), train_fraction=0.6)
@@ -342,6 +367,47 @@ class TestRunCommand:
         a = (tmp_path / "o1" / "results.json").read_bytes()
         b = (tmp_path / "o2" / "results.json").read_bytes()
         assert a != b
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestWorkers:
+    """A run's (variant or swept value, seed) jobs run in a pool of forked
+    workers; the artifacts do not depend on it."""
+
+    @pytest.mark.parametrize("serial", ["one-cpu", "no-fork", "other-thread"])
+    @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
+    def test_artifacts_equal_the_in_process_run(self, tmp_path, monkeypatch, serial, sweep):
+        cfg = minimal_config(tmp_path / "out", seeds=(0, 1),
+                             variants=("AHL", "Homogeneous", "RamFULL"), epochs=2)
+        if sweep:
+            cfg["variants"] = ["AHL"]
+            cfg["sweep"] = {"param": "C", "values": [2, 3]}
+        config = parse_config(cfg)
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: contexts.append(method) or get_context(method))
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        pooled = execute_run(config, tmp_path / "pooled")
+        assert contexts == ["fork"]
+        if serial == "one-cpu":
+            monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+        elif serial == "no-fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        release = threading.Event()
+        if serial == "other-thread":
+            threading.Thread(target=release.wait, args=(60,)).start()
+        try:
+            assert execute_run(config, tmp_path / "serial") == pooled
+        finally:
+            release.set()
+        assert contexts == ["fork"]  # no pool the second time
+        assert _tree(tmp_path / "pooled") == _tree(tmp_path / "serial")
+        assert len(_tree(tmp_path / "pooled")) == (3 if sweep else 15)
 
 
 class TestReplay:
@@ -534,16 +600,16 @@ class TestCsvReadOnce:
         original = csv_path.read_bytes()
         cfg = minimal_config(tmp_path / "out")
         cfg["dataset"] = {"kind": "csv", "path": str(csv_path)}
-        inner = cli.run_protocol
+        inner = cli.run_protocols
 
-        def changing_run_protocol(*args, **kwargs):
+        def changing_run_protocols(*args, **kwargs):
             if change == "overwrite":
                 csv_path.write_bytes(b"id,label,class,f0\n")
             else:
                 csv_path.unlink()
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "run_protocol", changing_run_protocol)
+        monkeypatch.setattr(cli, "run_protocols", changing_run_protocols)
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["dataset_sha256"] == hashlib.sha256(original).hexdigest()

@@ -1,10 +1,17 @@
 import csv
 import io
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hetanom.errors import ConfigurationError, UndefinedMetricError
+from hetanom import evaluate
+from hetanom.errors import ConfigurationError, NumericError, UndefinedMetricError
 from hetanom.evaluate import (
     METRICS,
     EvalResult,
@@ -12,6 +19,7 @@ from hetanom.evaluate import (
     auc,
     canonical_variant,
     run_protocol,
+    run_protocols,
     run_variant,
     sweep,
     sweep_csv,
@@ -216,6 +224,92 @@ class TestRunProtocol:
         assert sunk == [0, 1, 2]
         assert [r.seed for r in shuffled.per_seed] == [0, 1, 2]
         assert shuffled == ordered
+
+
+class TestWorkerPool:
+    """``run_protocols`` runs its (run, seed) jobs in a pool of forked
+    workers. ``_usable_cpus`` reports 2 here, so the pool runs on any
+    machine."""
+
+    SPEC = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1, 2))
+    RUNS = [("Homogeneous", FAST), ("RamFULL", FAST)]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+
+    @staticmethod
+    def fail_jobs(monkeypatch, failures):
+        """Make each job ``(variant, seed)`` of ``failures`` raise
+        ``NumericError(message)`` in scoring, after ``delay`` seconds, where
+        ``failures[(variant, seed)] == (delay, message)``."""
+        inner = evaluate._score_test
+
+        def score(model, test_ds, seed, seen_classes):
+            if (model.name, seed) in failures:
+                delay, message = failures[(model.name, seed)]
+                time.sleep(delay)
+                raise NumericError(message)
+            return inner(model, test_ds, seed, seen_classes)
+
+        monkeypatch.setattr(evaluate, "_score_test", score)
+
+    def run(self, sunk):
+        return run_protocols(tiny_benchmark(), self.SPEC, self.RUNS,
+                             model_sink=lambda seed, model: sunk.append((model.name, seed)))
+
+    def test_pool_gives_the_serial_results_and_leaves_no_worker(self, monkeypatch):
+        pooled_sunk, serial_sunk = [], []
+        pooled = self.run(pooled_sunk)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+        serial = self.run(serial_sunk)
+        assert pooled == serial
+        assert pooled_sunk == serial_sunk == [(v, s) for v, _ in self.RUNS for s in (0, 1, 2)]
+        assert evaluate._JOBS == ()
+
+    def test_failing_job_raises_in_the_parent_and_stops_the_sinks(self, monkeypatch):
+        self.fail_jobs(monkeypatch, {("RamFULL", 1): (0.0, "job failed")})
+        sunk = []
+        with pytest.raises(NumericError) as info:
+            self.run(sunk)
+        assert type(info.value) is NumericError and str(info.value) == "job failed"
+        assert type(info.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+        assert sunk == [("Homogeneous", 0), ("Homogeneous", 1), ("Homogeneous", 2), ("RamFULL", 0)]
+        assert multiprocessing.active_children() == []
+        assert evaluate._JOBS == ()
+
+    def test_earlier_failure_in_serial_order_wins(self, monkeypatch):
+        # the later job fails first, while the earlier one still sleeps
+        self.fail_jobs(monkeypatch, {("Homogeneous", 1): (0.5, "earlier job"),
+                                     ("Homogeneous", 2): (0.0, "later job")})
+        sunk = []
+        with pytest.raises(NumericError, match="^earlier job$"):
+            self.run(sunk)
+        assert sunk == [("Homogeneous", 0)]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_sink_error_stops_the_pool(self, error):
+        def sink(seed, model):
+            raise error("stop")
+
+        with pytest.raises(error, match="^stop$"):
+            run_protocols(tiny_benchmark(), self.SPEC, self.RUNS, model_sink=sink)
+        assert multiprocessing.active_children() == []
+        assert evaluate._JOBS == ()
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # multiprocessing costs 11-18 ms of import time; run_protocols imports it
+    code = ("import sys, hetanom; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout == "[]\n"
 
 
 class TestVariants:
