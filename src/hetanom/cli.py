@@ -37,7 +37,7 @@ from .schema import build
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
-MANIFEST_VERSION = 5
+MANIFEST_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,10 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
         (out_dir / "checkpoints").mkdir(exist_ok=True)
 
         def sink(seed, model):
-            if model.fit_result is not None:
+            if model.log is not None:
                 log_path = out_dir / "logs" / f"{model.name}-seed{seed}.jsonl"
                 with open(log_path, "w", encoding="utf-8") as fh:
-                    for record in model.fit_result.log:
+                    for record in model.log:
                         fh.write(json.dumps(record, sort_keys=True) + "\n")
             for i, net in enumerate(model.nets):
                 suffix = "" if len(model.nets) == 1 else f"-net{i}"

@@ -22,7 +22,7 @@ from .data import ANOMALY, FeatureDataset, SplitSpec, _largest_remainder, split_
 from .errors import ConfigurationError, ContractError, UndefinedMetricError
 from .nets import ScorerNet, one_blas_thread
 from .seeding import derive_seed, rng_for
-from .train import FitResult, TrainConfig, fit, simulate, train_scorer, train_scorers
+from .train import TrainConfig, fit, simulate, train_scorer, train_scorers
 
 #: the repo's fixed evaluation seeds
 BENCHMARK_SEEDS = tuple(range(10))
@@ -131,12 +131,13 @@ class EvalResult:
 
 @dataclass
 class VariantModel:
-    """A trained variant: one unified scorer or an ensemble of bases."""
+    """A trained variant: one unified scorer or an ensemble of bases, and
+    the per-epoch log of a ``fit``."""
 
     name: str
     nets: list[ScorerNet]
     exposure_ids: frozenset[str]
-    fit_result: FitResult | None = None
+    log: list[dict] | None = None
 
     def scores(self, X: np.ndarray) -> np.ndarray:
         return np.mean([net.forward(X) for net in self.nets], axis=0)
@@ -148,10 +149,10 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
     name = canonical_variant(name)
     if name == "AHL":
         res = fit(ds, cfg)
-        return VariantModel(name, [res.unified], res.training_sample_ids(), res)
+        return VariantModel(name, [res.unified], res.training_sample_ids(), res.log)
     if name == "CDL_minus":
         res = fit(ds, cfg, accuracy_weights=True)
-        return VariantModel(name, [res.unified], res.training_sample_ids(), res)
+        return VariantModel(name, [res.unified], res.training_sample_ids(), res.log)
     if name == "Homogeneous":
         net = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", 0))
         net = train_scorer(net, ds.features, ds.labels, cfg, cfg.epochs,

@@ -8,7 +8,9 @@ during warmup, otherwise from the sequence predictor's forecast error
 against the labels); (4) the unified scorer takes one step on the
 importance-weighted sum of query-set gradients evaluated at the trained
 base parameters. Each epoch's bases start from the unified parameters.
-Every loss is the mean deviation loss with margin ``TrainConfig.margin``.
+Every loss is the mean deviation loss with margin ``losses.MARGIN``. The
+paper's learning rates, the sequence predictor's minibatch size and the
+error weights of the importance estimate are the constants below.
 """
 
 from __future__ import annotations
@@ -21,10 +23,17 @@ import numpy as np
 
 from .data import FeatureDataset
 from .errors import ConfigurationError, ContractError, NumericError
-from .losses import base_loss_grad, cdl_loss, score_loss
+from .losses import MARGIN, base_loss_grad, cdl_loss, score_loss
 from .nets import AdamState, ScorerNet, SequencePredictor, one_blas_thread
 from .partition import DistributionCollection, TrainingTable, build_distributions, kmeans
 from .seeding import derive_seed, rng_for
+
+LR_BASE = 2e-4  # Adam step size of the base scorers and of the plain baselines
+LR_UNIFIED = 5e-3  # of the unified scorer
+LR_SEQ = 2e-2  # of the sequence predictor
+SEQ_BATCH_SIZE = 256  # the sequence predictor's minibatch
+C_UNSEEN = 1.0  # error weight of an anomaly outside a base's support
+C_OTHER = 0.5  # of every other sample outside its support normals
 
 
 @dataclass(frozen=True)
@@ -34,29 +43,15 @@ class TrainConfig:
     K: int = 5
     epochs: int = 30
     warmup_epochs: int = 5
-    lr_base: float = 2e-4
-    lr_unified: float = 5e-3
-    lr_seq: float = 2e-2
     batch_size: int = 32
-    seq_batch_size: int = 256
     hidden: int = 64
-    c_unseen: float = 1.0
-    c_other: float = 0.5
-    margin: float = 5.0
     strict_openness: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("T", "C", "K", "epochs", "warmup_epochs", "batch_size",
-                     "seq_batch_size", "hidden"):
+        for name in ("T", "C", "K", "epochs", "warmup_epochs", "batch_size", "hidden"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name}: must be >= 1")
-        for name in ("lr_base", "lr_unified", "lr_seq", "margin"):
-            if not 0 < getattr(self, name) < math.inf:  # NaN fails both
-                raise ConfigurationError(f"{name}: must be > 0 and finite")
-        for name in ("c_unseen", "c_other"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name}: must be finite")
         if self.T > 1 and self.C < 2:
             raise ConfigurationError("C: must be >= 2 when T > 1 (each of the first T - 1 "
                                      "subsets draws two normal clusters)")
@@ -90,18 +85,17 @@ def importance_weights(r: np.ndarray) -> np.ndarray:
 
 
 def generalization_errors(preds: np.ndarray, y: np.ndarray,
-                          support_normal_masks, support_anomaly_masks,
-                          c_unseen: float = 1.0, c_other: float = 0.5) -> np.ndarray:
+                          support_normal_masks, support_anomaly_masks) -> np.ndarray:
     """Per-base mean weighted squared error of the forecast scores against
     the labels, over every sample except the base's own support normals.
-    Anomalies the base never saw in its support weigh ``c_unseen``; its
-    seen anomalies and all other normals weigh ``c_other``."""
+    Anomalies the base never saw in its support weigh ``C_UNSEEN``; its
+    seen anomalies and all other normals weigh ``C_OTHER``."""
     n, t = preds.shape
     r = np.empty(t)
     for i in range(t):
         keep = ~np.asarray(support_normal_masks[i])
         unseen_anom = (y == 1) & ~np.asarray(support_anomaly_masks[i])
-        c = np.where(unseen_anom, c_unseen, c_other)
+        c = np.where(unseen_anom, C_UNSEEN, C_OTHER)
         r[i] = float((c[keep] * (preds[keep, i] - y[keep]) ** 2).mean())
     return r
 
@@ -133,7 +127,7 @@ def _epoch_batches(rng, y, batch_size):
     return [_balanced_batch(rng, normal_rows, anomaly_rows, batch_size) for _ in range(steps)]
 
 
-def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches, margin: float) -> None:
+def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches) -> None:
     """Minibatch Adam steps for a stack of G scorers, in place.
     ``batches[i]`` lists scorer i's batches as rows of (X, y). Step s is
     one stacked call for every scorer that has an s-th batch; the others
@@ -146,7 +140,7 @@ def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches, margin: float)
         rows = np.stack([batches[i][s] for i in active])
         sub = theta if part is None else theta[part]
         net = ScorerNet(stack.dim, stack.hidden, sub)
-        _, grad = base_loss_grad(net, X[rows], y[rows], margin)
+        _, grad = base_loss_grad(net, X[rows], y[rows])
         if part is None:
             theta = opt.step(sub, grad)
         else:
@@ -179,7 +173,7 @@ def train_bases_epoch(g: ScorerNet, table: TrainingTable, cfg: TrainConfig,
         by_label = rows[np.argsort(y, kind="stable")]
         batches.append([by_label[p] for p in drawn[key]])
     stack = ScorerNet(g.dim, g.hidden, np.tile(g.theta, (len(batches), 1)))
-    _train_stack(stack, AdamState(cfg.lr_base), table.X, table.y, batches, cfg.margin)
+    _train_stack(stack, AdamState(LR_BASE), table.X, table.y, batches)
     scores = np.stack([ScorerNet(g.dim, g.hidden, row).forward(table.X)
                        for row in stack.theta], axis=1)
     return stack, scores
@@ -196,8 +190,8 @@ def estimate_importance(windows: np.ndarray, seq_net: SequencePredictor,
     rng = rng_for(cfg.seed, "seq", epoch)
     order = rng.permutation(n)
     pass_loss = 0.0
-    for start in range(0, n, cfg.seq_batch_size):
-        rows = order[start : start + cfg.seq_batch_size]
+    for start in range(0, n, SEQ_BATCH_SIZE):
+        rows = order[start : start + SEQ_BATCH_SIZE]
         out, cache = seq_net.forward_with_cache(windows[rows])
         diff = out - targets[rows]
         pass_loss += float((diff ** 2).sum())
@@ -207,8 +201,7 @@ def estimate_importance(windows: np.ndarray, seq_net: SequencePredictor,
     preds = seq_net.forward(windows)
     sup_norm = [table.support_normal_mask(i) for i in range(cfg.T)]
     sup_anom = [table.support_anomaly_mask(i) for i in range(cfg.T)]
-    r = generalization_errors(preds, table.y, sup_norm, sup_anom,
-                              cfg.c_unseen, cfg.c_other)
+    r = generalization_errors(preds, table.y, sup_norm, sup_anom)
     state = ImportanceState(epoch=epoch, w=importance_weights(r), r=r)
     return state, pass_loss / (n * cfg.T)
 
@@ -217,7 +210,7 @@ def accuracy_importance(scores: np.ndarray, table: TrainingTable,
                         cfg: TrainConfig, epoch: int) -> ImportanceState:
     """Simplified weights: thresholded detection accuracy of each base on
     everything outside its own support, normalized to sum 1."""
-    threshold = cfg.margin / 2.0
+    threshold = MARGIN / 2.0
     acc = np.empty(cfg.T)
     for i in range(cfg.T):
         keep = np.ones(len(table.y), dtype=bool)
@@ -239,7 +232,7 @@ def unified_update(g: ScorerNet, g_opt: AdamState, stack: ScorerNet,
         (ScorerNet(g.dim, g.hidden, theta), table.X[rows], table.y[rows])
         for theta, rows in zip(stack.theta, table.query_rows)
     ]
-    total, grads, losses = cdl_loss(batches, w, cfg.margin)
+    total, grads, losses = cdl_loss(batches, w)
     agg = np.zeros_like(g.theta)
     for grad_i in grads:  # ascending base index, fixed summation order
         agg += grad_i
@@ -260,10 +253,10 @@ class FitResult:
         return frozenset(self.table.ids)
 
 
-def _support_losses(scores, table: TrainingTable, margin: float) -> list[float]:
+def _support_losses(scores, table: TrainingTable) -> list[float]:
     """Each trained base's support loss, read off the epoch's (n, T) score
     matrix instead of scoring the rows again (log only)."""
-    return [score_loss(scores[rows, i], table.y[rows], margin)
+    return [score_loss(scores[rows, i], table.y[rows])
             for i, rows in enumerate(table.support_rows)]
 
 
@@ -287,12 +280,12 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
     _, collection, table = simulate(ds, cfg)
 
     g = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
-    g_opt = AdamState(cfg.lr_unified)
+    g_opt = AdamState(LR_UNIFIED)
     seq_net = None
     seq_opt = None
     if not accuracy_weights:
         seq_net = SequencePredictor.init(cfg.T, rng_for(cfg.seed, "init-seq"))
-        seq_opt = AdamState(cfg.lr_seq)
+        seq_opt = AdamState(LR_SEQ)
     history: deque[np.ndarray] = deque(maxlen=cfg.K)  # the last K epochs' (n, T) scores
 
     log: list[dict] = []
@@ -315,7 +308,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
 
         log.append({
             "epoch": epoch,
-            "support_loss": _support_losses(scores, table, cfg.margin),
+            "support_loss": _support_losses(scores, table),
             "query_loss": [float(v) for v in query_losses],
             "r": None if state.r is None else [float(v) for v in state.r],
             "w": [float(v) for v in state.w],
@@ -349,10 +342,10 @@ def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
     if len(nets) > 1 and any(len(r) == 0 for r in rows):
         raise ContractError("stacked training requires training rows for every scorer")
     stack = ScorerNet(dim, hidden, np.stack([n.theta for n in nets]))
-    opt = AdamState(cfg.lr_base)
+    opt = AdamState(LR_BASE)
     for epoch in range(epochs):
         batches = [[r[p] for p in _epoch_batches(rng_for(seed, "plain", epoch), y[r],
                                                  cfg.batch_size)]
                    for r, seed in zip(rows, seeds)]
-        _train_stack(stack, opt, X, y, batches, cfg.margin)
+        _train_stack(stack, opt, X, y, batches)
     return [ScorerNet(dim, hidden, row) for row in stack.theta]

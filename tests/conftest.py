@@ -56,7 +56,7 @@ def train_support_epoch(net, opt, X, y, cfg, rng) -> None:
     the stacked trainer, used as the per-net reference."""
     y = np.asarray(y)
     stack = ScorerNet(net.dim, net.hidden, net.theta[None])
-    _train_stack(stack, opt, X, y, [_epoch_batches(rng, y, cfg.batch_size)], cfg.margin)
+    _train_stack(stack, opt, X, y, [_epoch_batches(rng, y, cfg.batch_size)])
     net.theta = stack.theta[0]
 
 

@@ -13,12 +13,13 @@ import pytest
 import hetanom as ha
 from hetanom.cli import main as cli_main
 from hetanom.data import ingest_csv, write_csv
-from hetanom.evaluate import _protocol_split, run_variant
-from hetanom.losses import (base_loss, base_loss_grad, cdl_loss, deviation_loss,
+from hetanom.evaluate import _protocol_split, run_protocols, run_variant
+from hetanom.losses import (MARGIN, base_loss, base_loss_grad, cdl_loss, deviation_loss,
                             deviation_loss_dscore)
 from hetanom.nets import AdamState, ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
 from hetanom.partition import ALL_NORMALS
 from hetanom.seeding import derive_seed, rng_for
+from hetanom.train import LR_BASE, LR_UNIFIED
 
 from conftest import train_support_epoch
 
@@ -53,7 +54,6 @@ def fd_check(loss_at, theta, analytic, coords, h=1e-5):
 def test_criterion_1_gradient_correctness():
     with criterion(1, "finite-difference gradient checks (rel < 1e-5, 20 points each)"):
         start = time.time()
-        margin = ha.TrainConfig().margin
         rng = np.random.default_rng(20240001)
 
         # scorer + deviation loss chain
@@ -61,20 +61,20 @@ def test_criterion_1_gradient_correctness():
             net = ScorerNet.init(3, 4, rng)
             X = rng.normal(size=(5, 3))
             y = rng.integers(0, 2, size=5)
-            _, grad = base_loss_grad(net, X, y, margin)
-            fd_check(lambda t: base_loss(ScorerNet(3, 4, t), X, y, margin),
+            _, grad = base_loss_grad(net, X, y)
+            fd_check(lambda t: base_loss(ScorerNet(3, 4, t), X, y),
                      net.theta, grad, range(len(net.theta)))
 
         # deviation loss w.r.t. the score (skip the two kinks)
         for _ in range(20):
             score = float(rng.normal(scale=3.0))
             yv = int(rng.integers(0, 2))
-            if abs(score) < 1e-3 or abs(score - margin) < 1e-3:
+            if abs(score) < 1e-3 or abs(score - MARGIN) < 1e-3:
                 score += 0.01
-            analytic = float(deviation_loss_dscore(score, yv, margin))
+            analytic = float(deviation_loss_dscore(score, yv))
             h = 1e-6
-            lo = float(deviation_loss(score - h, yv, margin))
-            hi = float(deviation_loss(score + h, yv, margin))
+            lo = float(deviation_loss(score - h, yv))
+            hi = float(deviation_loss(score + h, yv))
             assert grad_close(analytic, (hi - lo) / (2 * h))
 
         # weighted aggregation: per-base gradients
@@ -86,12 +86,12 @@ def test_criterion_1_gradient_correctness():
                 y = rng.integers(0, 2, size=4)
                 bases.append((net, X, y))
             w = rng.dirichlet(np.ones(2))
-            _, grads, _ = cdl_loss(bases, w, margin)
+            _, grads, _ = cdl_loss(bases, w)
             for b, (net, X, y) in enumerate(bases):
                 def loss_at(theta, b=b):
                     trial = list(bases)
                     trial[b] = (ScorerNet(2, 3, theta), bases[b][1], bases[b][2])
-                    return cdl_loss(trial, w, margin)[0]
+                    return cdl_loss(trial, w)[0]
                 fd_check(loss_at, net.theta, grads[b], range(len(net.theta)))
 
         # sequence predictor under its squared-error objective
@@ -143,12 +143,12 @@ def test_criterion_3_degenerate_equivalence(small_ds):
         sup, qry = table.support_rows[0], table.query_rows[0]
 
         g = ScorerNet.init(small_ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
-        g_opt = AdamState(cfg.lr_unified)
+        g_opt = AdamState(LR_UNIFIED)
         for epoch in range(cfg.epochs):
             phi = ScorerNet(g.dim, g.hidden, g.theta.copy())
-            train_support_epoch(phi, AdamState(cfg.lr_base), table.X[sup],
+            train_support_epoch(phi, AdamState(LR_BASE), table.X[sup],
                                 table.y[sup], cfg, rng_for(cfg.seed, "batches", epoch))
-            _, grad = base_loss_grad(phi, table.X[qry], table.y[qry], cfg.margin)
+            _, grad = base_loss_grad(phi, table.X[qry], table.y[qry])
             g = ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, grad))
             assert (trajectory[epoch] == g.theta).all(), f"epoch {epoch} diverged"
         assert time.time() - start < 30.0
@@ -156,7 +156,7 @@ def test_criterion_3_degenerate_equivalence(small_ds):
 
 def test_criterion_4_analytic_values():
     with criterion(4, "hand-computed loss and softmax values to 1e-12"):
-        assert abs(float(deviation_loss(2.0, 1, 5.0)) - 3.0) < 1e-12
+        assert abs(float(deviation_loss(2.0, 1)) - 3.0) < 1e-12
         from hetanom.train import importance_weights
         w = importance_weights(np.array([0.0, math.log(2.0)]))
         assert abs(w[0] - 2.0 / 3.0) < 1e-12
@@ -221,10 +221,9 @@ def test_criterion_7_directional_heterogeneity(benchmark_ds):
         spec = ha.ProtocolSpec(kind="hard", m_anomalies=10, seen_class="spike",
                                seeds=ha.BENCHMARK_SEEDS)
         cfg = ha.TrainConfig()
-        means = {}
-        for variant in ("AHL", "Homogeneous", "HADG_only"):
-            res = ha.run_protocol(benchmark_ds, spec, cfg, variant)
-            means[variant] = res.mean_std("auc_unseen")[0]
+        variants = ("AHL", "Homogeneous", "HADG_only")
+        results = run_protocols(benchmark_ds, spec, [(variant, cfg) for variant in variants])
+        means = {res.variant: res.mean_std("auc_unseen")[0] for res in results}
         print(f"  recorded mean unseen AUC: "
               f"AHL={means['AHL']:.4f} "
               f"Homogeneous={means['Homogeneous']:.4f} "
@@ -297,9 +296,10 @@ def test_criterion_10_no_leakage(benchmark_ds):
         for seed in spec.seeds:
             root = derive_seed(cfg.seed, "protocol", seed)
             train_ds, test_ds, _ = _protocol_split(benchmark_ds, spec, root)
-            model = run_variant("AHL", train_ds,
-                                   replace(cfg, seed=derive_seed(root, "fit")))
-            res = model.fit_result
+            fit_cfg = replace(cfg, seed=derive_seed(root, "fit"))
+            model = run_variant("AHL", train_ds, fit_cfg)
+            res = ha.fit(train_ds, fit_cfg)  # the training structures the model came from
+            assert model.exposure_ids == res.training_sample_ids()
             test_ids = set(test_ds.ids)
             # support, query, and history structures
             for dd in res.collection.subsets:

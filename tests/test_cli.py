@@ -72,6 +72,15 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="train.nope"):
             parse_config(cfg)
 
+    @pytest.mark.parametrize("name", ["lr_base", "lr_unified", "lr_seq", "seq_batch_size",
+                                      "c_unseen", "c_other", "margin"])
+    def test_fixed_value_is_an_unknown_train_field(self, tmp_path, name):
+        # the paper fixes these values; they are module constants, not config fields
+        cfg = minimal_config(tmp_path / "out")
+        cfg["train"][name] = 1.0
+        with pytest.raises(ConfigurationError, match=rf"^train\.{name}: unknown field$"):
+            parse_config(cfg)
+
     def test_bad_variant(self, tmp_path):
         cfg = minimal_config(tmp_path / "out", variants=("Wrong",))
         with pytest.raises(ConfigurationError, match=r"variants\[0\]"):
@@ -95,9 +104,9 @@ class TestParseConfig:
         (("seed",), True),
         (("sweep",), {"param": "C", "values": ["x"]}),
         (("sweep",), {"param": "C", "values": [True]}),
-        (("train", "lr_base"), "x"),
-        (("train", "lr_base"), True),
-        (("train", "lr_base"), float("nan")),
+        (("protocol", "train_fraction"), "x"),
+        (("protocol", "train_fraction"), True),
+        (("protocol", "train_fraction"), float("nan")),
         (("train", "T"), "7"),
         (("train", "T"), 2.5),
         (("train", "T"), True),
@@ -119,7 +128,7 @@ class TestParseConfig:
         (("dataset", "spec", "anomaly_components", 1, "mean"), [True] * 6),
         (("dataset", "spec", "anomaly_components", 0, "class_tag"), 3),
         (("dataset", "spec", "anomaly_components", 1, "tag"), "cold"),
-        pytest.param(("train", "lr_base"), 10**400, id="path29-int-beyond-float"),
+        pytest.param(("protocol", "train_fraction"), 10**400, id="path29-int-beyond-float"),
     ])
     def test_wrong_type_names_field(self, tmp_path, path, value):
         cfg = minimal_config(tmp_path / "out")
@@ -461,7 +470,9 @@ class TestReplay:
         (2, {"train": dict(reduction="mean")}),
         (3, {"train": dict(weight_mode="sequence"), "protocol": dict(fine_tune_epochs=10)}),
         (4, {"train": dict(seed=0)}),
-    ], ids=["1", "2", "3", "4"])
+        (5, {"train": dict(lr_base=2e-4, lr_unified=5e-3, lr_seq=2e-2, seq_batch_size=256,
+                           c_unseen=1.0, c_other=0.5, margin=5.0)}),
+    ], ids=["1", "2", "3", "4", "5"])
     def test_old_manifest_version_refused(self, tmp_path, version, gone):
         cfg = minimal_config(tmp_path / "out")
         for section, values in gone.items():

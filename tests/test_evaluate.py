@@ -332,12 +332,13 @@ class TestVariants:
         ds = tiny_benchmark()
         cfg = TrainConfig(T=3, C=2, epochs=4, hidden=8, seed=5)
         model = run_variant("CDL_minus", ds, cfg)
-        assert model.fit_result is not None
-        for record in model.fit_result.log:
+        res = fit(ds, cfg, accuracy_weights=True)
+        assert model.log == res.log
+        for record in model.log:
             w = np.array(record["w"])
             assert (w >= 0).all()
             assert abs(w.sum() - 1.0) < 1e-9
-        assert model.fit_result.seq_net is None
+        assert res.seq_net is None
 
     def test_ensembles_average_bases(self):
         ds = tiny_benchmark()

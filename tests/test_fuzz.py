@@ -1,8 +1,13 @@
 """Property tests on the three readers of outside input: run configs, feature
 CSVs and checkpoints. Each must return a valid object or raise its own
-error type, whatever the input."""
+error type, whatever the input. A whole run on a small drawn config must
+finish with valid results or be refused, naming the field, before it
+writes anything."""
 
 import copy
+import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetanom.cli import RunConfig, parse_config
+from hetanom.cli import RunConfig, execute_run, parse_config
 from hetanom.data import ingest_csv
 from hetanom.errors import (
     CheckpointError,
@@ -20,6 +25,7 @@ from hetanom.errors import (
     SchemaError,
     ValidationError,
 )
+from hetanom.evaluate import METRICS, VARIANTS
 from hetanom.nets import ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
 from hetanom.synth import MixtureSpec
 from hetanom.train import TrainConfig
@@ -173,3 +179,67 @@ def test_load_checkpoint_bytes_flipped(raw, data):
 @pytest.mark.parametrize("raw", CHECKPOINTS)
 def test_untouched_checkpoints_load(raw):
     loads_or_refuses(raw)
+
+
+@st.composite
+def small_run_configs(draw):
+    """A run config over a small synthetic mixture: dims 1-5, 1-3 components
+    per side, T 1-4, 1-2 epochs, either protocol, one or two variants, and
+    every other ``train`` field drawn from a small range."""
+    dim = draw(st.integers(1, 5))
+    coord = st.floats(-6.0, 6.0, allow_nan=False)
+    vector = st.lists(coord, min_size=dim, max_size=dim)
+    spread = st.lists(st.floats(0.1, 2.0), min_size=dim, max_size=dim)
+
+    def components(counts, tags):
+        return [{"mean": draw(vector), "std": draw(spread), "count": draw(counts),
+                 **({"class_tag": tag} if tag else {})} for tag in tags]
+
+    normals = components(st.integers(1, 30), [""] * draw(st.integers(1, 3)))
+    tags = ["a", "b", "c"][:draw(st.integers(1, 3))]
+    kind = draw(st.sampled_from(["general", "hard"]))
+    protocol = {"kind": kind, "m_anomalies": draw(st.integers(1, 8)),
+                "seeds": draw(st.sampled_from([[0], [0, 1]])),
+                "train_fraction": draw(st.sampled_from([0.25, 0.5, 0.75]))}
+    if kind == "hard":
+        protocol["seen_class"] = draw(st.sampled_from(tags))
+    return {
+        "seed": draw(st.integers(0, 3)),
+        "dataset": {"kind": "synthetic", "spec": {
+            "dim": dim, "seed": draw(st.integers(0, 3)), "normal_components": normals,
+            "anomaly_components": components(st.integers(1, 12), tags)}},
+        "train": {"T": draw(st.integers(1, 4)), "C": draw(st.integers(1, 4)),
+                  "K": draw(st.integers(1, 2)), "epochs": draw(st.integers(1, 2)),
+                  "warmup_epochs": draw(st.integers(1, 2)),
+                  "batch_size": draw(st.integers(1, 16)), "hidden": draw(st.integers(1, 6)),
+                  "strict_openness": draw(st.booleans())},
+        "protocol": protocol,
+        "variants": draw(st.lists(st.sampled_from(VARIANTS), min_size=1, max_size=2,
+                                  unique=True)),
+    }
+
+
+FIELD_PATH = re.compile(r"^[a-z_]+(\.[A-Za-z_]+|\[\d+\])*: ")
+
+
+@settings(FUZZ, max_examples=150)
+@given(small_run_configs())
+def test_run_finishes_or_is_refused_before_writing(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        try:
+            execute_run(parse_config(raw), out)
+        except ConfigurationError as exc:
+            assert FIELD_PATH.match(str(exc)), str(exc)
+            assert not out.exists() or not any(out.iterdir())
+            return
+        results = json.loads((out / "results.json").read_text())["results"]
+        for result in results:
+            for seed in result["per_seed"]:
+                for metric in METRICS:
+                    assert seed[metric] is None or 0.0 <= seed[metric] <= 1.0, (metric, seed)
+        for log in (out / "logs").glob("AHL-*.jsonl"):
+            for line in log.read_text().splitlines():
+                w = np.array(json.loads(line)["w"])
+                assert np.isfinite(w).all() and (w >= 0).all()
+                assert math.isclose(w.sum(), 1.0, abs_tol=1e-9)

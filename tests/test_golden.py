@@ -13,7 +13,6 @@ import pytest
 
 from hetanom import TrainConfig, fit
 from hetanom.cli import main as cli_main
-from hetanom.evaluate import run_variant
 from hetanom.synth import default_benchmark, generate
 from hetanom.train import simulate
 
@@ -57,9 +56,8 @@ def test_default_fit_golden():
 
 def test_cdl_minus_fit_golden():
     # accuracy-based importance weights, the one thing CDL_minus changes
-    model = run_variant("CDL_minus", generate(default_benchmark(seed=1)),
-                        TrainConfig(T=3, C=3, epochs=8, hidden=16, seed=2))
-    res = model.fit_result
+    res = fit(generate(default_benchmark(seed=1)),
+              TrainConfig(T=3, C=3, epochs=8, hidden=16, seed=2), accuracy_weights=True)
     assert res.seq_net is None
     assert theta_sha(res.unified) == \
         "fbc88b12692a162fb8c6a8b7469a785d905aae444156fb273e3eee769abc4c07"

@@ -174,10 +174,10 @@ class TestScorerGradient:
         net = ScorerNet.init(2, 2, rng)
         X = rng.normal(size=(4, 2))
         y = np.array([0, 1, 0, 1])
-        _, grad = base_loss_grad(net, X, y, 5.0)
+        _, grad = base_loss_grad(net, X, y)
 
         def loss_at(theta):
-            return base_loss(ScorerNet(2, 2, theta), X, y, 5.0)
+            return base_loss(ScorerNet(2, 2, theta), X, y)
 
         fd = finite_difference(loss_at, net.theta)
         for j, g_fd in fd.items():
@@ -186,7 +186,7 @@ class TestScorerGradient:
     def test_stationary_point_zero_gradient(self):
         # a normal scored exactly 0 sits at the loss floor
         net = ScorerNet(2, 3, np.zeros(ScorerNet.param_count(2, 3)))
-        loss, grad = base_loss_grad(net, np.array([[1.0, 2.0]]), np.array([0]), 5.0)
+        loss, grad = base_loss_grad(net, np.array([[1.0, 2.0]]), np.array([0]))
         assert loss == 0.0
         assert (grad == 0.0).all()
 
@@ -196,8 +196,8 @@ class TestScorerGradient:
         net = ScorerNet.init(3, 4, rng)
         X = rng.normal(size=(5, 3))
         y = np.array([0, 1, 1, 0, 0])
-        _, total = base_loss_grad(net, X, y, 5.0)
-        parts = [base_loss_grad(net, X[i : i + 1], y[i : i + 1], 5.0)[1]
+        _, total = base_loss_grad(net, X, y)
+        parts = [base_loss_grad(net, X[i : i + 1], y[i : i + 1])[1]
                  for i in range(5)]
         np.testing.assert_allclose(5 * total, np.sum(parts, axis=0), atol=1e-12)
 

@@ -11,7 +11,7 @@ from hetanom.losses import base_loss_grad, deviation_loss_dscore
 from hetanom.nets import AdamState, ScorerNet
 from hetanom.partition import TrainingTable
 from hetanom.seeding import rng_for
-from hetanom.train import TrainConfig, train_bases_epoch, train_scorers
+from hetanom.train import LR_BASE, TrainConfig, train_bases_epoch, train_scorers
 
 from conftest import make_dataset
 
@@ -52,7 +52,7 @@ def reference_support_epoch(net, adam_step, X, y, cfg, rng):
         half = cfg.batch_size // 2
         rows = np.concatenate([draw(normal_rows, cfg.batch_size - half),
                                draw(anomaly_rows, half)])
-        _, grad = base_loss_grad(net, X[rows], y[rows], cfg.margin)
+        _, grad = base_loss_grad(net, X[rows], y[rows])
         net.theta = adam_step(net.theta, grad)
 
 
@@ -68,7 +68,7 @@ class TestStackedScorer:
     def test_forward_and_backward(self, G):
         nets, stack, X, y = self.nets_and_batch(G)
         scores, cache = stack.forward_with_cache(X)
-        dscores = deviation_loss_dscore(scores, y, 5.0) / 32
+        dscores = deviation_loss_dscore(scores, y) / 32
         grad = stack.backward(cache, dscores)
         assert scores.shape == (G, 32) and grad.shape == stack.theta.shape
         for i, net in enumerate(nets):
@@ -78,10 +78,10 @@ class TestStackedScorer:
 
     def test_base_loss_grad(self, G):
         nets, stack, X, y = self.nets_and_batch(G)
-        losses, grads = base_loss_grad(stack, X, y, 5.0)
+        losses, grads = base_loss_grad(stack, X, y)
         assert losses.shape == (G,)
         for i, net in enumerate(nets):
-            loss_i, grad_i = base_loss_grad(net, X[i], y[i], 5.0)
+            loss_i, grad_i = base_loss_grad(net, X[i], y[i])
             assert bits(losses[i]) == bits(loss_i)
             np.testing.assert_array_equal(bits(grads[i]), bits(grad_i))
 
@@ -137,7 +137,7 @@ class TestRaggedTraining:
             stack, scores = train_bases_epoch(g, table, cfg, epoch)
             for i, rows in enumerate(table.support_rows):
                 want = ScorerNet(g.dim, g.hidden, g.theta.copy())
-                reference_support_epoch(want, reference_adam(cfg.lr_base), table.X[rows],
+                reference_support_epoch(want, reference_adam(LR_BASE), table.X[rows],
                                         table.y[rows], cfg,
                                         rng_for(cfg.seed, "batches", epoch))
                 np.testing.assert_array_equal(bits(stack.theta[i]), bits(want.theta))
@@ -152,7 +152,7 @@ class TestRaggedTraining:
         got = train_scorers(init, table.X, table.y, table.support_rows, cfg, 3, seeds)
         for i, rows in enumerate(table.support_rows):
             net = ScorerNet(init[i].dim, init[i].hidden, init[i].theta.copy())
-            adam_step = reference_adam(cfg.lr_base)
+            adam_step = reference_adam(LR_BASE)
             for epoch in range(3):
                 reference_support_epoch(net, adam_step, table.X[rows], table.y[rows], cfg,
                                         rng_for(seeds[i], "plain", epoch))

@@ -10,6 +10,12 @@ from hetanom.partition import build_distributions, kmeans
 from hetanom.schema import build
 from hetanom.seeding import derive_seed, rng_for
 from hetanom.train import (
+    C_OTHER,
+    C_UNSEEN,
+    LR_BASE,
+    LR_SEQ,
+    LR_UNIFIED,
+    SEQ_BATCH_SIZE,
     ImportanceState,
     TrainConfig,
     fit,
@@ -31,9 +37,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="K"):
             TrainConfig(K=9, warmup_epochs=5)
 
-    def test_lr_positive(self):
-        with pytest.raises(ConfigurationError, match="lr_base"):
-            TrainConfig(lr_base=0.0)
+    def test_paper_values_are_constants(self):
+        # the paper fixes them, so no config sets them
+        assert (LR_BASE, LR_UNIFIED, LR_SEQ, SEQ_BATCH_SIZE, C_UNSEEN, C_OTHER) == \
+            (2e-4, 5e-3, 2e-2, 256, 1.0, 0.5)
+        assert list(TrainConfig.__dataclass_fields__) == [
+            "T", "C", "K", "epochs", "warmup_epochs", "batch_size", "hidden",
+            "strict_openness", "seed"]
 
 
 class TestImportanceWeights:
@@ -71,8 +81,7 @@ class TestGeneralizationErrors:
         y = np.array([1])
         r = generalization_errors(preds, y,
                                   support_normal_masks=[np.array([False])],
-                                  support_anomaly_masks=[np.array([False])],
-                                  c_unseen=1.0, c_other=0.5)
+                                  support_anomaly_masks=[np.array([False])])
         assert r[0] == 1.0
 
     def test_seen_anomaly_downweighted(self):
@@ -133,7 +142,7 @@ class TestTrainBasesEpoch:
         zero = ScorerNet(2, 4, np.zeros(ScorerNet.param_count(2, 4)))
         cfg = TrainConfig(T=1, batch_size=2, seed=0)
         net = ScorerNet(zero.dim, zero.hidden, zero.theta.copy())
-        train_support_epoch(net, AdamState(cfg.lr_base), ds.features[:1],
+        train_support_epoch(net, AdamState(LR_BASE), ds.features[:1],
                             np.array([0]), cfg, rng_for(0, "x"))
         assert (net.theta == zero.theta).all()
 
@@ -173,7 +182,7 @@ class TestFit:
         improved = 0
         for i in range(cfg.T):
             rows = table.support_rows[i]
-            before = base_loss(g0, table.X[rows], table.y[rows], cfg.margin)
+            before = base_loss(g0, table.X[rows], table.y[rows])
             after = res.log[0]["support_loss"][i]
             improved += int(after < before)
         assert improved >= 6
@@ -211,13 +220,13 @@ class TestDegenerateEquivalence:
         qry = table.query_rows[0]
 
         g = ScorerNet.init(small_ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
-        g_opt = AdamState(cfg.lr_unified)
+        g_opt = AdamState(LR_UNIFIED)
         trajectory = []
         for epoch in range(cfg.epochs):
             phi = ScorerNet(g.dim, g.hidden, g.theta.copy())
-            train_support_epoch(phi, AdamState(cfg.lr_base), table.X[sup],
+            train_support_epoch(phi, AdamState(LR_BASE), table.X[sup],
                                 table.y[sup], cfg, rng_for(cfg.seed, "batches", epoch))
-            _, grad = base_loss_grad(phi, table.X[qry], table.y[qry], cfg.margin)
+            _, grad = base_loss_grad(phi, table.X[qry], table.y[qry])
             g = ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, 1.0 * grad))
             trajectory.append(g.theta.copy())
 
@@ -236,8 +245,8 @@ class TestUnifiedUpdateLinearity:
             X = rng.normal(size=(6, 3))
             y = rng.integers(0, 2, size=6)
             bases.append((net, X, y))
-        _, weighted, _ = cdl_loss(bases, np.full(4, 0.25), 5.0)
-        unweighted = [base_loss_grad(net, X, y, 5.0)[1] for net, X, y in bases]
+        _, weighted, _ = cdl_loss(bases, np.full(4, 0.25))
+        unweighted = [base_loss_grad(net, X, y)[1] for net, X, y in bases]
         agg_w = np.sum(weighted, axis=0)
         agg_u = np.sum(unweighted, axis=0) / 4.0
         np.testing.assert_allclose(agg_w, agg_u, atol=1e-12)
