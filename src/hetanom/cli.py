@@ -37,7 +37,7 @@ from .schema import build
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
-MANIFEST_VERSION = 6
+MANIFEST_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,7 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
     if set(config.variants) & set(CLUSTERING_VARIANTS):
         swept_C = config.sweep is not None and config.sweep.param == "C"
         for C in config.sweep.values if swept_C else (config.train.C,):
-            check_clusters(ds, config.protocol, C)
+            check_clusters(ds, C)
     cfg = replace(config.train, seed=config.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.sweep is not None:

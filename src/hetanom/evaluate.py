@@ -26,6 +26,8 @@ from .train import TrainConfig, fit, simulate, train_scorer, train_scorers
 
 #: the repo's fixed evaluation seeds
 BENCHMARK_SEEDS = tuple(range(10))
+#: the share of a dataset's normals each seed trains on; the rest are tested on
+TRAIN_FRACTION = 0.75
 
 VARIANTS = ("AHL", "HADG_only", "RamHADG", "RamFULL", "CDL_minus", "Homogeneous")
 CLUSTERING_VARIANTS = ("AHL", "CDL_minus", "HADG_only")  # they run kmeans on the normals
@@ -76,7 +78,6 @@ class ProtocolSpec:
     m_anomalies: int = 10
     seen_class: str | None = None
     seeds: tuple[int, ...] = BENCHMARK_SEEDS
-    train_fraction: float = 0.75
 
     def __post_init__(self):
         if self.kind not in ("general", "hard"):
@@ -89,8 +90,6 @@ class ProtocolSpec:
             raise ConfigurationError("seeds: must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigurationError("seeds: must be distinct")
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigurationError("train_fraction: must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -188,12 +187,13 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
 
 
 def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):
-    """Per-seed train/test construction: normals split by train_fraction,
-    M training anomalies per the protocol, every other anomaly to test."""
+    """Per-seed train/test construction: ``TRAIN_FRACTION`` of the normals
+    to train, the rest to test, M training anomalies per the protocol, every
+    other anomaly to test."""
     normal_rows = ds.normal_rows()
     first, second = split_rows(ds.labels[normal_rows], SplitSpec(
         seed=derive_seed(seed, "normal-split"),
-        fractions=(spec.train_fraction, 1.0 - spec.train_fraction)))
+        fractions=(TRAIN_FRACTION, 1.0 - TRAIN_FRACTION)))
     norm_train, norm_test = normal_rows[first], normal_rows[second]
     anomaly_rows = ds.anomaly_rows()
     pool = anomaly_pool(ds, spec)
@@ -226,35 +226,23 @@ def anomaly_pool(ds: FeatureDataset, spec: ProtocolSpec) -> np.ndarray:
 
 
 def check_split(ds: FeatureDataset, spec: ProtocolSpec) -> None:
-    """Refuse, as a config error, a protocol whose per-seed split ``ds``
-    cannot carry: too few anomalies to draw, none left to test, or a
-    normal part left empty."""
+    """Refuse, as a config error, a per-seed split ``ds`` cannot carry: fewer
+    than 3 normals (3 split into the 2 the pseudo anomalies need to train
+    and 1 to test), too few anomalies to draw, or none left to test."""
+    if ds.n_normal < 3:
+        raise ConfigurationError(f"dataset: {ds.n_normal} normals leave none to test on")
     anomaly_pool(ds, spec)
     if spec.m_anomalies == ds.n_anomaly:
         raise ConfigurationError(
             f"protocol.m_anomalies: {spec.m_anomalies} leaves none of the "
             f"{ds.n_anomaly} anomalies to test")
-    f = spec.train_fraction
-    counts = _largest_remainder(ds.n_normal, (f, 1.0 - f))
-    if min(counts) == 0:
-        part = "train" if counts[0] == 0 else "test"
-        raise ConfigurationError(
-            f"protocol.train_fraction: {f} leaves no normal to {part} on "
-            f"({ds.n_normal} normals)")
 
 
-def check_clusters(ds: FeatureDataset, spec: ProtocolSpec, C: int) -> None:
-    """Refuse a ``train.C`` above the normals one seed of the protocol trains
-    on, and a split that leaves fewer than 2 of them to corrupt into pseudo
-    anomalies."""
-    f = spec.train_fraction
-    n_train = _largest_remainder(ds.n_normal, (f, 1.0 - f))[0]
+def check_clusters(ds: FeatureDataset, C: int) -> None:
+    """Refuse a ``train.C`` above the normals one seed trains on."""
+    n_train = _largest_remainder(ds.n_normal, (TRAIN_FRACTION, 1.0 - TRAIN_FRACTION))[0]
     if C > n_train:
         raise ConfigurationError(f"train.C: {C} exceeds the {n_train} normals a seed trains on")
-    if n_train < 2:
-        raise ConfigurationError(
-            f"protocol.train_fraction: {f} leaves {n_train} training normal; "
-            f"pseudo anomalies need at least 2")
 
 
 def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
@@ -292,13 +280,18 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
                       seen_classes=tuple(seen_classes))
 
 
-#: the (ds, spec, variant, cfg, seed) jobs of the running ``run_protocols``,
-#: set before its workers fork so that they inherit them
+#: the (ds, spec, variant, cfg, seed) jobs of the running ``run_protocols``
+#: and, in a pool, the event that makes its workers skip the jobs they have
+#: not started; set before its workers fork so that they inherit them
 _JOBS: tuple = ()
+_STOP = None
 
 
-def _run_job(index: int) -> tuple[SeedResult, VariantModel]:
-    """Train and score job ``index`` of ``_JOBS``: one variant on one seed's split."""
+def _run_job(index: int) -> tuple[SeedResult, VariantModel] | None:
+    """Train and score job ``index`` of ``_JOBS``: one variant on one seed's
+    split; None, at once, after ``_STOP`` is set."""
+    if _STOP is not None and _STOP.is_set():
+        return None
     ds, spec, variant, cfg, seed = _JOBS[index]
     root = derive_seed(cfg.seed, "protocol", seed)
     train_ds, test_ds, seen_classes = _protocol_split(ds, spec, root)
@@ -316,6 +309,17 @@ def _ignore_sigint():
     signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def _wind_down(pool, error) -> None:
+    """Let ``pool``'s workers exit by themselves, skipping the jobs they have
+    not started, unless ``error`` is no ``Exception`` (Ctrl-C): a worker that
+    ``terminate`` kills while it sends a result dies holding the result
+    queue's lock, and the pool's teardown then waits for that lock for ever."""
+    if error is None or issubclass(error, Exception):
+        _STOP.set()
+        pool.close()
+        pool.join()
+
+
 @one_blas_thread()
 def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
                   model_sink=None) -> list[EvalResult]:
@@ -329,9 +333,10 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
     Results do not depend on the worker count. ``model_sink(seed, model)``
     is invoked in this process with each trained model, in serial order
     (for persisting logs and checkpoints). A failing job raises as it would
-    serially: the first in serial order wins, and no sink runs after it.
+    serially: the first in serial order wins, and no sink runs after it; the
+    jobs running then finish first, and the workers skip the rest.
     """
-    global _JOBS
+    global _JOBS, _STOP
     import multiprocessing  # here, as at module level it adds 11-18 ms to ``import hetanom``
 
     runs = [(canonical_variant(variant), cfg) for variant, cfg in runs]
@@ -342,13 +347,16 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
               and not multiprocessing.current_process().daemon
               and threading.active_count() == 1)
     per_seed = []
-    saved, _JOBS = _JOBS, jobs
+    saved, (_JOBS, _STOP) = (_JOBS, _STOP), (jobs, None)
     try:
         with contextlib.ExitStack() as stack:
             if pooled:
-                # leaving the stack terminates and reaps the workers, also on an error
-                pool = stack.enter_context(
-                    multiprocessing.get_context("fork").Pool(workers, _ignore_sigint))
+                context = multiprocessing.get_context("fork")
+                _STOP = context.Event()
+                # leaving the stack winds the workers down, then terminates and
+                # reaps what is left
+                pool = stack.enter_context(context.Pool(workers, _ignore_sigint))
+                stack.push(lambda error, *_: _wind_down(pool, error))
                 outputs = pool.imap(_run_job, range(len(jobs)))
             else:
                 outputs = map(_run_job, range(len(jobs)))
@@ -357,7 +365,7 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
                     model_sink(result.seed, model)
                 per_seed.append(result)
     finally:
-        _JOBS = saved
+        _JOBS, _STOP = saved
     n = len(seeds)
     return [EvalResult(variant, spec.kind, tuple(per_seed[i * n:(i + 1) * n]))
             for i, (variant, _) in enumerate(runs)]

@@ -305,23 +305,22 @@ class SequencePredictor:
         return self.theta[self._ifog_index[layer, part]]
 
     def forward(self, history: np.ndarray) -> np.ndarray:
-        """(n, K, T) history -> (n, T) prediction."""
-        out, _ = self.forward_with_cache(history, keep=False)
-        return out
+        """(n, K, T) history -> (n, T) prediction. Rows are independent:
+        aligned blocks keep the temporaries small and every row's bits those
+        of one call (see the module notes); no per-step state is kept."""
+        S = self._checked(history)
+        return np.concatenate([self._forward(S[rows], keep=False)[0]
+                               for rows in _aligned_blocks(len(S), self.INFER_ROWS)])
 
-    def forward_with_cache(self, history, keep: bool = True):
-        """Prediction for an (n, K, T) history and the cache ``backward``
-        needs; with ``keep=False`` no per-step state is kept and the cache
-        is None."""
+    def forward_with_cache(self, history):
+        """Prediction for an (n, K, T) history and the cache ``backward`` needs."""
+        return self._forward(self._checked(history), keep=True)
+
+    def _checked(self, history):
         S = np.asarray(history, dtype=np.float64)
         if S.ndim != 3 or S.shape[2] != self.t_dim:
             raise ShapeError(f"history must be (n, K, {self.t_dim}), got {S.shape}")
-        if keep:
-            return self._forward(S, keep=True)
-        # rows are independent: aligned blocks keep the temporaries small
-        # and every row's bits those of one call (see the module notes)
-        return np.concatenate([self._forward(S[rows], keep=False)[0]
-                               for rows in _aligned_blocks(len(S), self.INFER_ROWS)]), None
+        return S
 
     def _forward(self, S, keep):
         H = self.HIDDEN

@@ -19,7 +19,7 @@ import numpy as np
 from .data import ANOMALY, NORMAL, FeatureDataset
 from .errors import CapacityError, ConfigurationError, ContractError, ValidationError
 from .seeding import derive_seed, rng_for
-from .synth import ALL_KINDS, PseudoAnomalyRecipe, PseudoKind, synthesize_pseudo
+from .synth import ALL_KINDS, PseudoKind, synthesize_pseudo
 
 ALL_NORMALS = -1  # marks the subset built from every normal cluster
 
@@ -396,9 +396,7 @@ def _inject_pseudo(ds, source_rows, normal_rows, kind, count, seed, subset_idx, 
         donor = src
         while donor == src:
             donor = normal_rows[int(rng.integers(len(normal_rows)))]
-        recipe = PseudoAnomalyRecipe(
-            kind=kind, seed=derive_seed(seed, "pseudo", subset_idx, side, j)
-        )
-        pseudo_feats.append(synthesize_pseudo(ds.features[src], ds.features[donor], recipe))
+        pseudo_feats.append(synthesize_pseudo(ds.features[src], ds.features[donor], kind,
+                                              derive_seed(seed, "pseudo", subset_idx, side, j)))
         pseudo_ids.append(f"pseudo:{subset_idx}:{side}:{j}")
     return np.arange(start, start + count)

@@ -138,38 +138,30 @@ def default_benchmark(seed: int = 7) -> MixtureSpec:
     return MixtureSpec(dim=d, normal_components=normals, anomaly_components=anomalies, seed=seed)
 
 
-@dataclass(frozen=True)
-class PseudoAnomalyRecipe:
-    """One corruption recipe. A recipe is a pure function of its seed:
-    free parameters (blend weight, segment position, noise) are drawn from
-    a generator seeded by ``seed`` on every call, so the same recipe always
-    yields the same output for the same inputs."""
+def synthesize_pseudo(normal: np.ndarray, donor: np.ndarray, kind: PseudoKind,
+                      seed: int) -> np.ndarray:
+    """Corrupt ``normal`` into a pseudo anomaly of recipe ``kind``.
 
-    kind: PseudoKind
-    seed: int = 0
-
-
-def synthesize_pseudo(normal: np.ndarray, donor: np.ndarray, recipe: PseudoAnomalyRecipe) -> np.ndarray:
-    """Corrupt ``normal`` into a pseudo anomaly of the recipe's kind.
-
-    MixBlend draws its weight from [0.3, 0.7] and stays on the segment
-    between the two inputs. The segment recipes rewrite ``SEGMENT_FRACTION``
-    of the coordinates, rounded up, at a random start, and never touch the
-    coordinates outside it.
+    A recipe is a pure function of its seed: its free parameters (blend
+    weight, segment position, noise) are drawn from a generator seeded by
+    ``seed`` and ``kind`` on every call. MixBlend draws its weight from
+    [0.3, 0.7] and stays on the segment between the two inputs. The segment
+    recipes rewrite ``SEGMENT_FRACTION`` of the coordinates, rounded up, at
+    a random start, and never touch the coordinates outside it.
     """
     normal = np.asarray(normal, dtype=np.float64)
     donor = np.asarray(donor, dtype=np.float64)
     if normal.shape != donor.shape or normal.ndim != 1:
         raise ShapeError(f"normal shape {normal.shape} != donor shape {donor.shape}")
     d = normal.shape[0]
-    rng = rng_for(recipe.seed, "pseudo", recipe.kind.value)
-    if recipe.kind is PseudoKind.MIX_BLEND:
+    rng = rng_for(seed, "pseudo", kind.value)
+    if kind is PseudoKind.MIX_BLEND:
         lam = rng.uniform(0.3, 0.7)
         return lam * normal + (1.0 - lam) * donor
     length = math.ceil(SEGMENT_FRACTION * d)
     start = int(rng.integers(0, d - length + 1))
     out = normal.copy()
-    if recipe.kind is PseudoKind.SEGMENT_SWAP:
+    if kind is PseudoKind.SEGMENT_SWAP:
         out[start : start + length] = donor[start : start + length]
     else:  # NOISE_MASK
         noise = rng.standard_normal(length)

@@ -104,9 +104,9 @@ class TestParseConfig:
         (("seed",), True),
         (("sweep",), {"param": "C", "values": ["x"]}),
         (("sweep",), {"param": "C", "values": [True]}),
-        (("protocol", "train_fraction"), "x"),
-        (("protocol", "train_fraction"), True),
-        (("protocol", "train_fraction"), float("nan")),
+        (("dataset", "spec", "normal_components", 0, "std", 0), "x"),
+        (("dataset", "spec", "normal_components", 0, "std", 0), True),
+        (("dataset", "spec", "normal_components", 0, "std", 0), float("nan")),
         (("train", "T"), "7"),
         (("train", "T"), 2.5),
         (("train", "T"), True),
@@ -128,7 +128,8 @@ class TestParseConfig:
         (("dataset", "spec", "anomaly_components", 1, "mean"), [True] * 6),
         (("dataset", "spec", "anomaly_components", 0, "class_tag"), 3),
         (("dataset", "spec", "anomaly_components", 1, "tag"), "cold"),
-        pytest.param(("protocol", "train_fraction"), 10**400, id="path29-int-beyond-float"),
+        pytest.param(("dataset", "spec", "normal_components", 0, "std", 0), 10**400,
+                     id="path29-int-beyond-float"),
     ])
     def test_wrong_type_names_field(self, tmp_path, path, value):
         cfg = minimal_config(tmp_path / "out")
@@ -164,6 +165,15 @@ class TestParseConfig:
         field = re.escape(".".join(path))
         with pytest.raises(ConfigurationError, match=rf"^{field}: unknown field$"):
             parse_config(cfg)
+
+    def test_train_fraction_is_an_unknown_field(self, tmp_path, capsys):
+        # the split is the constant evaluate.TRAIN_FRACTION
+        out = tmp_path / "out"
+        cfg = minimal_config(out)
+        cfg["protocol"]["train_fraction"] = 0.75
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == "config error: protocol.train_fraction: unknown field\n"
+        assert not out.exists()
 
     def test_duplicate_sweep_values_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -246,35 +256,36 @@ class TestParseConfig:
                                            "a seed trains on\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("protocol, train, message", [
-        ({"m_anomalies": 40}, {},
-         "protocol.m_anomalies: 40 leaves none of the 40 anomalies to test"),
-        ({"train_fraction": 0.999}, {},
-         "protocol.train_fraction: 0.999 leaves no normal to test on (120 normals)"),
-        ({"train_fraction": 0.001}, {},
-         "protocol.train_fraction: 0.001 leaves no normal to train on (120 normals)"),
-        ({"train_fraction": 0.01}, {"T": 1, "C": 1},
-         "protocol.train_fraction: 0.01 leaves 1 training normal; "
-         "pseudo anomalies need at least 2"),
-    ], ids=["no-test-anomaly", "no-test-normal", "no-train-normal", "one-train-normal"])
+    @pytest.mark.parametrize("protocol, message", [
+        ({"m_anomalies": 40}, "protocol.m_anomalies: 40 leaves none of the 40 anomalies to test"),
+    ], ids=["no-test-anomaly"])
     def test_split_the_data_cannot_carry_refused_before_writing(
-            self, tmp_path, capsys, protocol, train, message):
-        # 120 normals and 40 anomalies; each of these failed mid-run once,
-        # after other jobs had written their logs
+            self, tmp_path, capsys, protocol, message):
+        # 120 normals and 40 anomalies; this failed mid-run once, after
+        # other jobs had written their logs
         out = tmp_path / "out"
         cfg = minimal_config(out, seeds=(0, 1))
         cfg["protocol"].update(protocol)
-        cfg["train"].update(train)
         assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
+    def test_two_normals_refused_before_writing(self, tmp_path, capsys):
+        # a 0.75 split of 2 normals trains on both and tests on none
+        out = tmp_path / "out"
+        cfg = minimal_config(out)
+        cfg["dataset"]["spec"]["normal_components"] = [
+            {"mean": [0.0] * 6, "std": [1.0] * 6, "count": 2}]
+        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert capsys.readouterr().err == "config error: dataset: 2 normals leave none to test on\n"
+        assert not out.exists()
+
     def test_clusters_checked_against_the_training_split(self, tmp_path):
+        # 120 normals, of which a 0.75 split trains on 90
         ds, _ = parse_config(minimal_config(tmp_path / "out")).dataset.load()
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,), train_fraction=0.6)
-        check_clusters(ds, spec, 72)
-        with pytest.raises(ConfigurationError, match=r"^train.C: 73 exceeds the 72 normals"):
-            check_clusters(ds, spec, 73)
+        check_clusters(ds, 90)
+        with pytest.raises(ConfigurationError, match=r"^train.C: 91 exceeds the 90 normals"):
+            check_clusters(ds, 91)
 
     def test_variant_without_clusters_runs_with_a_large_C(self, tmp_path):
         out = tmp_path / "out"
@@ -472,7 +483,8 @@ class TestReplay:
         (4, {"train": dict(seed=0)}),
         (5, {"train": dict(lr_base=2e-4, lr_unified=5e-3, lr_seq=2e-2, seq_batch_size=256,
                            c_unseen=1.0, c_other=0.5, margin=5.0)}),
-    ], ids=["1", "2", "3", "4", "5"])
+        (6, {"protocol": dict(train_fraction=0.75)}),
+    ], ids=["1", "2", "3", "4", "5", "6"])
     def test_old_manifest_version_refused(self, tmp_path, version, gone):
         cfg = minimal_config(tmp_path / "out")
         for section, values in gone.items():

@@ -40,8 +40,6 @@ def cases():
     yield ProtocolSpec, HARD, "seen_class", ""
     yield ProtocolSpec, HARD, "seeds", ()
     yield ProtocolSpec, HARD, "seeds", (1, 1)
-    for bad in (0.0, 1.0, math.nan):
-        yield ProtocolSpec, HARD, "train_fraction", bad
 
     csv = {"kind": "csv", "path": "data.csv"}
     yield DatasetSource, {"kind": "synthetic"}, "kind", "parquet"

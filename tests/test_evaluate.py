@@ -299,6 +299,30 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
         assert evaluate._JOBS == ()
 
+    @pytest.mark.parametrize("failure", ["job", "sink"])
+    def test_workers_exit_by_themselves_after_an_error(self, monkeypatch, failure):
+        # a worker that Pool.terminate kills while it sends a result dies
+        # holding the result queue's lock, which can hang the pool's teardown
+        context = multiprocessing.get_context("fork")
+        pools, inner = [], context.Pool
+
+        def pool(*args, **kwargs):
+            pools.append(inner(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(context, "Pool", pool)
+        if failure == "job":
+            self.fail_jobs(monkeypatch, {("Homogeneous", 0): (0.0, "job failed")})
+
+        def sink(seed, model):
+            raise RuntimeError("sink failed")
+
+        with pytest.raises((NumericError, RuntimeError), match=f"^{failure} failed$"):
+            run_protocols(tiny_benchmark(), self.SPEC, self.RUNS, model_sink=sink)
+        assert len(pools) == 1
+        assert [worker.exitcode for worker in pools[0]._pool] == [0, 0]
+        assert evaluate._JOBS == () and evaluate._STOP is None
+
 
 def test_import_leaves_multiprocessing_unloaded():
     # multiprocessing costs 11-18 ms of import time; run_protocols imports it

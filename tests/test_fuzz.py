@@ -199,8 +199,7 @@ def small_run_configs(draw):
     tags = ["a", "b", "c"][:draw(st.integers(1, 3))]
     kind = draw(st.sampled_from(["general", "hard"]))
     protocol = {"kind": kind, "m_anomalies": draw(st.integers(1, 8)),
-                "seeds": draw(st.sampled_from([[0], [0, 1]])),
-                "train_fraction": draw(st.sampled_from([0.25, 0.5, 0.75]))}
+                "seeds": draw(st.sampled_from([[0], [0, 1]]))}
     if kind == "hard":
         protocol["seen_class"] = draw(st.sampled_from(tags))
     return {

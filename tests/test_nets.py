@@ -315,7 +315,6 @@ class TestSequencePredictor:
             np.testing.assert_array_equal(net.forward(history).view(np.uint64),
                                           out.view(np.uint64))
             assert cache is not None
-        assert net.forward_with_cache(history, keep=False)[1] is None
 
     @pytest.mark.parametrize("t_dim", [1, 7])
     def test_inference_blocks_give_the_one_call_bits(self, t_dim):

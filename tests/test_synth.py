@@ -9,7 +9,6 @@ from hetanom.synth import (
     SEGMENT_FRACTION,
     Component,
     MixtureSpec,
-    PseudoAnomalyRecipe,
     PseudoKind,
     default_benchmark,
     generate,
@@ -91,8 +90,7 @@ class TestGenerate:
 class TestSynthesizePseudo:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            synthesize_pseudo(np.zeros(3), np.zeros(4),
-                              PseudoAnomalyRecipe(PseudoKind.MIX_BLEND, seed=0))
+            synthesize_pseudo(np.zeros(3), np.zeros(4), PseudoKind.MIX_BLEND, seed=0)
 
     @pytest.mark.parametrize("kind", [PseudoKind.SEGMENT_SWAP, PseudoKind.NOISE_MASK])
     def test_mask_locality(self, kind):
@@ -102,7 +100,7 @@ class TestSynthesizePseudo:
         for seed in range(60):
             rng = np.random.default_rng(seed)
             normal, donor = rng.normal(size=d), rng.normal(size=d)
-            out = synthesize_pseudo(normal, donor, PseudoAnomalyRecipe(kind, seed=seed))
+            out = synthesize_pseudo(normal, donor, kind, seed=seed)
             changed = np.flatnonzero(out != normal)
             block = int(np.ceil(SEGMENT_FRACTION * d))
             assert len(changed) <= block
@@ -113,8 +111,7 @@ class TestSynthesizePseudo:
         for seed in range(60):
             rng = np.random.default_rng(seed)
             normal, donor = rng.normal(size=10), rng.normal(size=10)
-            out = synthesize_pseudo(normal, donor,
-                                    PseudoAnomalyRecipe(PseudoKind.MIX_BLEND, seed=seed))
+            out = synthesize_pseudo(normal, donor, PseudoKind.MIX_BLEND, seed=seed)
             lo = np.minimum(normal, donor) - 1e-12
             hi = np.maximum(normal, donor) + 1e-12
             assert ((out >= lo) & (out <= hi)).all()
@@ -122,7 +119,6 @@ class TestSynthesizePseudo:
     def test_same_recipe_same_output(self):
         rng = np.random.default_rng(0)
         normal, donor = rng.normal(size=6), rng.normal(size=6)
-        recipe = PseudoAnomalyRecipe(PseudoKind.NOISE_MASK, seed=11)
-        a = synthesize_pseudo(normal, donor, recipe)
-        b = synthesize_pseudo(normal, donor, recipe)
+        a = synthesize_pseudo(normal, donor, PseudoKind.NOISE_MASK, seed=11)
+        b = synthesize_pseudo(normal, donor, PseudoKind.NOISE_MASK, seed=11)
         np.testing.assert_array_equal(a, b)
