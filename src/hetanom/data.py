@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ConfigurationError,
     ParseError,
     SchemaError,
     SplitError,
@@ -142,22 +141,17 @@ def _pick(values: tuple, rows: list[int]) -> tuple:
     return operator.itemgetter(*rows)(values) if rows else ()
 
 
+#: the share of each label class the first part of a split takes, the rest
+#: going to the second; each protocol seed trains on the first part of its normals
+TRAIN_FRACTION = 0.75
+_PARTS = (TRAIN_FRACTION, 1.0 - TRAIN_FRACTION)
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Seeded two-way split with fractions summing to 1."""
+    """Seeded two-way split, ``TRAIN_FRACTION`` to the first part."""
 
     seed: int
-    fractions: tuple[float, float] = (0.75, 0.25)
-
-    def __post_init__(self):
-        fr = tuple(float(f) for f in self.fractions)
-        if len(fr) != 2:
-            raise ConfigurationError("fractions: exactly two parts are supported")
-        if any(not (0.0 < f <= 1.0) for f in fr):
-            raise ConfigurationError("fractions: each must lie in (0, 1]")
-        if abs(sum(fr) - 1.0) > 1e-12:
-            raise ConfigurationError("fractions: must sum to 1 within 1e-12")
-        object.__setattr__(self, "fractions", fr)
 
 
 def stratified_split(ds: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDataset, FeatureDataset]:
@@ -178,10 +172,10 @@ def split_rows(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndar
     parts: list[list[np.ndarray]] = [[], []]
     for label in np.unique(labels).tolist():
         rows = np.flatnonzero(labels == label)
-        counts = _largest_remainder(len(rows), spec.fractions)
+        counts = part_sizes(len(rows))
         if min(counts) == 0:
             raise SplitError(
-                f"class {label}: fraction {spec.fractions} empties one part "
+                f"class {label}: fraction {_PARTS} empties one part "
                 f"({len(rows)} samples available)"
             )
         order = rng_for(spec.seed, "split", label).permutation(len(rows))
@@ -190,13 +184,15 @@ def split_rows(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndar
     return np.sort(np.concatenate(parts[0])), np.sort(np.concatenate(parts[1]))
 
 
-def _largest_remainder(n: int, fractions) -> list[int]:
-    ideal = [n * f for f in fractions]
+def part_sizes(n: int) -> list[int]:
+    """The sizes of the two parts of ``n`` samples of one label class, by
+    largest-remainder rounding of ``n * _PARTS``."""
+    ideal = [n * f for f in _PARTS]
     counts = [math.floor(x) for x in ideal]
     remainders = [x - c for x, c in zip(ideal, counts)]
     leftover = n - sum(counts)
     # ties broken toward the lower part index
-    for i in sorted(range(len(fractions)), key=lambda i: (-remainders[i], i))[:leftover]:
+    for i in sorted(range(len(_PARTS)), key=lambda i: (-remainders[i], i))[:leftover]:
         counts[i] += 1
     return counts
 

@@ -8,26 +8,22 @@ unseen at training time.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import os
-import signal
 import threading
 import csv as _csv
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .data import ANOMALY, FeatureDataset, SplitSpec, _largest_remainder, split_rows
-from .errors import ConfigurationError, ContractError, UndefinedMetricError
+from .data import ANOMALY, TRAIN_FRACTION, FeatureDataset, SplitSpec, part_sizes, split_rows
+from .errors import ConfigurationError, ContractError, HetanomError, UndefinedMetricError
 from .nets import ScorerNet, one_blas_thread
 from .seeding import derive_seed, rng_for
 from .train import TrainConfig, fit, simulate, train_scorer, train_scorers
 
 #: the repo's fixed evaluation seeds
 BENCHMARK_SEEDS = tuple(range(10))
-#: the share of a dataset's normals each seed trains on; the rest are tested on
-TRAIN_FRACTION = 0.75
 
 VARIANTS = ("AHL", "HADG_only", "RamHADG", "RamFULL", "CDL_minus", "Homogeneous")
 CLUSTERING_VARIANTS = ("AHL", "CDL_minus", "HADG_only")  # they run kmeans on the normals
@@ -191,9 +187,8 @@ def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):
     to train, the rest to test, M training anomalies per the protocol, every
     other anomaly to test."""
     normal_rows = ds.normal_rows()
-    first, second = split_rows(ds.labels[normal_rows], SplitSpec(
-        seed=derive_seed(seed, "normal-split"),
-        fractions=(TRAIN_FRACTION, 1.0 - TRAIN_FRACTION)))
+    first, second = split_rows(ds.labels[normal_rows],
+                               SplitSpec(seed=derive_seed(seed, "normal-split")))
     norm_train, norm_test = normal_rows[first], normal_rows[second]
     anomaly_rows = ds.anomaly_rows()
     pool = anomaly_pool(ds, spec)
@@ -240,7 +235,7 @@ def check_split(ds: FeatureDataset, spec: ProtocolSpec) -> None:
 
 def check_clusters(ds: FeatureDataset, C: int) -> None:
     """Refuse a ``train.C`` above the normals one seed trains on."""
-    n_train = _largest_remainder(ds.n_normal, (TRAIN_FRACTION, 1.0 - TRAIN_FRACTION))[0]
+    n_train = part_sizes(ds.n_normal)[0]
     if C > n_train:
         raise ConfigurationError(f"train.C: {C} exceeds the {n_train} normals a seed trains on")
 
@@ -280,18 +275,14 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
                       seen_classes=tuple(seen_classes))
 
 
-#: the (ds, spec, variant, cfg, seed) jobs of the running ``run_protocols``
-#: and, in a pool, the event that makes its workers skip the jobs they have
-#: not started; set before its workers fork so that they inherit them
+#: the (ds, spec, variant, cfg, seed) jobs of the running ``run_protocols``,
+#: set before its workers fork so that they inherit them
 _JOBS: tuple = ()
-_STOP = None
 
 
-def _run_job(index: int) -> tuple[SeedResult, VariantModel] | None:
+def _run_job(index: int) -> tuple[SeedResult, VariantModel]:
     """Train and score job ``index`` of ``_JOBS``: one variant on one seed's
-    split; None, at once, after ``_STOP`` is set."""
-    if _STOP is not None and _STOP.is_set():
-        return None
+    split."""
     ds, spec, variant, cfg, seed = _JOBS[index]
     root = derive_seed(cfg.seed, "protocol", seed)
     train_ds, test_ds, seen_classes = _protocol_split(ds, spec, root)
@@ -304,40 +295,30 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _ignore_sigint():
-    # Ctrl-C reaches the parent, which stops the workers
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _wind_down(pool, error) -> None:
-    """Let ``pool``'s workers exit by themselves, skipping the jobs they have
-    not started, unless ``error`` is no ``Exception`` (Ctrl-C): a worker that
-    ``terminate`` kills while it sends a result dies holding the result
-    queue's lock, and the pool's teardown then waits for that lock for ever."""
-    if error is None or issubclass(error, Exception):
-        _STOP.set()
-        pool.close()
-        pool.join()
-
-
 @one_blas_thread()
 def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
                   model_sink=None) -> list[EvalResult]:
     """Run each ``(variant, cfg)`` of ``runs`` across the protocol's seeds, in
     ascending order, and aggregate the AUCs; one ``EvalResult`` per run.
 
-    The (run, seed) jobs run in one pool of forked workers, one per usable
-    CPU up to the job count, or in this process where ``fork`` is missing,
-    one CPU is usable, this process is daemonic or it runs other threads
-    (a lock one of them holds at the fork would stay held in the worker).
-    Results do not depend on the worker count. ``model_sink(seed, model)``
-    is invoked in this process with each trained model, in serial order
-    (for persisting logs and checkpoints). A failing job raises as it would
-    serially: the first in serial order wins, and no sink runs after it; the
-    jobs running then finish first, and the workers skip the rest.
+    The (run, seed) jobs run in one process pool of forked workers, one per
+    usable CPU up to the job count, or in this process where ``fork`` is
+    missing, one CPU is usable, this process is daemonic or it runs other
+    threads (a lock one of them holds at the fork would stay held in the
+    worker). Results do not depend on the worker count.
+    ``model_sink(seed, model)`` is invoked in this process with each trained
+    model, in serial order (for persisting logs and checkpoints). A failing
+    job raises as it would serially: the first in serial order wins, and no
+    sink runs after it. On any error, a Ctrl-C included, the jobs not yet
+    handed to the workers are cancelled and the others finish. A worker
+    that dies fails the call with a ``HetanomError`` naming the first job,
+    in serial order, whose result was lost.
     """
-    global _JOBS, _STOP
-    import multiprocessing  # here, as at module level it adds 11-18 ms to ``import hetanom``
+    global _JOBS
+    # imported here, as at module level they add 11-18 ms to ``import hetanom``
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     runs = [(canonical_variant(variant), cfg) for variant, cfg in runs]
     seeds = sorted(spec.seeds)
@@ -346,26 +327,22 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
     pooled = (workers > 1 and "fork" in multiprocessing.get_all_start_methods()
               and not multiprocessing.current_process().daemon
               and threading.active_count() == 1)
-    per_seed = []
-    saved, (_JOBS, _STOP) = (_JOBS, _STOP), (jobs, None)
+    per_seed, pool = [], None
+    saved, _JOBS = _JOBS, jobs
     try:
-        with contextlib.ExitStack() as stack:
-            if pooled:
-                context = multiprocessing.get_context("fork")
-                _STOP = context.Event()
-                # leaving the stack winds the workers down, then terminates and
-                # reaps what is left
-                pool = stack.enter_context(context.Pool(workers, _ignore_sigint))
-                stack.push(lambda error, *_: _wind_down(pool, error))
-                outputs = pool.imap(_run_job, range(len(jobs)))
-            else:
-                outputs = map(_run_job, range(len(jobs)))
-            for result, model in outputs:
-                if model_sink is not None:
-                    model_sink(result.seed, model)
-                per_seed.append(result)
+        if pooled:
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        for result, model in (pool.map if pool else map)(_run_job, range(len(jobs))):
+            if model_sink is not None:
+                model_sink(result.seed, model)
+            per_seed.append(result)
+    except BrokenProcessPool as exc:
+        _, _, variant, _, seed = jobs[len(per_seed)]
+        raise HetanomError(f"protocol job ({variant}, seed {seed}): its worker died") from exc
     finally:
-        _JOBS, _STOP = saved
+        if pool is not None:  # after an error, cancels the jobs not yet handed to the workers
+            pool.shutdown(cancel_futures=True)
+        _JOBS = saved
     n = len(seeds)
     return [EvalResult(variant, spec.kind, tuple(per_seed[i * n:(i + 1) * n]))
             for i, (variant, _) in enumerate(runs)]

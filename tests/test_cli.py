@@ -2,8 +2,13 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
 import threading
+import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -167,7 +172,7 @@ class TestParseConfig:
             parse_config(cfg)
 
     def test_train_fraction_is_an_unknown_field(self, tmp_path, capsys):
-        # the split is the constant evaluate.TRAIN_FRACTION
+        # the split is the constant data.TRAIN_FRACTION
         out = tmp_path / "out"
         cfg = minimal_config(out)
         cfg["protocol"]["train_fraction"] = 0.75
@@ -394,6 +399,19 @@ def _tree(root: Path) -> dict[str, bytes]:
             if p.is_file()}
 
 
+def _group(pgid: int) -> list[int]:
+    """The pids of the processes in process group ``pgid``."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):  # the process ended while it was read
+            continue
+        if int(fields[2]) == pgid:
+            pids.append(int(stat.parent.name))
+    return pids
+
+
 class TestWorkers:
     """A run's (variant or swept value, seed) jobs run in a pool of forked
     workers; the artifacts do not depend on it."""
@@ -428,6 +446,32 @@ class TestWorkers:
         assert contexts == ["fork"]  # no pool the second time
         assert _tree(tmp_path / "pooled") == _tree(tmp_path / "serial")
         assert len(_tree(tmp_path / "pooled")) == (3 if sweep else 15)
+
+    @pytest.mark.skipif(evaluate._usable_cpus() < 2, reason="the pool needs 2 usable CPUs")
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the group from /proc")
+    def test_ctrl_c_ends_the_run_and_its_workers(self, tmp_path):
+        # two jobs of about 45 s each; SIGINT goes to the whole process
+        # group, as a terminal's Ctrl-C sends it
+        cfg = minimal_config(tmp_path / "out", seeds=(0, 1), epochs=10_000)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hetanom.cli", "run", "--config",
+             str(write_config(tmp_path, cfg))],
+            env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while len(_group(proc.pid)) < 3:  # the run and its two workers
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            proc.wait(timeout=10)
+            assert _group(proc.pid) == []
+        finally:
+            if _group(proc.pid):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
 
 
 class TestReplay:

@@ -9,7 +9,6 @@ import re
 import pytest
 
 from hetanom.cli import DatasetSource, RunConfig, SweepSpec, parse_config
-from hetanom.data import SplitSpec
 from hetanom.errors import ConfigurationError
 from hetanom.evaluate import ProtocolSpec
 from hetanom.schema import build
@@ -71,9 +70,6 @@ def cases():
     for bad in (0.0, -1.0) + NONFINITE:
         yield Component, COMPONENT, "std", (1.0, bad)
     yield Component, COMPONENT, "std", (1.0,)
-
-    for bad in ((1.0,), (0.0, 1.0), (0.6, 0.6), (math.nan, 0.5)):
-        yield SplitSpec, {"seed": 0}, "fractions", bad
 
 
 CASES = list(cases())

@@ -124,7 +124,7 @@ class TestDatasetInvariants:
 class TestStratifiedSplit:
     def test_exact_counts(self):
         ds = make_dataset(8, 4)
-        a, b = stratified_split(ds, SplitSpec(seed=1, fractions=(0.75, 0.25)))
+        a, b = stratified_split(ds, SplitSpec(seed=1))
         assert (a.n_normal, a.n_anomaly) == (6, 3)
         assert (b.n_normal, b.n_anomaly) == (2, 1)
 
@@ -147,11 +147,7 @@ class TestStratifiedSplit:
     def test_emptying_a_class_raises(self):
         ds = make_dataset(8, 1)
         with pytest.raises(SplitError):
-            stratified_split(ds, SplitSpec(seed=0, fractions=(0.75, 0.25)))
-
-    def test_fraction_validation(self):
-        with pytest.raises(Exception, match="fractions"):
-            SplitSpec(seed=0, fractions=(0.6, 0.3))
+            stratified_split(ds, SplitSpec(seed=0))
 
 
 class TestTakeMatchesConstructor:

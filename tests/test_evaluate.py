@@ -1,7 +1,9 @@
 import csv
 import io
+import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -11,7 +13,8 @@ import numpy as np
 import pytest
 
 from hetanom import evaluate
-from hetanom.errors import ConfigurationError, NumericError, UndefinedMetricError
+from hetanom.cli import main
+from hetanom.errors import ConfigurationError, HetanomError, NumericError, UndefinedMetricError
 from hetanom.evaluate import (
     METRICS,
     EvalResult,
@@ -26,6 +29,8 @@ from hetanom.evaluate import (
 )
 from hetanom.synth import Component, MixtureSpec, generate
 from hetanom.train import TrainConfig, fit
+
+from test_cli import minimal_config
 
 
 def auc_bruteforce(scores, labels):
@@ -274,7 +279,8 @@ class TestWorkerPool:
         with pytest.raises(NumericError) as info:
             self.run(sunk)
         assert type(info.value) is NumericError and str(info.value) == "job failed"
-        assert type(info.value.__cause__).__name__ == "RemoteTraceback"  # raised in a worker
+        # raised in a worker: the cause holds the worker's traceback
+        assert "raise NumericError(message)" in str(info.value.__cause__)
         assert sunk == [("Homogeneous", 0), ("Homogeneous", 1), ("Homogeneous", 2), ("RamFULL", 0)]
         assert multiprocessing.active_children() == []
         assert evaluate._JOBS == ()
@@ -299,29 +305,61 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
         assert evaluate._JOBS == ()
 
-    @pytest.mark.parametrize("failure", ["job", "sink"])
+    @pytest.mark.parametrize("failure", ["job", "sink", "KeyboardInterrupt"])
     def test_workers_exit_by_themselves_after_an_error(self, monkeypatch, failure):
-        # a worker that Pool.terminate kills while it sends a result dies
-        # holding the result queue's lock, which can hang the pool's teardown
-        context = multiprocessing.get_context("fork")
-        pools, inner = [], context.Pool
-
-        def pool(*args, **kwargs):
-            pools.append(inner(*args, **kwargs))
-            return pools[-1]
-
-        monkeypatch.setattr(context, "Pool", pool)
+        # the jobs not yet handed to the workers are cancelled, the others
+        # finish, and every worker exits by itself before the call returns
         if failure == "job":
-            self.fail_jobs(monkeypatch, {("Homogeneous", 0): (0.0, "job failed")})
+            self.fail_jobs(monkeypatch, {("Homogeneous", 1): (0.0, "job failed")})
+        error = KeyboardInterrupt if failure == "KeyboardInterrupt" else RuntimeError
+        workers = []
 
         def sink(seed, model):
-            raise RuntimeError("sink failed")
+            workers.extend(multiprocessing.active_children())
+            if failure != "job":
+                raise error(f"{failure} failed")
 
-        with pytest.raises((NumericError, RuntimeError), match=f"^{failure} failed$"):
+        with pytest.raises((NumericError, error), match=f"^{failure} failed$"):
             run_protocols(tiny_benchmark(), self.SPEC, self.RUNS, model_sink=sink)
-        assert len(pools) == 1
-        assert [worker.exitcode for worker in pools[0]._pool] == [0, 0]
-        assert evaluate._JOBS == () and evaluate._STOP is None
+        assert multiprocessing.active_children() == []
+        assert len(workers) == 2 and [worker.exitcode for worker in workers] == [0, 0]
+        assert evaluate._JOBS == ()
+
+    @staticmethod
+    def kill_worker_of(monkeypatch, job):
+        """Make job ``(variant, seed)`` SIGKILL the worker it runs in, as the
+        OOM killer would."""
+        parent, inner = os.getpid(), evaluate._score_test
+
+        def score(model, test_ds, seed, seen_classes):
+            if (model.name, seed) == job and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return inner(model, test_ds, seed, seen_classes)
+
+        monkeypatch.setattr(evaluate, "_score_test", score)
+
+    def test_killed_worker_fails_the_call_by_name(self, monkeypatch):
+        self.kill_worker_of(monkeypatch, ("Homogeneous", 0))
+        sunk = []
+        start = time.monotonic()
+        with pytest.raises(HetanomError) as info:
+            self.run(sunk)
+        assert time.monotonic() - start < 10
+        assert str(info.value) == "protocol job (Homogeneous, seed 0): its worker died"
+        assert sunk == []
+        assert multiprocessing.active_children() == []
+        assert evaluate._JOBS == ()
+
+    def test_killed_worker_fails_the_run_with_exit_code_1(self, tmp_path, monkeypatch, capsys):
+        self.kill_worker_of(monkeypatch, ("Homogeneous", 0))
+        out = tmp_path / "out"
+        cfg = minimal_config(out, seeds=(0, 1), variants=("Homogeneous",), epochs=2)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: HetanomError: protocol job (Homogeneous, seed 0): its worker died\n")
+        assert multiprocessing.active_children() == []
 
 
 def test_import_leaves_multiprocessing_unloaded():
