@@ -283,6 +283,9 @@ def main(argv=None) -> int:
     except HetanomError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

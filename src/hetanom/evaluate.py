@@ -290,6 +290,33 @@ def _run_job(index: int) -> tuple[SeedResult, VariantModel]:
     return _score_test(model, test_ds, seed, seen_classes), model
 
 
+#: set in a worker once a Ctrl-C has ended one of its jobs
+_interrupted = False
+
+
+def _run_pooled_job(index: int) -> tuple[SeedResult, VariantModel]:
+    """``_run_job`` in a worker. The worker forks with SIGINT blocked (see
+    ``run_protocols``) and takes a Ctrl-C only inside a job, where the
+    KeyboardInterrupt goes back to the parent as the job's error; outside
+    one it would end the worker with a traceback. A Ctrl-C that ended one
+    job of the worker also ends each later one at once, since the jobs
+    handed over after it are to stop as well."""
+    global _interrupted
+    import signal
+
+    try:
+        try:
+            if _interrupted:
+                raise KeyboardInterrupt
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+            return _run_job(index)
+        finally:
+            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    except KeyboardInterrupt:
+        _interrupted = True
+        raise
+
+
 def _usable_cpus() -> int:
     # where the platform has no affinity call (macOS, Windows), the jobs run in-process
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -310,13 +337,16 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
     model, in serial order (for persisting logs and checkpoints). A failing
     job raises as it would serially: the first in serial order wins, and no
     sink runs after it. On any error, a Ctrl-C included, the jobs not yet
-    handed to the workers are cancelled and the others finish. A worker
-    that dies fails the call with a ``HetanomError`` naming the first job,
-    in serial order, whose result was lost.
+    handed to the workers are cancelled and the others finish; a Ctrl-C
+    sent to the process group also ends the running jobs. A worker that
+    dies fails the call with a ``HetanomError`` naming the first job, in
+    serial order, that did not finish, which need not be the job the worker
+    ran.
     """
     global _JOBS
     # imported here, as at module level they add 11-18 ms to ``import hetanom``
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
@@ -331,14 +361,25 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
     saved, _JOBS = _JOBS, jobs
     try:
         if pooled:
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        for result, model in (pool.map if pool else map)(_run_job, range(len(jobs))):
+            # Ctrl-C waits until the pool is up (one that interrupts the
+            # executor's start-up leaves it unable to shut down); the workers
+            # fork with SIGINT blocked, so only a running job takes it
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+                results = pool.map(_run_pooled_job, range(len(jobs)))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        else:
+            results = map(_run_job, range(len(jobs)))
+        for result, model in results:
             if model_sink is not None:
                 model_sink(result.seed, model)
             per_seed.append(result)
     except BrokenProcessPool as exc:
         _, _, variant, _, seed = jobs[len(per_seed)]
-        raise HetanomError(f"protocol job ({variant}, seed {seed}): its worker died") from exc
+        raise HetanomError(f"protocol job ({variant}, seed {seed}) did not finish: "
+                           "a worker died") from exc
     finally:
         if pool is not None:  # after an error, cancels the jobs not yet handed to the workers
             pool.shutdown(cancel_futures=True)

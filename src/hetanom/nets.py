@@ -172,13 +172,13 @@ class ScorerNet:
         b2 = _uniform_block(rng, (1,), hidden)
         return cls(dim, hidden, np.concatenate([w1.ravel(), b1, w2, b2]))
 
-    def _views(self):
+    def _views(self, flat):
+        """W1, b1, W2 and b2 as views of ``flat``, laid out like the parameters."""
         d, h = self.dim, self.hidden
-        theta = self.theta
-        w1 = theta[..., : d * h].reshape(theta.shape[:-1] + (h, d))
-        b1 = theta[..., d * h : d * h + h]
-        w2 = theta[..., d * h + h : d * h + 2 * h]
-        b2 = theta[..., -1]
+        w1 = flat[..., : d * h].reshape(flat.shape[:-1] + (h, d))
+        b1 = flat[..., d * h : d * h + h]
+        w2 = flat[..., d * h + h : d * h + 2 * h]
+        b2 = flat[..., -1]
         return w1, b1, w2, b2
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ class ScorerNet:
                                   axis=-1)
 
     def forward_with_cache(self, X):
-        w1, b1, w2, b2 = self._views()
+        w1, b1, w2, b2 = self._views(self.theta)
         z1 = X @ w1.swapaxes(-1, -2) + b1[..., None, :]
         a1 = np.maximum(z1, 0.0)
         scores = (a1 @ w2[..., None])[..., 0] + b2[..., None]
@@ -206,15 +206,16 @@ class ScorerNet:
         """Gradient of sum(dscores . scores) w.r.t. the flat parameters,
         (P,) or, for a stack, (G, P)."""
         X, z1, a1 = cache
-        w1, b1, w2, b2 = self._views()
-        dw2 = (a1.swapaxes(-1, -2) @ dscores[..., None])[..., 0]
-        db2 = dscores.sum(axis=-1)
+        w2 = self._views(self.theta)[2]
+        grad = np.empty(self.theta.shape)
+        dw1, db1, dw2, db2 = self._views(grad)
+        dw2[...] = (a1.swapaxes(-1, -2) @ dscores[..., None])[..., 0]
+        db2[...] = dscores.sum(axis=-1)
         dz1 = dscores[..., None] * w2[..., None, :]
         dz1 *= z1 > 0
-        dw1 = dz1.swapaxes(-1, -2) @ X
-        db1 = dz1.sum(axis=-2)
-        lead = self.theta.shape[:-1]
-        return np.concatenate([dw1.reshape(lead + (-1,)), db1, dw2, db2[..., None]], axis=-1)
+        dw1[...] = dz1.swapaxes(-1, -2) @ X
+        db1[...] = dz1.sum(axis=-2)
+        return grad
 
     def descriptor(self) -> dict:
         return {"kind": "scorer", "dim": self.dim, "hidden": self.hidden}
@@ -479,8 +480,9 @@ class AdamState:
         self.v = None
 
     def step(self, theta: np.ndarray, grad: np.ndarray, rows=None) -> np.ndarray:
-        """The stepped parameters. With ``rows`` (indices into the stack),
-        ``theta`` and ``grad`` hold only those rows."""
+        """The stepped parameters, as a new array; ``theta`` and ``grad`` are
+        left as they are. With ``rows`` (indices into the stack), ``theta``
+        and ``grad`` hold only those rows."""
         if grad.shape != theta.shape:
             raise ShapeError("gradient/parameter shape mismatch")
         if self.m is None:
@@ -489,18 +491,35 @@ class AdamState:
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
             self.t = np.zeros(theta.shape[:-1], dtype=np.int64)
-        sel = Ellipsis if rows is None else rows
-        m, v, t = self.m[sel], self.v[sel], self.t[sel] + 1
+        # the whole stack's moments and step counts update in place; a
+        # ``rows`` step updates gathered copies and scatters them back
+        m, v = (self.m, self.v) if rows is None else (self.m[rows], self.v[rows])
         if m.shape != theta.shape:
             raise ShapeError("parameter shape differs from the Adam moments")
-        m = self.beta1 * m + (1 - self.beta1) * grad
-        v = self.beta2 * v + (1 - self.beta2) * grad ** 2
-        self.m[sel], self.v[sel], self.t[sel] = m, v, t
+        m *= self.beta1
+        m += (1 - self.beta1) * grad
+        v *= self.beta2
+        v += (1 - self.beta2) * grad ** 2
+        if rows is None:
+            self.t += 1
+            t = self.t
+        else:
+            t = self.t[rows] + 1
+            self.m[rows], self.v[rows], self.t[rows] = m, v, t
         # bias corrections in Python floats, one per row
-        steps = t.ravel().tolist()
-        m_hat = m / np.reshape([1 - self.beta1 ** k for k in steps], t.shape + (1,))
-        v_hat = v / np.reshape([1 - self.beta2 ** k for k in steps], t.shape + (1,))
-        return theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if t.ndim == 0:  # one net
+            k = int(t)
+            m_hat = m / (1 - self.beta1 ** k)
+            v_hat = v / (1 - self.beta2 ** k)
+        else:
+            steps = t.ravel().tolist()
+            m_hat = m / np.reshape([1 - self.beta1 ** k for k in steps], t.shape + (1,))
+            v_hat = v / np.reshape([1 - self.beta2 ** k for k in steps], t.shape + (1,))
+        m_hat *= self.lr
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat /= v_hat
+        return np.subtract(theta, m_hat, out=m_hat)
 
 
 def save_checkpoint(path, net) -> None:

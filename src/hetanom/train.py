@@ -134,17 +134,21 @@ def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches) -> None:
     sit it out with their parameters and Adam moments untouched."""
     theta = stack.theta.copy()
     steps = np.array([len(b) for b in batches])
-    for s in range(steps.max(initial=0)):
+    shared = min(steps, default=0)
+    if shared:
+        # the steps every scorer takes, gathered at once: (step, G, batch, ...)
+        rows = np.array([b[:shared] for b in batches]).swapaxes(0, 1)
+        X_steps, y_steps = X[rows], y[rows]
+        net = ScorerNet(stack.dim, stack.hidden, theta)
+        for s in range(shared):
+            _, grad = base_loss_grad(net, X_steps[s], y_steps[s])
+            net.theta = theta = opt.step(theta, grad)
+    for s in range(shared, steps.max(initial=0)):
         active = np.flatnonzero(steps > s)
-        part = None if len(active) == len(batches) else active
         rows = np.stack([batches[i][s] for i in active])
-        sub = theta if part is None else theta[part]
-        net = ScorerNet(stack.dim, stack.hidden, sub)
-        _, grad = base_loss_grad(net, X[rows], y[rows])
-        if part is None:
-            theta = opt.step(sub, grad)
-        else:
-            theta[part] = opt.step(sub, grad, rows=part)
+        sub = theta[active]
+        _, grad = base_loss_grad(ScorerNet(stack.dim, stack.hidden, sub), X[rows], y[rows])
+        theta[active] = opt.step(sub, grad, rows=active)
     stack.theta = theta
 
 

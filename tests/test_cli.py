@@ -459,15 +459,18 @@ class TestWorkers:
         proc = subprocess.Popen(
             [sys.executable, "-m", "hetanom.cli", "run", "--config",
              str(write_config(tmp_path, cfg))],
-            env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
         try:
             deadline = time.monotonic() + 60
             while len(_group(proc.pid)) < 3:  # the run and its two workers
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.05)
             os.killpg(proc.pid, signal.SIGINT)
-            proc.wait(timeout=10)
+            _, err = proc.communicate(timeout=10)
             assert _group(proc.pid) == []
+            assert proc.returncode == 130
+            assert err == "interrupted\n"
         finally:
             if _group(proc.pid):
                 os.killpg(proc.pid, signal.SIGKILL)

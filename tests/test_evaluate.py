@@ -345,7 +345,7 @@ class TestWorkerPool:
         with pytest.raises(HetanomError) as info:
             self.run(sunk)
         assert time.monotonic() - start < 10
-        assert str(info.value) == "protocol job (Homogeneous, seed 0): its worker died"
+        assert str(info.value) == "protocol job (Homogeneous, seed 0) did not finish: a worker died"
         assert sunk == []
         assert multiprocessing.active_children() == []
         assert evaluate._JOBS == ()
@@ -358,7 +358,8 @@ class TestWorkerPool:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 1
         assert capsys.readouterr().err == (
-            "error: HetanomError: protocol job (Homogeneous, seed 0): its worker died\n")
+            "error: HetanomError: protocol job (Homogeneous, seed 0) did not finish: "
+            "a worker died\n")
         assert multiprocessing.active_children() == []
 
 

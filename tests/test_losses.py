@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hetanom.errors import ContractError, NumericError
-from hetanom.losses import MARGIN, base_loss, base_loss_grad, cdl_loss, deviation_loss
+from hetanom.losses import (MARGIN, base_loss, base_loss_grad, cdl_loss, deviation_loss,
+                            deviation_loss_dscore)
 from hetanom.nets import ScorerNet
 
 
@@ -59,6 +60,90 @@ class TestBaseLoss:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericError, match="index 0"):
                 base_loss_grad(net, np.array([[1e308]]), np.array([0]))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+
+def reference_loss_grad(net, X, y):
+    """``base_loss_grad`` composed from the public per-sample formulas."""
+    scores, cache = net.forward_with_cache(X)
+    n = scores.shape[-1]
+    return deviation_loss(scores, y).mean(axis=-1), net.backward(
+        cache, deviation_loss_dscore(scores, y) / n)
+
+
+class EchoNet(ScorerNet):
+    """Scores each sample with its first feature and returns d(loss)/d(score)
+    as the gradient: a scorer's output layer cannot give -0.0 (its sum
+    starts from +0.0), so the kinks' signed zeros are fed in this way."""
+
+    def forward_with_cache(self, X):
+        return X[..., 0], None
+
+    def backward(self, cache, dscores):
+        return dscores
+
+
+# both kinks, either side of the margin, and signed zeros
+KINK_SCORES = (0.0, -0.0, MARGIN, np.nextafter(MARGIN, 0), np.nextafter(MARGIN, np.inf),
+               -MARGIN, 2.5, -1e-300)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+class TestBaseLossGradBits:
+    """``base_loss_grad`` derives the loss and its subgradient from one label
+    mask: bit for bit the public formulas."""
+
+    def test_kink_scores(self, stacked):
+        scores = np.array(KINK_SCORES * 2)
+        y = np.repeat([0, 1], len(KINK_SCORES))
+        if stacked:
+            scores, y = np.stack([scores, scores[::-1]]), np.stack([y, y[::-1]])
+        net = EchoNet(1, 1, np.zeros(ScorerNet.param_count(1, 1)))
+        loss, grad = base_loss_grad(net, scores[..., None], y)
+        want_loss, want_grad = reference_loss_grad(net, scores[..., None], y)
+        np.testing.assert_array_equal(bits(loss), bits(want_loss))
+        np.testing.assert_array_equal(bits(grad), bits(want_grad))
+
+    def test_scorer_at_the_kinks(self, stacked):
+        # zero weights: every sample scores b2 exactly
+        d, h = 3, 5
+        rng = np.random.default_rng(9)
+        b2s = [0.0, MARGIN, np.nextafter(MARGIN, 0)]
+        thetas = []
+        for b2 in b2s:
+            theta = np.zeros(ScorerNet.param_count(d, h))
+            theta[-1] = b2
+            thetas.append(theta)
+        thetas.append(ScorerNet.init(d, h, rng).theta)
+        X = rng.normal(size=(len(thetas), 12, d))
+        y = rng.integers(0, 2, size=(len(thetas), 12))
+        stack = ScorerNet(d, h, np.stack(thetas))
+        # the zero-weight scorers score b2 exactly
+        np.testing.assert_array_equal(bits(stack.forward_with_cache(X)[0][:len(b2s)]),
+                                      bits(np.repeat(b2s, 12).reshape(-1, 12)))
+        cases = [(stack, X, y)] if stacked else [
+            (ScorerNet(d, h, theta), X[i], y[i]) for i, theta in enumerate(thetas)]
+        for net, X_i, y_i in cases:
+            loss, grad = base_loss_grad(net, X_i, y_i)
+            want_loss, want_grad = reference_loss_grad(net, X_i, y_i)
+            np.testing.assert_array_equal(bits(loss), bits(want_loss))
+            np.testing.assert_array_equal(bits(grad), bits(want_grad))
+
+    def test_nan_feature_names_the_sample(self, stacked):
+        net = ScorerNet.init(2, 3, np.random.default_rng(1))
+        X = np.random.default_rng(2).normal(size=(3, 6, 2))
+        X[2, 4, 1] = np.nan
+        y = np.zeros((3, 6), dtype=np.int64)
+        if stacked:
+            net = ScorerNet(2, 3, np.stack([net.theta] * 3))
+            message = "^non-finite loss at sample index 4 of scorer 2$"
+        else:
+            X, y, message = X[2], y[2], "^non-finite loss at sample index 4$"
+        with pytest.raises(NumericError, match=message):
+            base_loss_grad(net, X, y)
 
 
 class TestCdlLoss:

@@ -86,7 +86,29 @@ class TestStackedScorer:
             np.testing.assert_array_equal(bits(grads[i]), bits(grad_i))
 
 
+def checked_step(opt, theta, grad, rows=None):
+    """``opt.step``, checking that it leaves ``theta`` and ``grad`` as they
+    were and returns an array of its own."""
+    before = theta.copy(), grad.copy()
+    new = opt.step(theta, grad, rows=rows)
+    np.testing.assert_array_equal(bits(theta), bits(before[0]))
+    np.testing.assert_array_equal(bits(grad), bits(before[1]))
+    assert not any(np.shares_memory(new, a) for a in (theta, grad, opt.m, opt.v))
+    return new
+
+
 class TestStackedAdam:
+    def test_one_net_matches_the_reference(self):
+        rng = np.random.default_rng(6)
+        theta = want = rng.normal(size=7)
+        opt, ref = AdamState(lr=0.01), reference_adam(0.01)
+        for s in range(1000):
+            grad = np.sin(3 * theta + s)
+            theta = checked_step(opt, theta, grad)
+            want = ref(want, grad)
+            np.testing.assert_array_equal(bits(theta), bits(want))
+        assert opt.t == 1000
+
     def test_rows_sitting_out_keep_their_state(self):
         # three rows stepping on a ragged schedule, against one Adam each
         rng = np.random.default_rng(4)
@@ -94,13 +116,17 @@ class TestStackedAdam:
         opt = AdamState(lr=0.01)
         refs = [reference_adam(0.01) for _ in range(3)]
         want = theta.copy()
-        for s, rows in enumerate([[0, 1, 2], [0, 2], [2], [0, 1, 2], [1]]):
-            grad = np.sin(theta[rows] + s)
-            theta[rows] = opt.step(theta[rows], grad, rows=None if len(rows) == 3 else rows)
+        for s, rows in enumerate([[0, 1, 2], [0, 2], [2], [0, 1, 2], [0, 1, 2], [1]]):
+            if len(rows) == 3:
+                grad = np.sin(theta + s)
+                theta = checked_step(opt, theta, grad)
+            else:
+                grad = np.sin(theta[rows] + s)
+                theta[rows] = checked_step(opt, theta[rows], grad, rows=rows)
             for k, r in enumerate(rows):
                 want[r] = refs[r](want[r], grad[k])
             np.testing.assert_array_equal(bits(theta), bits(want))
-        np.testing.assert_array_equal(opt.t, [3, 3, 4])
+        np.testing.assert_array_equal(opt.t, [4, 4, 5])
 
     def test_first_step_takes_every_row(self):
         from hetanom.errors import ShapeError
