@@ -20,20 +20,16 @@ MARGIN = 5.0
 
 def deviation_loss(score, y):
     """Per-sample loss: |score| for normals, max(0, MARGIN - score) for anomalies."""
-    return _deviation_loss(np.asarray(score, dtype=np.float64), np.asarray(y) == 0)
+    dev = np.asarray(score, dtype=np.float64)
+    y = np.asarray(y)
+    return np.where(y == 0, np.abs(dev), np.maximum(0.0, MARGIN - dev))
 
 
 def deviation_loss_dscore(score, y):
     """d(loss)/d(score); zero subgradient at the two kinks."""
-    return _deviation_dscore(np.asarray(score, dtype=np.float64), np.asarray(y) == 0)
-
-
-def _deviation_loss(dev, normal):
-    return np.where(normal, np.abs(dev), np.maximum(0.0, MARGIN - dev))
-
-
-def _deviation_dscore(dev, normal):
-    return np.where(normal, np.sign(dev), np.where(dev < MARGIN, -1.0, 0.0))
+    dev = np.asarray(score, dtype=np.float64)
+    y = np.asarray(y)
+    return np.where(y == 0, np.sign(dev), np.where(dev < MARGIN, -1.0, 0.0))
 
 
 def _mean(values: np.ndarray):
@@ -63,13 +59,12 @@ def base_loss_grad(net: ScorerNet, X: np.ndarray, y: np.ndarray):
     if np.size(y) == 0:
         raise ContractError("base_loss_grad over an empty sample set")
     scores, cache = net.forward_with_cache(np.asarray(X, dtype=np.float64))
-    normal = np.asarray(y) == 0
-    per_sample = _deviation_loss(scores, normal)
+    per_sample = deviation_loss(scores, y)
     if not np.isfinite(per_sample).all():
         *scorer, bad = np.argwhere(~np.isfinite(per_sample))[0].tolist()
         where = f" of scorer {scorer[0]}" if scorer else ""
         raise NumericError(f"non-finite loss at sample index {bad}{where}")
-    dscores = _deviation_dscore(scores, normal) / per_sample.shape[-1]
+    dscores = deviation_loss_dscore(scores, y) / per_sample.shape[-1]
     return _mean(per_sample), net.backward(cache, dscores)
 
 

@@ -172,13 +172,13 @@ class ScorerNet:
         b2 = _uniform_block(rng, (1,), hidden)
         return cls(dim, hidden, np.concatenate([w1.ravel(), b1, w2, b2]))
 
-    def _views(self, flat):
-        """W1, b1, W2 and b2 as views of ``flat``, laid out like the parameters."""
+    def _views(self):
         d, h = self.dim, self.hidden
-        w1 = flat[..., : d * h].reshape(flat.shape[:-1] + (h, d))
-        b1 = flat[..., d * h : d * h + h]
-        w2 = flat[..., d * h + h : d * h + 2 * h]
-        b2 = flat[..., -1]
+        theta = self.theta
+        w1 = theta[..., : d * h].reshape(theta.shape[:-1] + (h, d))
+        b1 = theta[..., d * h : d * h + h]
+        w2 = theta[..., d * h + h : d * h + 2 * h]
+        b2 = theta[..., -1]
         return w1, b1, w2, b2
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ class ScorerNet:
                                   axis=-1)
 
     def forward_with_cache(self, X):
-        w1, b1, w2, b2 = self._views(self.theta)
+        w1, b1, w2, b2 = self._views()
         z1 = X @ w1.swapaxes(-1, -2) + b1[..., None, :]
         a1 = np.maximum(z1, 0.0)
         scores = (a1 @ w2[..., None])[..., 0] + b2[..., None]
@@ -206,16 +206,15 @@ class ScorerNet:
         """Gradient of sum(dscores . scores) w.r.t. the flat parameters,
         (P,) or, for a stack, (G, P)."""
         X, z1, a1 = cache
-        w2 = self._views(self.theta)[2]
-        grad = np.empty(self.theta.shape)
-        dw1, db1, dw2, db2 = self._views(grad)
-        dw2[...] = (a1.swapaxes(-1, -2) @ dscores[..., None])[..., 0]
-        db2[...] = dscores.sum(axis=-1)
+        w1, b1, w2, b2 = self._views()
+        dw2 = (a1.swapaxes(-1, -2) @ dscores[..., None])[..., 0]
+        db2 = dscores.sum(axis=-1)
         dz1 = dscores[..., None] * w2[..., None, :]
         dz1 *= z1 > 0
-        dw1[...] = dz1.swapaxes(-1, -2) @ X
-        db1[...] = dz1.sum(axis=-2)
-        return grad
+        dw1 = dz1.swapaxes(-1, -2) @ X
+        db1 = dz1.sum(axis=-2)
+        lead = self.theta.shape[:-1]
+        return np.concatenate([dw1.reshape(lead + (-1,)), db1, dw2, db2[..., None]], axis=-1)
 
     def descriptor(self) -> dict:
         return {"kind": "scorer", "dim": self.dim, "hidden": self.hidden}
@@ -507,14 +506,9 @@ class AdamState:
             t = self.t[rows] + 1
             self.m[rows], self.v[rows], self.t[rows] = m, v, t
         # bias corrections in Python floats, one per row
-        if t.ndim == 0:  # one net
-            k = int(t)
-            m_hat = m / (1 - self.beta1 ** k)
-            v_hat = v / (1 - self.beta2 ** k)
-        else:
-            steps = t.ravel().tolist()
-            m_hat = m / np.reshape([1 - self.beta1 ** k for k in steps], t.shape + (1,))
-            v_hat = v / np.reshape([1 - self.beta2 ** k for k in steps], t.shape + (1,))
+        steps = t.ravel().tolist()
+        m_hat = m / np.reshape([1 - self.beta1 ** k for k in steps], t.shape + (1,))
+        v_hat = v / np.reshape([1 - self.beta2 ** k for k in steps], t.shape + (1,))
         m_hat *= self.lr
         np.sqrt(v_hat, out=v_hat)
         v_hat += self.eps

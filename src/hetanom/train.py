@@ -32,6 +32,7 @@ LR_BASE = 2e-4  # Adam step size of the base scorers and of the plain baselines
 LR_UNIFIED = 5e-3  # of the unified scorer
 LR_SEQ = 2e-2  # of the sequence predictor
 SEQ_BATCH_SIZE = 256  # the sequence predictor's minibatch
+GATHER_ROWS = 4096  # training rows a stack's minibatch steps gather in one call
 C_UNSEEN = 1.0  # error weight of an anomaly outside a base's support
 C_OTHER = 0.5  # of every other sample outside its support normals
 
@@ -135,13 +136,15 @@ def _train_stack(stack: ScorerNet, opt: AdamState, X, y, batches) -> None:
     theta = stack.theta.copy()
     steps = np.array([len(b) for b in batches])
     shared = min(steps, default=0)
-    if shared:
-        # the steps every scorer takes, gathered at once: (step, G, batch, ...)
-        rows = np.array([b[:shared] for b in batches]).swapaxes(0, 1)
-        X_steps, y_steps = X[rows], y[rows]
-        net = ScorerNet(stack.dim, stack.hidden, theta)
-        for s in range(shared):
-            _, grad = base_loss_grad(net, X_steps[s], y_steps[s])
+    # the steps every scorer takes, their rows gathered about GATHER_ROWS at
+    # a time: (step, G, batch, ...)
+    net = ScorerNet(stack.dim, stack.hidden, theta)
+    chunk = max(1, GATHER_ROWS // len(batches) // len(batches[0][0])) if shared else 1
+    for start in range(0, shared, chunk):
+        end = min(start + chunk, shared)
+        rows = np.array([b[start:end] for b in batches]).swapaxes(0, 1)
+        for X_s, y_s in zip(X[rows], y[rows]):
+            _, grad = base_loss_grad(net, X_s, y_s)
             net.theta = theta = opt.step(theta, grad)
     for s in range(shared, steps.max(initial=0)):
         active = np.flatnonzero(steps > s)

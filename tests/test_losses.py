@@ -93,8 +93,8 @@ KINK_SCORES = (0.0, -0.0, MARGIN, np.nextafter(MARGIN, 0), np.nextafter(MARGIN, 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
 class TestBaseLossGradBits:
-    """``base_loss_grad`` derives the loss and its subgradient from one label
-    mask: bit for bit the public formulas."""
+    """``base_loss_grad``: bit for bit the public formulas, at their kinks
+    too."""
 
     def test_kink_scores(self, stacked):
         scores = np.array(KINK_SCORES * 2)

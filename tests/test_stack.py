@@ -2,11 +2,13 @@
 bit, what each net gives alone, and stacked training with ragged step
 counts must match training each base on its own."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from hetanom import train
 from hetanom.losses import base_loss_grad, deviation_loss_dscore
 from hetanom.nets import AdamState, ScorerNet
 from hetanom.partition import TrainingTable
@@ -155,10 +157,14 @@ class TestRaggedTraining:
     # alone must not decide which bases share batch draws
     SIZES = ((40, 6), (70, 11), (70, 20), (100, 16), (23, 3), (70, 11))
 
-    def test_train_bases_epoch_matches_per_base_loop(self):
+    # train.GATHER_ROWS: one step's rows per gather, or every shared step's at once
+    GATHERS = (1, 4096)
+
+    def test_train_bases_epoch_matches_per_base_loop(self, monkeypatch):
         table = unequal_table(self.SIZES)
         cfg = TrainConfig(T=len(self.SIZES), batch_size=16, hidden=8, seed=3)
-        for epoch in range(2):
+        for gather_rows, epoch in itertools.product(self.GATHERS, range(2)):
+            monkeypatch.setattr(train, "GATHER_ROWS", gather_rows)
             g = ScorerNet.init(4, 8, rng_for(3, "init", epoch))
             stack, scores = train_bases_epoch(g, table, cfg, epoch)
             for i, rows in enumerate(table.support_rows):
@@ -169,17 +175,22 @@ class TestRaggedTraining:
                 np.testing.assert_array_equal(bits(stack.theta[i]), bits(want.theta))
                 np.testing.assert_array_equal(bits(scores[:, i]), bits(want.forward(table.X)))
 
-    def test_train_scorers_matches_per_net_loop(self):
+    def test_train_scorers_matches_per_net_loop(self, monkeypatch):
         # persistent Adam: each net's step count runs on across epochs
         table = unequal_table(self.SIZES, seed=1)
         cfg = TrainConfig(batch_size=16, hidden=8)
         init = [ScorerNet.init(4, 8, np.random.default_rng(s)) for s in range(len(self.SIZES))]
         seeds = [10 + i for i in range(len(self.SIZES))]
-        got = train_scorers(init, table.X, table.y, table.support_rows, cfg, 3, seeds)
+        want = []
         for i, rows in enumerate(table.support_rows):
             net = ScorerNet(init[i].dim, init[i].hidden, init[i].theta.copy())
             adam_step = reference_adam(LR_BASE)
             for epoch in range(3):
                 reference_support_epoch(net, adam_step, table.X[rows], table.y[rows], cfg,
                                         rng_for(seeds[i], "plain", epoch))
-            np.testing.assert_array_equal(bits(got[i].theta), bits(net.theta))
+            want.append(net)
+        for gather_rows in self.GATHERS:
+            monkeypatch.setattr(train, "GATHER_ROWS", gather_rows)
+            got = train_scorers(init, table.X, table.y, table.support_rows, cfg, 3, seeds)
+            for net, ref in zip(got, want):
+                np.testing.assert_array_equal(bits(net.theta), bits(ref.theta))
