@@ -275,32 +275,33 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
                       seen_classes=tuple(seen_classes))
 
 
-#: the (ds, spec, variant, cfg, seed) jobs of the running ``run_protocols``,
-#: set before its workers fork so that they inherit them
-_JOBS: tuple = ()
-
-
-def _run_job(index: int) -> tuple[SeedResult, VariantModel]:
-    """Train and score job ``index`` of ``_JOBS``: one variant on one seed's
-    split."""
-    ds, spec, variant, cfg, seed = _JOBS[index]
+def _run_job(job: tuple) -> tuple[SeedResult, VariantModel]:
+    """Train and score one (ds, spec, variant, cfg, seed) job: a variant on a seed's split."""
+    ds, spec, variant, cfg, seed = job
     root = derive_seed(cfg.seed, "protocol", seed)
     train_ds, test_ds, seen_classes = _protocol_split(ds, spec, root)
     model = run_variant(variant, train_ds, replace(cfg, seed=derive_seed(root, "fit")))
     return _score_test(model, test_ds, seed, seen_classes), model
 
 
+#: a worker's (ds, spec, variant, cfg, seed) jobs, set by the pool's initializer
+_JOBS: tuple = ()
 #: set in a worker once a Ctrl-C has ended one of its jobs
 _interrupted = False
 
 
+def _set_jobs(jobs: tuple) -> None:
+    global _JOBS
+    _JOBS = jobs
+
+
 def _run_pooled_job(index: int) -> tuple[SeedResult, VariantModel]:
-    """``_run_job`` in a worker. The worker forks with SIGINT blocked (see
-    ``run_protocols``) and takes a Ctrl-C only inside a job, where the
-    KeyboardInterrupt goes back to the parent as the job's error; outside
-    one it would end the worker with a traceback. A Ctrl-C that ended one
-    job of the worker also ends each later one at once, since the jobs
-    handed over after it are to stop as well."""
+    """``_run_job`` on job ``index`` of ``_JOBS``, in a worker. The worker
+    forks with SIGINT blocked (see ``run_protocols``) and takes a Ctrl-C only
+    inside a job, where the KeyboardInterrupt goes back to the parent as the
+    job's error; outside one it would end the worker with a traceback. A
+    Ctrl-C that ended one job of the worker also ends each later one at once,
+    since the jobs handed over after it are to stop as well."""
     global _interrupted
     import signal
 
@@ -309,7 +310,7 @@ def _run_pooled_job(index: int) -> tuple[SeedResult, VariantModel]:
             if _interrupted:
                 raise KeyboardInterrupt
             signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
-            return _run_job(index)
+            return _run_job(_JOBS[index])
         finally:
             signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     except KeyboardInterrupt:
@@ -331,19 +332,18 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
     The (run, seed) jobs run in one process pool of forked workers, one per
     usable CPU up to the job count, or in this process where ``fork`` is
     missing, one CPU is usable, this process is daemonic or it runs other
-    threads (a lock one of them holds at the fork would stay held in the
-    worker). Results do not depend on the worker count.
-    ``model_sink(seed, model)`` is invoked in this process with each trained
-    model, in serial order (for persisting logs and checkpoints). A failing
-    job raises as it would serially: the first in serial order wins, and no
-    sink runs after it. On any error, a Ctrl-C included, the jobs not yet
-    handed to the workers are cancelled and the others finish; a Ctrl-C
-    sent to the process group also ends the running jobs. A worker that
-    dies fails the call with a ``HetanomError`` naming the first job, in
-    serial order, that did not finish, which need not be the job the worker
-    ran.
-    """
-    global _JOBS
+    threads, as an IPython shell or Jupyter kernel does (a lock one of them
+    holds at the fork would stay held in the worker). Results do not depend
+    on the worker count, and each call runs only its own jobs, so several
+    threads may call at once. ``model_sink(seed, model)`` is invoked in this
+    process with each trained model, in serial order (for persisting logs
+    and checkpoints). A failing job raises as it would serially: the first
+    in serial order wins, and no sink runs after it. On any error, a Ctrl-C
+    included, the jobs not yet handed to the workers are cancelled and the
+    others finish; a Ctrl-C sent to the process group also ends the running
+    jobs. A worker that dies fails the call with a ``HetanomError`` naming
+    the first job, in serial order, that did not finish, which need not be
+    the job the worker ran."""
     # imported here, as at module level they add 11-18 ms to ``import hetanom``
     import multiprocessing
     import signal
@@ -358,7 +358,6 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
               and not multiprocessing.current_process().daemon
               and threading.active_count() == 1)
     per_seed, pool = [], None
-    saved, _JOBS = _JOBS, jobs
     try:
         if pooled:
             # Ctrl-C waits until the pool is up (one that interrupts the
@@ -366,12 +365,14 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
             # fork with SIGINT blocked, so only a running job takes it
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
-                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+                # the workers inherit ``jobs`` through the fork: nothing is pickled
+                pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                           initializer=_set_jobs, initargs=(jobs,))
                 results = pool.map(_run_pooled_job, range(len(jobs)))
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         else:
-            results = map(_run_job, range(len(jobs)))
+            results = map(_run_job, jobs)
         for result, model in results:
             if model_sink is not None:
                 model_sink(result.seed, model)
@@ -383,7 +384,6 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
     finally:
         if pool is not None:  # after an error, cancels the jobs not yet handed to the workers
             pool.shutdown(cancel_futures=True)
-        _JOBS = saved
     n = len(seeds)
     return [EvalResult(variant, spec.kind, tuple(per_seed[i * n:(i + 1) * n]))
             for i, (variant, _) in enumerate(runs)]

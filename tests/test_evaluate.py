@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -323,6 +324,35 @@ class TestWorkerPool:
             run_protocols(tiny_benchmark(), self.SPEC, self.RUNS, model_sink=sink)
         assert multiprocessing.active_children() == []
         assert len(workers) == 2 and [worker.exitcode for worker in workers] == [0, 0]
+        assert evaluate._JOBS == ()
+
+    def test_concurrent_calls_each_run_their_own_jobs(self, monkeypatch):
+        # while both threads live, this process runs other threads, so both
+        # calls take the in-process path
+        runs = [("Homogeneous", FAST)]
+        specs = [ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1, 2)),
+                 ProtocolSpec(kind="general", m_anomalies=6, seeds=(3, 4, 5, 6))]
+        got = [None, None]
+
+        def call(i):
+            try:
+                got[i] = run_protocols(tiny_benchmark(), specs[i], runs)
+            except Exception as exc:
+                got[i] = exc
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+        assert got == [run_protocols(tiny_benchmark(), spec, runs) for spec in specs]
         assert evaluate._JOBS == ()
 
     @staticmethod

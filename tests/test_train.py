@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -204,6 +206,33 @@ class TestFit:
         assert set(small_ds.ids) <= ids
         assert any(s.startswith("pseudo:") for s in ids)
 
+
+    def test_concurrent_fits_give_their_serial_bits(self, small_ds):
+        # fit keeps no module state that a fit in another thread could change
+        cfgs = [TrainConfig(epochs=7, warmup_epochs=5, K=5, seed=seed) for seed in (4, 5)]
+        got = [None, None]
+
+        def call(i):
+            try:
+                got[i] = fit(small_ds, cfgs[i])
+            except Exception as exc:
+                got[i] = exc
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for cfg, res in zip(cfgs, got):
+            serial = fit(small_ds, cfg)
+            assert res.unified.theta.tobytes() == serial.unified.theta.tobytes()
+            assert res.seq_net.theta.tobytes() == serial.seq_net.theta.tobytes()
 
 class TestDegenerateEquivalence:
     def test_t1_matches_standalone_trainer(self, small_ds):
