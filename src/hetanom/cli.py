@@ -20,12 +20,9 @@ from pathlib import Path
 from .data import FeatureDataset, ingest_csv, write_csv
 from .errors import ConfigurationError, HetanomError, ReplayError
 from .evaluate import (
-    CLUSTERING_VARIANTS,
     ProtocolSpec,
     SweepSpec,
     canonical_variant,
-    check_clusters,
-    check_split,
     results_csv,
     run_protocols,
     sweep,
@@ -132,13 +129,15 @@ def _sha256(data: bytes) -> str:
 
 
 def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
-    """Run what the config describes, write its artifacts and manifest, and
-    return the results checksum. Without a ``sweep`` section that is the
-    protocol for every variant, with per-seed logs and checkpoints; with one,
-    a protocol run of the one variant per swept value. Every (variant or
-    swept value, seed) job runs in one pool of forked workers sized from
-    the usable CPUs (see ``evaluate.run_protocols``); ``threads`` is no
-    thread count and is accepted only as 1."""
+    """Run what the config describes, then write its artifacts and manifest
+    into ``out_dir``, which must be absent or empty, and return the results
+    checksum. Without a ``sweep`` section that is the protocol for every
+    variant, with per-seed logs and checkpoints; with one, a protocol run of
+    the one variant per swept value. Every (variant or swept value, seed) job
+    runs in one pool of forked workers sized from the usable CPUs (see
+    ``evaluate.run_protocols``). Nothing is written until every job has
+    finished, so a refused, failed or interrupted run leaves no output.
+    ``threads`` is no thread count and is accepted only as 1."""
     if threads != 1:
         raise ConfigurationError(f"threads: must be 1, got {threads!r}")
     return _execute(config, *config.dataset.load(), out_dir)
@@ -147,40 +146,35 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
 def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
              out_dir: Path) -> str:
     """``execute_run`` on the loaded dataset ``ds``; a csv's ``dataset_sha256``
-    goes into the manifest."""
-    check_split(ds, config.protocol)  # refuse what the data cannot carry before writing
-    if set(config.variants) & set(CLUSTERING_VARIANTS):
-        swept_C = config.sweep is not None and config.sweep.param == "C"
-        for C in config.sweep.values if swept_C else (config.train.C,):
-            check_clusters(ds, C)
+    goes into the manifest. The models wait in memory for the write phase."""
+    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise ConfigurationError(f"output_dir: {out_dir} is not empty")
     cfg = replace(config.train, seed=config.seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    models = []
     if config.sweep is not None:
         entries = sweep(config.sweep.param, config.sweep.values, ds, config.protocol,
                         cfg, variant=config.variants[0])
-        csv_text = sweep_csv(config.sweep.param, entries)
-        (out_dir / "sweep.csv").write_text(csv_text, encoding="utf-8")
+        table, text = "sweep.csv", sweep_csv(config.sweep.param, entries)
         results_obj = {"sweep": {str(v): r.to_dict() for v, r in entries}}
     else:
-        (out_dir / "logs").mkdir(exist_ok=True)
-        (out_dir / "checkpoints").mkdir(exist_ok=True)
-
-        def sink(seed, model):
-            if model.log is not None:
-                log_path = out_dir / "logs" / f"{model.name}-seed{seed}.jsonl"
-                with open(log_path, "w", encoding="utf-8") as fh:
-                    for record in model.log:
-                        fh.write(json.dumps(record, sort_keys=True) + "\n")
-            for i, net in enumerate(model.nets):
-                suffix = "" if len(model.nets) == 1 else f"-net{i}"
-                save_checkpoint(out_dir / "checkpoints" / f"{model.name}-seed{seed}{suffix}.ckpt",
-                                net)
-
         results = run_protocols(ds, config.protocol, [(v, cfg) for v in config.variants],
-                                model_sink=sink)
-        (out_dir / "results.csv").write_text(results_csv(results), encoding="utf-8")
+                                model_sink=lambda seed, model: models.append((seed, model)))
+        table, text = "results.csv", results_csv(results)
         results_obj = {"results": [r.to_dict() for r in results]}
-
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if config.sweep is None:
+        (out_dir / "logs").mkdir()
+        (out_dir / "checkpoints").mkdir()
+    for seed, model in models:
+        if model.log is not None:
+            log_path = out_dir / "logs" / f"{model.name}-seed{seed}.jsonl"
+            with open(log_path, "w", encoding="utf-8") as fh:
+                for record in model.log:
+                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for i, net in enumerate(model.nets):
+            suffix = "" if len(model.nets) == 1 else f"-net{i}"
+            save_checkpoint(out_dir / "checkpoints" / f"{model.name}-seed{seed}{suffix}.ckpt", net)
+    (out_dir / table).write_text(text, encoding="utf-8")
     results_bytes = _canonical_json(results_obj)
     (out_dir / "results.json").write_bytes(results_bytes)
     checksum = _sha256(results_bytes)

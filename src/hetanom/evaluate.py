@@ -335,15 +335,16 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
     threads, as an IPython shell or Jupyter kernel does (a lock one of them
     holds at the fork would stay held in the worker). Results do not depend
     on the worker count, and each call runs only its own jobs, so several
-    threads may call at once. ``model_sink(seed, model)`` is invoked in this
-    process with each trained model, in serial order (for persisting logs
-    and checkpoints). A failing job raises as it would serially: the first
-    in serial order wins, and no sink runs after it. On any error, a Ctrl-C
-    included, the jobs not yet handed to the workers are cancelled and the
-    others finish; a Ctrl-C sent to the process group also ends the running
-    jobs. A worker that dies fails the call with a ``HetanomError`` naming
-    the first job, in serial order, that did not finish, which need not be
-    the job the worker ran."""
+    threads may call at once. What ``ds`` cannot carry (``check_split``, and
+    ``check_clusters`` for each run of a clustering variant) is refused before
+    any job starts. ``model_sink(seed, model)`` is invoked in this process
+    with each trained model, in serial order. A failing job raises as it
+    would serially: the first in serial order wins, and no sink runs after
+    it. On any error, a Ctrl-C included, the jobs not yet handed to the
+    workers are cancelled and the others finish; a Ctrl-C sent to the process
+    group also ends the running jobs. A worker that dies fails the call with
+    a ``HetanomError`` naming the first job, in serial order, that did not
+    finish, which need not be the job the worker ran."""
     # imported here, as at module level they add 11-18 ms to ``import hetanom``
     import multiprocessing
     import signal
@@ -351,6 +352,10 @@ def run_protocols(ds: FeatureDataset, spec: ProtocolSpec, runs,
     from concurrent.futures.process import BrokenProcessPool
 
     runs = [(canonical_variant(variant), cfg) for variant, cfg in runs]
+    check_split(ds, spec)
+    for variant, cfg in runs:
+        if variant in CLUSTERING_VARIANTS:
+            check_clusters(ds, cfg.C)
     seeds = sorted(spec.seeds)
     jobs = tuple((ds, spec, variant, cfg, seed) for variant, cfg in runs for seed in seeds)
     workers = min(_usable_cpus(), len(jobs))

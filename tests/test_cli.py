@@ -374,6 +374,29 @@ class TestRunCommand:
             execute_run(config, out, 2)
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["run", "replay"])
+    def test_used_out_refused_before_any_job(self, tmp_path, monkeypatch, capsys, subcommand):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, minimal_config(out))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        before = read_tree(out)
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(evaluate, "_run_job", lambda job: pytest.fail("a job ran"))
+        capsys.readouterr()
+        if subcommand == "run":
+            args = ["run", "--config", str(cfg_path)]
+        else:
+            args = ["replay", "--manifest", str(out / "manifest.json"), "--out", str(out)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"config error: output_dir: {out} is not empty\n"
+        assert read_tree(out) == before
+
+    def test_empty_out_accepted(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["run", "--config", str(write_config(tmp_path, minimal_config(out)))]) == 0
+        assert (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("args", [["run", "--config", "config.json"],
                                       ["replay", "--manifest", "manifest.json", "--out", "o"]],
                              ids=["run", "replay"])
@@ -471,6 +494,7 @@ class TestWorkers:
             assert _group(proc.pid) == []
             assert proc.returncode == 130
             assert err == "interrupted\n"
+            assert not (tmp_path / "out").exists()
         finally:
             if _group(proc.pid):
                 os.killpg(proc.pid, signal.SIGKILL)

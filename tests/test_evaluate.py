@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from hetanom import evaluate
-from hetanom.cli import main
+from hetanom.cli import execute_run, main, parse_config
 from hetanom.errors import ConfigurationError, HetanomError, NumericError, UndefinedMetricError
 from hetanom.evaluate import (
     METRICS,
@@ -391,6 +391,44 @@ class TestWorkerPool:
             "error: HetanomError: protocol job (Homogeneous, seed 0) did not finish: "
             "a worker died\n")
         assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch):
+        # seed 0's job finishes before seed 1's fails
+        self.fail_jobs(monkeypatch, {("Homogeneous", 1): (0.0, "job failed")})
+        out = tmp_path / "out"
+        config = parse_config(minimal_config(out, seeds=(0, 1), variants=("Homogeneous",),
+                                             epochs=2))
+        with pytest.raises(NumericError, match="^job failed$"):
+            execute_run(config, out)
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+
+class TestRefusedBeforeAnyJob:
+    """``run_protocols`` refuses what the data cannot carry before any job,
+    in the pool and in this process, for every library caller."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["in-process", "pooled"])
+    def no_jobs(self, request, monkeypatch):
+        def job(job):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: request.param)
+        monkeypatch.setattr(evaluate, "_run_job", job)
+
+    def test_no_anomaly_left_to_test(self):
+        ds = tiny_benchmark()
+        spec = ProtocolSpec(kind="general", m_anomalies=ds.n_anomaly, seeds=(0, 1))
+        with pytest.raises(ConfigurationError, match=r"^protocol.m_anomalies: 48 leaves none "
+                                                     r"of the 48 anomalies to test$"):
+            run_protocol(ds, spec, FAST, "AHL")
+
+    def test_every_swept_C_checked(self):
+        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1))
+        with pytest.raises(ConfigurationError, match=r"^train.C: 10000 exceeds the 90 normals "
+                                                     r"a seed trains on$"):
+            sweep("C", [2, 10_000], tiny_benchmark(), spec, FAST, "AHL")
 
 
 def test_import_leaves_multiprocessing_unloaded():
