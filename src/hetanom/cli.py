@@ -144,9 +144,11 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
 
 
 def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
-             out_dir: Path) -> str:
+             out_dir: Path, expected_sha256: str | None = None) -> str:
     """``execute_run`` on the loaded dataset ``ds``; a csv's ``dataset_sha256``
-    goes into the manifest. The models wait in memory for the write phase."""
+    goes into the manifest. The models wait in memory for the write phase.
+    A replay passes the recorded ``expected_sha256``: results that do not
+    reproduce it raise :class:`ReplayError` before anything is written."""
     if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
         raise ConfigurationError(f"output_dir: {out_dir} is not empty")
     cfg = replace(config.train, seed=config.seed)
@@ -161,6 +163,11 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
                                 model_sink=lambda seed, model: models.append((seed, model)))
         table, text = "results.csv", results_csv(results)
         results_obj = {"results": [r.to_dict() for r in results]}
+    results_bytes = _canonical_json(results_obj)
+    checksum = _sha256(results_bytes)
+    if expected_sha256 is not None and checksum != expected_sha256:
+        raise ReplayError(f"replay produced checksum {checksum}, "
+                          f"manifest records {expected_sha256}")
     out_dir.mkdir(parents=True, exist_ok=True)
     if config.sweep is None:
         (out_dir / "logs").mkdir()
@@ -175,9 +182,7 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
             suffix = "" if len(model.nets) == 1 else f"-net{i}"
             save_checkpoint(out_dir / "checkpoints" / f"{model.name}-seed{seed}{suffix}.ckpt", net)
     (out_dir / table).write_text(text, encoding="utf-8")
-    results_bytes = _canonical_json(results_obj)
     (out_dir / "results.json").write_bytes(results_bytes)
-    checksum = _sha256(results_bytes)
     recorded = asdict(config)
     del recorded["train"]["seed"]  # the top-level seed replaces it
     if config.dataset.kind == "csv":  # so the run replays from any directory
@@ -194,8 +199,9 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
 
 def execute_replay(manifest_path: Path, out_dir: Path) -> str:
     """Re-execute a recorded run and verify it reproduces bitwise. The
-    manifest, and the dataset against its recorded checksum, are checked
-    before anything is written; the run uses the bytes that were checked."""
+    manifest, the dataset against its recorded checksum and the results
+    against theirs are checked before anything is written; the run uses the
+    dataset bytes that were checked."""
     manifest = _read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
         raise ReplayError("manifest: must be a JSON object")
@@ -210,26 +216,8 @@ def execute_replay(manifest_path: Path, out_dir: Path) -> str:
     ds, dataset_sha256 = config.dataset.load()
     if dataset_sha256 != manifest["dataset_sha256"]:
         raise ReplayError("dataset file changed since the recorded run")
-    checksum = _execute(config, ds, dataset_sha256, out_dir)
-    if checksum != manifest["results_sha256"]:
-        raise ReplayError(
-            f"replay produced checksum {checksum}, "
-            f"manifest records {manifest['results_sha256']}")
-    return checksum
-
-
-def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "seed", None) is not None:
-        config = replace(config, seed=args.seed)
-    if getattr(args, "out", None) is not None:
-        config = replace(config, output_dir=args.out)
-    return config
-
-
-def _resolve_out(config: RunConfig) -> Path:
-    if not config.output_dir:
-        raise ConfigurationError("output_dir: set it in the config or pass --out")
-    return Path(config.output_dir)
+    # str(): a recorded null is a checksum that no run reproduces
+    return _execute(config, ds, dataset_sha256, out_dir, str(manifest["results_sha256"]))
 
 
 def main(argv=None) -> int:
@@ -254,8 +242,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "run":
-            config = _apply_overrides(load_config(args.config), args)
-            checksum = execute_run(config, _resolve_out(config))
+            config = load_config(args.config)
+            if args.seed is not None:
+                config = replace(config, seed=args.seed)
+            if args.out is not None:
+                config = replace(config, output_dir=args.out)
+            if not config.output_dir:
+                raise ConfigurationError("output_dir: set it in the config or pass --out")
+            checksum = execute_run(config, Path(config.output_dir))
             print(f"ok results_sha256={checksum}")
         elif args.subcommand == "replay":
             checksum = execute_replay(Path(args.manifest), Path(args.out))

@@ -142,15 +142,12 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
     """Train one variant on ``ds``; the returned model records every sample
     id its training structures touched, for leakage audits."""
     name = canonical_variant(name)
-    if name == "AHL":
-        res = fit(ds, cfg)
-        return VariantModel(name, [res.unified], res.training_sample_ids(), res.log)
-    if name == "CDL_minus":
-        res = fit(ds, cfg, accuracy_weights=True)
+    if name in ("AHL", "CDL_minus"):
+        res = fit(ds, cfg, accuracy_weights=name == "CDL_minus")
         return VariantModel(name, [res.unified], res.training_sample_ids(), res.log)
     if name == "Homogeneous":
         net = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", 0))
-        net = train_scorer(net, ds.features, ds.labels, cfg, cfg.epochs,
+        net = train_scorer(net, ds.features, ds.labels, cfg,
                            seed=derive_seed(cfg.seed, "plain", 0))
         return VariantModel(name, [net], frozenset(ds.ids))
     # the ensembles: T scorers, each with its own init and batch stream,
@@ -160,7 +157,7 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
     seeds = [derive_seed(cfg.seed, "plain", i) for i in range(cfg.T)]
     if name == "RamFULL":
         rows = [np.arange(len(ds.ids))] * cfg.T
-        nets = train_scorers(inits, ds.features, ds.labels, rows, cfg, cfg.epochs, seeds)
+        nets = train_scorers(inits, ds.features, ds.labels, rows, cfg, seeds)
         return VariantModel(name, nets, frozenset(ds.ids))
     if name == "RamHADG":
         rows = []
@@ -173,12 +170,12 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
             a_sel = rng.permutation(anomaly_rows)[: max(1, len(anomaly_rows) // 2)]
             rows.append(np.sort(np.concatenate([n_sel, a_sel])))
             exposed.update(ds.ids[int(r)] for r in rows[-1])
-        nets = train_scorers(inits, ds.features, ds.labels, rows, cfg, cfg.epochs, seeds)
+        nets = train_scorers(inits, ds.features, ds.labels, rows, cfg, seeds)
         return VariantModel(name, nets, frozenset(exposed))
     # HADG_only: the structured subsets, but each base trains independently
     # and inference averages the base scores (no unified model)
     _, _, table = simulate(ds, cfg)
-    nets = train_scorers(inits, table.X, table.y, table.support_rows, cfg, cfg.epochs, seeds)
+    nets = train_scorers(inits, table.X, table.y, table.support_rows, cfg, seeds)
     return VariantModel(name, nets, frozenset(table.ids))
 
 

@@ -230,7 +230,7 @@ def accuracy_importance(scores: np.ndarray, table: TrainingTable,
 
 
 def unified_update(g: ScorerNet, g_opt: AdamState, stack: ScorerNet,
-                   table: TrainingTable, w: np.ndarray, cfg: TrainConfig):
+                   table: TrainingTable, w: np.ndarray):
     """One unified step on the importance-weighted aggregate of the bases'
     query-set gradients, taken at the trained base parameters (row i of
     ``stack`` is base i). Returns the new unified scorer, the weighted loss
@@ -311,7 +311,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
         history.append(scores)
         importance_trace.append(state)
 
-        g, unified_loss, query_losses = unified_update(g, g_opt, stack, table, state.w, cfg)
+        g, unified_loss, query_losses = unified_update(g, g_opt, stack, table, state.w)
 
         log.append({
             "epoch": epoch,
@@ -330,18 +330,19 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
 
 
 def train_scorer(net: ScorerNet, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
-                 epochs: int, seed: int) -> ScorerNet:
-    """Plain standalone training: balanced minibatches, one persistent Adam.
-    Used by the Homogeneous baseline."""
-    return train_scorers([net], X, y, [np.arange(len(y))], cfg, epochs, [seed])[0]
+                 seed: int) -> ScorerNet:
+    """Plain standalone training for ``cfg.epochs``: balanced minibatches,
+    one persistent Adam. Used by the Homogeneous baseline."""
+    return train_scorers([net], X, y, [np.arange(len(y))], cfg, [seed])[0]
 
 
 @one_blas_thread()
 def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
-                  epochs: int, seeds) -> list[ScorerNet]:
-    """``train_scorer`` for several scorers at once, as one stack: scorer i
-    trains on rows[i] of (X, y) with its own batch stream (seeds[i]) and its
-    own Adam moments and step count, exactly as it would alone."""
+                  seeds) -> list[ScorerNet]:
+    """``train_scorer`` for several scorers at once, as one stack: for
+    ``cfg.epochs``, scorer i trains on rows[i] of (X, y) with its own batch
+    stream (seeds[i]) and its own Adam moments and step count, exactly as
+    it would alone."""
     y = np.asarray(y)
     dim, hidden = nets[0].dim, nets[0].hidden
     if any((n.dim, n.hidden) != (dim, hidden) for n in nets):
@@ -350,7 +351,7 @@ def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
         raise ContractError("stacked training requires training rows for every scorer")
     stack = ScorerNet(dim, hidden, np.stack([n.theta for n in nets]))
     opt = AdamState(LR_BASE)
-    for epoch in range(epochs):
+    for epoch in range(cfg.epochs):
         batches = [[r[p] for p in _epoch_batches(rng_for(seed, "plain", epoch), y[r],
                                                  cfg.batch_size)]
                    for r, seed in zip(rows, seeds)]

@@ -391,6 +391,17 @@ class TestRunCommand:
         assert capsys.readouterr().err == f"config error: output_dir: {out} is not empty\n"
         assert read_tree(out) == before
 
+    def test_missing_output_dir_refused_before_writing(self, tmp_path, monkeypatch, capsys):
+        cfg = minimal_config(tmp_path / "unused")
+        del cfg["output_dir"]
+        cfg_path = write_config(tmp_path, cfg)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(evaluate, "_run_job", lambda job: pytest.fail("a job ran"))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert (capsys.readouterr().err
+                == "config error: output_dir: set it in the config or pass --out\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_empty_out_accepted(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -536,6 +547,7 @@ class TestReplay:
         assert main(["replay", "--manifest", str(tampered),
                      "--out", str(tmp_path / "replayed")]) == 1
         assert "checksum" in capsys.readouterr().err
+        assert not (tmp_path / "replayed").exists()
 
     def test_version_mismatch(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -502,7 +502,7 @@ class TestOneBlasThread:
         ds = make_dataset(n_normal=30, n_anomaly=4, seed=2)
         net = ScorerNet.init(ds.dim, 8, np.random.default_rng(0))
         train_scorers([net, net], ds.features, ds.labels, [np.arange(34)] * 2,
-                      TrainConfig(batch_size=8), epochs=2, seeds=[0, 1])
+                      TrainConfig(batch_size=8, epochs=2), seeds=[0, 1])
         assert blas_threads() == 3
 
     def test_nested_scopes_restore_only_at_the_outermost(self):

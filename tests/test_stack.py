@@ -178,19 +178,19 @@ class TestRaggedTraining:
     def test_train_scorers_matches_per_net_loop(self, monkeypatch):
         # persistent Adam: each net's step count runs on across epochs
         table = unequal_table(self.SIZES, seed=1)
-        cfg = TrainConfig(batch_size=16, hidden=8)
+        cfg = TrainConfig(batch_size=16, hidden=8, epochs=3)
         init = [ScorerNet.init(4, 8, np.random.default_rng(s)) for s in range(len(self.SIZES))]
         seeds = [10 + i for i in range(len(self.SIZES))]
         want = []
         for i, rows in enumerate(table.support_rows):
             net = ScorerNet(init[i].dim, init[i].hidden, init[i].theta.copy())
             adam_step = reference_adam(LR_BASE)
-            for epoch in range(3):
+            for epoch in range(cfg.epochs):
                 reference_support_epoch(net, adam_step, table.X[rows], table.y[rows], cfg,
                                         rng_for(seeds[i], "plain", epoch))
             want.append(net)
         for gather_rows in self.GATHERS:
             monkeypatch.setattr(train, "GATHER_ROWS", gather_rows)
-            got = train_scorers(init, table.X, table.y, table.support_rows, cfg, 3, seeds)
+            got = train_scorers(init, table.X, table.y, table.support_rows, cfg, seeds)
             for net, ref in zip(got, want):
                 np.testing.assert_array_equal(bits(net.theta), bits(ref.theta))
