@@ -34,30 +34,26 @@ from .schema import build
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
 
-MANIFEST_VERSION = 7
+MANIFEST_VERSION = 8
 
 
 @dataclass(frozen=True)
 class DatasetSource:
-    kind: str  # "csv" | "synthetic"
+    """A csv file at ``path``; without one, the synthetic mixture ``spec``, or
+    the default benchmark when ``spec`` is unset too."""
+
     path: str | None = None
     spec: MixtureSpec | None = None
 
     def __post_init__(self):
-        if self.kind not in ("csv", "synthetic"):
-            raise ConfigurationError("kind: must be 'csv' or 'synthetic'")
-        if self.kind == "csv" and not self.path:
-            raise ConfigurationError("path: required for csv datasets")
-        if self.kind == "csv" and self.spec is not None:
-            raise ConfigurationError("spec: only a synthetic dataset takes a spec")
-        if self.kind == "synthetic" and self.path is not None:
-            raise ConfigurationError("path: only a csv dataset takes a path")
+        if self.path is not None and self.spec is not None:
+            raise ConfigurationError("spec: a dataset read from a path takes no spec")
 
     def load(self) -> tuple[FeatureDataset, str | None]:
         """The dataset and, for a csv, the SHA-256 of the bytes it was read
         from (the file is read once). A csv ``path`` that names no file is a
         config error."""
-        if self.kind == "csv":
+        if self.path is not None:
             if not Path(self.path).is_file():
                 raise ConfigurationError(f"dataset.path: no such file: {self.path}")
             data = Path(self.path).read_bytes()
@@ -71,20 +67,22 @@ class RunConfig:
     protocol: ProtocolSpec
     train: TrainConfig = TrainConfig()
     variants: tuple[str, ...] = ("AHL",)
-    output_dir: str | None = None
     seed: int = 0
     sweep: SweepSpec | None = None
 
     def __post_init__(self):
-        """Canonicalise the variants; refuse a sweep the run cannot carry out."""
+        """Canonicalise the variants, each once; refuse a sweep the run cannot carry out."""
         if not self.variants:
             raise ConfigurationError("variants: must be a non-empty list")
         variants = []
         for i, name in enumerate(self.variants):
             try:
-                variants.append(canonical_variant(name))
+                variant = canonical_variant(name)
             except ConfigurationError as exc:
                 raise ConfigurationError(f"variants[{i}]: {exc}") from None
+            if variant in variants:
+                raise ConfigurationError(f"variants[{i}]: {variant} is listed twice")
+            variants.append(variant)
         object.__setattr__(self, "variants", tuple(variants))
         if self.sweep is None:
             return
@@ -185,7 +183,7 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
     (out_dir / "results.json").write_bytes(results_bytes)
     recorded = asdict(config)
     del recorded["train"]["seed"]  # the top-level seed replaces it
-    if config.dataset.kind == "csv":  # so the run replays from any directory
+    if config.dataset.path is not None:  # so the run replays from any directory
         recorded["dataset"]["path"] = str(Path(config.dataset.path).resolve())
     manifest = {
         "format_version": MANIFEST_VERSION,
@@ -227,7 +225,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute a run config (a sweep, if it has one)")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", default=None, help="output directory")
+    p_run.add_argument("--out", required=True, help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override the global seed")
 
     p_replay = sub.add_parser("replay", help="reproduce a run from its manifest")
@@ -245,11 +243,7 @@ def main(argv=None) -> int:
             config = load_config(args.config)
             if args.seed is not None:
                 config = replace(config, seed=args.seed)
-            if args.out is not None:
-                config = replace(config, output_dir=args.out)
-            if not config.output_dir:
-                raise ConfigurationError("output_dir: set it in the config or pass --out")
-            checksum = execute_run(config, Path(config.output_dir))
+            checksum = execute_run(config, Path(args.out))
             print(f"ok results_sha256={checksum}")
         elif args.subcommand == "replay":
             checksum = execute_replay(Path(args.manifest), Path(args.out))

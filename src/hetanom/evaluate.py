@@ -70,18 +70,17 @@ def auc(scores, labels) -> float:
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    kind: str  # general | hard
     m_anomalies: int = 10
-    seen_class: str | None = None
+    seen_class: str | None = None  # the hard protocol: the one class of the M anomalies
     seeds: tuple[int, ...] = BENCHMARK_SEEDS
 
+    @property
+    def kind(self) -> str:
+        return "general" if self.seen_class is None else "hard"
+
     def __post_init__(self):
-        if self.kind not in ("general", "hard"):
-            raise ConfigurationError("kind: must be 'general' or 'hard'")
         if self.m_anomalies < 1:
             raise ConfigurationError("m_anomalies: must be >= 1")
-        if self.kind == "hard" and not self.seen_class:
-            raise ConfigurationError("seen_class: required for the hard protocol")
         if not self.seeds:
             raise ConfigurationError("seeds: must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -203,7 +202,7 @@ def anomaly_pool(ds: FeatureDataset, spec: ProtocolSpec) -> np.ndarray:
     """The anomaly rows the protocol draws its M training anomalies from,
     refused as a config error when ``ds`` holds too few."""
     anomaly_rows = ds.anomaly_rows()
-    if spec.kind == "hard":
+    if spec.seen_class is not None:
         pool = np.array([r for r in anomaly_rows.tolist() if ds.class_tags[r] == spec.seen_class],
                         dtype=np.int64)
         if pool.size == 0:

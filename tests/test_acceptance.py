@@ -22,6 +22,7 @@ from hetanom.seeding import derive_seed, rng_for
 from hetanom.train import LR_BASE, LR_UNIFIED
 
 from conftest import train_support_epoch
+from test_cli import read_tree
 
 
 @contextlib.contextmanager
@@ -218,7 +219,7 @@ def test_criterion_7_directional_heterogeneity(benchmark_ds):
     with criterion(7, "hard-setting mean unseen AUC: AHL > Homogeneous, "
                       "AHL >= HADG_only - 0.005"):
         start = time.time()
-        spec = ha.ProtocolSpec(kind="hard", m_anomalies=10, seen_class="spike",
+        spec = ha.ProtocolSpec(m_anomalies=10, seen_class="spike",
                                seeds=ha.BENCHMARK_SEEDS)
         cfg = ha.TrainConfig()
         variants = ("AHL", "Homogeneous", "HADG_only")
@@ -241,7 +242,7 @@ def test_criterion_8_determinism_and_replay(tmp_path):
     with criterion(8, "byte-identical reruns and exact replay"):
         config = {
             "seed": 3,
-            "dataset": {"kind": "synthetic", "spec": {
+            "dataset": {"spec": {
                 "dim": 5, "seed": 2,
                 "normal_components": [
                     {"mean": [0.0] * 5, "std": [1.0] * 5, "count": 50},
@@ -252,7 +253,7 @@ def test_criterion_8_determinism_and_replay(tmp_path):
                 ],
             }},
             "train": {"T": 3, "C": 2, "epochs": 6, "hidden": 16},
-            "protocol": {"kind": "general", "m_anomalies": 4, "seeds": [0, 1]},
+            "protocol": {"m_anomalies": 4, "seeds": [0, 1]},
             "variants": ["AHL", "Homogeneous"],
         }
         cfg_path = tmp_path / "config.json"
@@ -260,16 +261,13 @@ def test_criterion_8_determinism_and_replay(tmp_path):
         for d in ("r1", "r2"):
             assert cli_main(["run", "--config", str(cfg_path),
                              "--out", str(tmp_path / d)]) == 0
-        for name in ("results.json", "results.csv"):
-            assert (tmp_path / "r1" / name).read_bytes() == \
-                (tmp_path / "r2" / name).read_bytes()
-        for ckpt in sorted((tmp_path / "r1" / "checkpoints").iterdir()):
-            twin = tmp_path / "r2" / "checkpoints" / ckpt.name
-            assert ckpt.read_bytes() == twin.read_bytes()
         assert cli_main(["replay", "--manifest", str(tmp_path / "r1" / "manifest.json"),
                          "--out", str(tmp_path / "replayed")]) == 0
-        assert (tmp_path / "replayed" / "results.json").read_bytes() == \
-            (tmp_path / "r1" / "results.json").read_bytes()
+        # every file: results, logs, checkpoints and the manifest
+        r1 = read_tree(tmp_path / "r1")
+        assert len(r1) == 9
+        assert read_tree(tmp_path / "r2") == r1
+        assert read_tree(tmp_path / "replayed") == r1
 
 
 def test_criterion_9_serialization(tmp_path, benchmark_ds):
@@ -290,7 +288,7 @@ def test_criterion_9_serialization(tmp_path, benchmark_ds):
 
 def test_criterion_10_no_leakage(benchmark_ds):
     with criterion(10, "protocol runs never leak test ids into training structures"):
-        spec = ha.ProtocolSpec(kind="hard", m_anomalies=10, seen_class="spike",
+        spec = ha.ProtocolSpec(m_anomalies=10, seen_class="spike",
                                seeds=(0, 1))
         cfg = ha.TrainConfig(epochs=6)
         for seed in spec.seeds:

@@ -23,11 +23,10 @@ from hetanom.synth import MixtureSpec, generate
 from hetanom.train import TrainConfig
 
 
-def minimal_config(out_dir, seeds=(0,), variants=("AHL",), epochs=3):
+def minimal_config(seeds=(0,), variants=("AHL",), epochs=3):
     return {
         "seed": 1,
-        "output_dir": str(out_dir),
-        "dataset": {"kind": "synthetic", "spec": {
+        "dataset": {"spec": {
             "dim": 6,
             "seed": 5,
             "normal_components": [
@@ -40,7 +39,7 @@ def minimal_config(out_dir, seeds=(0,), variants=("AHL",), epochs=3):
             ],
         }},
         "train": {"T": 3, "C": 2, "epochs": epochs, "hidden": 16},
-        "protocol": {"kind": "general", "m_anomalies": 6, "seeds": list(seeds)},
+        "protocol": {"m_anomalies": 6, "seeds": list(seeds)},
         "variants": list(variants),
     }
 
@@ -59,49 +58,50 @@ def read_tree(root: Path) -> dict:
 
 
 class TestParseConfig:
-    def test_t_zero_names_field(self, tmp_path):
-        cfg = minimal_config(tmp_path / "out")
+    def test_t_zero_names_field(self):
+        cfg = minimal_config()
         cfg["train"]["T"] = 0
         with pytest.raises(ConfigurationError, match="train.T"):
             parse_config(cfg)
 
-    def test_unknown_top_level_field(self, tmp_path):
-        cfg = minimal_config(tmp_path / "out")
+    def test_unknown_top_level_field(self):
+        cfg = minimal_config()
         cfg["surprise"] = 1
         with pytest.raises(ConfigurationError, match="surprise"):
             parse_config(cfg)
 
-    def test_unknown_train_field(self, tmp_path):
-        cfg = minimal_config(tmp_path / "out")
+    def test_unknown_train_field(self):
+        cfg = minimal_config()
         cfg["train"]["nope"] = 1
         with pytest.raises(ConfigurationError, match="train.nope"):
             parse_config(cfg)
 
     @pytest.mark.parametrize("name", ["lr_base", "lr_unified", "lr_seq", "seq_batch_size",
                                       "c_unseen", "c_other", "margin"])
-    def test_fixed_value_is_an_unknown_train_field(self, tmp_path, name):
+    def test_fixed_value_is_an_unknown_train_field(self, name):
         # the paper fixes these values; they are module constants, not config fields
-        cfg = minimal_config(tmp_path / "out")
+        cfg = minimal_config()
         cfg["train"][name] = 1.0
         with pytest.raises(ConfigurationError, match=rf"^train\.{name}: unknown field$"):
             parse_config(cfg)
 
-    def test_bad_variant(self, tmp_path):
-        cfg = minimal_config(tmp_path / "out", variants=("Wrong",))
+    def test_bad_variant(self):
+        cfg = minimal_config(variants=("Wrong",))
         with pytest.raises(ConfigurationError, match=r"variants\[0\]"):
             parse_config(cfg)
 
-    def test_manifest_config_round_trips(self, tmp_path):
+    def test_manifest_config_round_trips(self):
         # the manifest records asdict(config), less train.seed
-        config = parse_config(minimal_config(tmp_path / "out"))
+        config = parse_config(minimal_config())
         recorded = asdict(config)
         del recorded["train"]["seed"]
         assert parse_config(recorded) == config
 
     def test_csv_needs_path(self):
-        with pytest.raises(ConfigurationError, match="dataset.path"):
-            parse_config({"dataset": {"kind": "csv"},
-                          "protocol": {"kind": "general", "seeds": [0]}})
+        # an empty path names no file; the data check refuses it
+        config = parse_config({"dataset": {"path": ""}, "protocol": {"seeds": [0]}})
+        with pytest.raises(ConfigurationError, match="^dataset.path: no such file: $"):
+            config.dataset.load()
 
     @pytest.mark.parametrize("path, value", [
         (("seed",), "abc"),
@@ -120,7 +120,7 @@ class TestParseConfig:
         (("protocol", "m_anomalies"), "10"),
         (("protocol", "seeds"), "012"),
         (("protocol", "seen_class"), 3),
-        (("output_dir",), 7),
+        (("dataset", "path"), 7),
         (("dataset", "spce"), {"dim": 6}),
         (("sweep", "extra"), 1),
         (("dataset", "spec", "extra"), 1),
@@ -136,8 +136,8 @@ class TestParseConfig:
         pytest.param(("dataset", "spec", "normal_components", 0, "std", 0), 10**400,
                      id="path29-int-beyond-float"),
     ])
-    def test_wrong_type_names_field(self, tmp_path, path, value):
-        cfg = minimal_config(tmp_path / "out")
+    def test_wrong_type_names_field(self, path, value):
+        cfg = minimal_config()
         node = cfg
         for key in path[:-1]:
             node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
@@ -147,26 +147,27 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=rf"^{re.escape(field)}(\[0\])?: "):
             parse_config(cfg)
 
-    @pytest.mark.parametrize("kind, field", [("csv", "spec"), ("synthetic", "path")])
-    def test_field_of_the_other_dataset_kind_refused(self, tmp_path, kind, field):
-        cfg = minimal_config(tmp_path / "out")
-        cfg["dataset"] = {"kind": kind, "path": "bench.csv", "spec": cfg["dataset"]["spec"]}
-        with pytest.raises(ConfigurationError, match=rf"^dataset.{field}: "):
+    def test_path_with_spec_refused(self):
+        cfg = minimal_config()
+        cfg["dataset"]["path"] = "bench.csv"
+        with pytest.raises(ConfigurationError, match="^dataset.spec: "):
             parse_config(cfg)
 
     def test_cross_domain_refused(self, tmp_path, capsys):
-        cfg = minimal_config(tmp_path / "out")
+        # a protocol's kind follows from its seen_class, so no kind is read
+        out = tmp_path / "out"
+        cfg = minimal_config()
         cfg["protocol"]["kind"] = "cross_domain"
-        with pytest.raises(ConfigurationError, match="^protocol.kind: "):
-            parse_config(cfg)
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
-        assert capsys.readouterr().err == ("config error: protocol.kind: "
-                                           "must be 'general' or 'hard'\n")
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: protocol.kind: unknown field\n"
+        assert not out.exists()
 
-    @pytest.mark.parametrize("path", [("train", "weight_mode"), ("protocol", "fine_tune_epochs")])
-    def test_removed_field_refused(self, tmp_path, path):
-        cfg = minimal_config(tmp_path / "out")
-        cfg[path[0]][path[1]] = 1
+    # --out, a seen_class and a dataset path decide the last three
+    @pytest.mark.parametrize("path", [("train", "weight_mode"), ("protocol", "fine_tune_epochs"),
+                                      ("output_dir",), ("protocol", "kind"), ("dataset", "kind")])
+    def test_removed_field_refused(self, path):
+        cfg = minimal_config()
+        (cfg[path[0]] if len(path) == 2 else cfg)[path[-1]] = 1
         field = re.escape(".".join(path))
         with pytest.raises(ConfigurationError, match=rf"^{field}: unknown field$"):
             parse_config(cfg)
@@ -174,44 +175,44 @@ class TestParseConfig:
     def test_train_fraction_is_an_unknown_field(self, tmp_path, capsys):
         # the split is the constant data.TRAIN_FRACTION
         out = tmp_path / "out"
-        cfg = minimal_config(out)
+        cfg = minimal_config()
         cfg["protocol"]["train_fraction"] = 0.75
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: protocol.train_fraction: unknown field\n"
         assert not out.exists()
 
     def test_duplicate_sweep_values_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = minimal_config(out)
+        cfg = minimal_config()
         cfg["sweep"] = {"param": "C", "values": [2, 2]}
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: sweep.values: must be distinct\n"
         assert not out.exists()
 
     def test_train_seed_refused(self, tmp_path, capsys):
         # the top-level seed is the one that seeds training
         out = tmp_path / "out"
-        cfg = minimal_config(out)
+        cfg = minimal_config()
         cfg["train"]["seed"] = 123
         with pytest.raises(ConfigurationError, match="^train.seed: .*top-level seed"):
             parse_config(cfg)
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: train.seed: ")
         assert not out.exists()
 
-    def test_invalid_sweep_value_names_its_index(self, tmp_path):
-        cfg = minimal_config(tmp_path / "out")
+    def test_invalid_sweep_value_names_its_index(self):
+        cfg = minimal_config()
         cfg["sweep"] = {"param": "C", "values": [2, 0]}
         with pytest.raises(ConfigurationError, match=r"^sweep.values\[1\]: C: must be >= 1"):
             parse_config(cfg)
 
     def test_one_cluster_for_several_subsets_refused_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = minimal_config(out, variants=("Homogeneous",))
+        cfg = minimal_config(variants=("Homogeneous",))
         cfg["train"]["C"] = 1
         with pytest.raises(ConfigurationError, match=r"^train.C: must be >= 2 when T > 1"):
             parse_config(cfg)
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: train.C: ")
         assert not out.exists()
         cfg["train"]["C"] = 2
@@ -220,28 +221,30 @@ class TestParseConfig:
                            match=r"^sweep.values\[1\]: C: must be >= 2 when T > 1"):
             parse_config(cfg)
 
-    def test_one_subset_runs_on_one_cluster(self, tmp_path):
-        cfg = minimal_config(tmp_path / "out")
+    def test_one_subset_runs_on_one_cluster(self):
+        cfg = minimal_config()
         cfg["train"].update(T=1, C=1)
         assert parse_config(cfg).train.C == 1
 
     @pytest.mark.parametrize("protocol, message", [
-        ({"kind": "hard", "seen_class": "nope", "m_anomalies": 6},
+        ({"seen_class": "nope", "m_anomalies": 6},
          "protocol.seen_class: 'nope' not present in dataset"),
-        ({"kind": "general", "m_anomalies": 41},
+        ({"seen_class": "", "m_anomalies": 6},
+         "protocol.seen_class: '' not present in dataset"),
+        ({"m_anomalies": 41},
          "protocol.m_anomalies: 41 exceeds the 40 available anomalies"),
-        ({"kind": "hard", "seen_class": "hot", "m_anomalies": 21},
+        ({"seen_class": "hot", "m_anomalies": 21},
          "protocol.m_anomalies: 21 exceeds the 20 available anomalies"),
-    ], ids=["seen-class", "m-general", "m-hard"])
+    ], ids=["seen-class", "empty-seen-class", "m-general", "m-hard"])
     @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
     def test_protocol_the_data_cannot_carry_refused_before_writing(
             self, tmp_path, capsys, protocol, message, sweep):
         out = tmp_path / "out"
-        cfg = minimal_config(out)
+        cfg = minimal_config()
         cfg["protocol"].update(protocol)
         if sweep:
             cfg["sweep"] = {"param": "C", "values": [2]}
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
@@ -251,12 +254,12 @@ class TestParseConfig:
             self, tmp_path, capsys, variant, sweep):
         # 120 normals, of which a 0.75 split trains on 90
         out = tmp_path / "out"
-        cfg = minimal_config(out, variants=(variant,))
+        cfg = minimal_config(variants=(variant,))
         if sweep:
             cfg["sweep"] = {"param": "C", "values": [2, 100]}
         else:
             cfg["train"]["C"] = 100
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("config error: train.C: 100 exceeds the 90 normals "
                                            "a seed trains on\n")
         assert not out.exists()
@@ -269,42 +272,42 @@ class TestParseConfig:
         # 120 normals and 40 anomalies; this failed mid-run once, after
         # other jobs had written their logs
         out = tmp_path / "out"
-        cfg = minimal_config(out, seeds=(0, 1))
+        cfg = minimal_config(seeds=(0, 1))
         cfg["protocol"].update(protocol)
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not out.exists()
 
     def test_two_normals_refused_before_writing(self, tmp_path, capsys):
         # a 0.75 split of 2 normals trains on both and tests on none
         out = tmp_path / "out"
-        cfg = minimal_config(out)
+        cfg = minimal_config()
         cfg["dataset"]["spec"]["normal_components"] = [
             {"mean": [0.0] * 6, "std": [1.0] * 6, "count": 2}]
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "config error: dataset: 2 normals leave none to test on\n"
         assert not out.exists()
 
-    def test_clusters_checked_against_the_training_split(self, tmp_path):
+    def test_clusters_checked_against_the_training_split(self):
         # 120 normals, of which a 0.75 split trains on 90
-        ds, _ = parse_config(minimal_config(tmp_path / "out")).dataset.load()
+        ds, _ = parse_config(minimal_config()).dataset.load()
         check_clusters(ds, 90)
         with pytest.raises(ConfigurationError, match=r"^train.C: 91 exceeds the 90 normals"):
             check_clusters(ds, 91)
 
     def test_variant_without_clusters_runs_with_a_large_C(self, tmp_path):
         out = tmp_path / "out"
-        cfg = minimal_config(out, variants=("Homogeneous",))
+        cfg = minimal_config(variants=("Homogeneous",))
         cfg["train"]["C"] = 100
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
         assert (out / "results.json").exists()
 
 
 class TestRunCommand:
     def test_minimal_run_writes_results(self, tmp_path):
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, minimal_config(out))
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        cfg_path = write_config(tmp_path, minimal_config())
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         results = json.loads((out / "results.json").read_text())
         assert len(results["results"]) == 1
         entry = results["results"][0]
@@ -317,10 +320,10 @@ class TestRunCommand:
 
     def test_results_csv_lists_every_metric(self, tmp_path):
         out = tmp_path / "out"
-        cfg = minimal_config(out, seeds=(0, 1), variants=("AHL", "Homogeneous"), epochs=2)
-        cfg["protocol"] = {"kind": "hard", "m_anomalies": 6, "seen_class": "hot",
+        cfg = minimal_config(seeds=(0, 1), variants=("AHL", "Homogeneous"), epochs=2)
+        cfg["protocol"] = {"m_anomalies": 6, "seen_class": "hot",
                            "seeds": [0, 1]}
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
         with open(out / "results.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["variant", "kind", "seed", *METRICS]
@@ -334,42 +337,31 @@ class TestRunCommand:
 
     def test_missing_csv_dataset_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = minimal_config(out)
+        cfg = minimal_config()
         missing = tmp_path / "absent.csv"
-        cfg["dataset"] = {"kind": "csv", "path": str(missing)}
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        cfg["dataset"] = {"path": str(missing)}
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: dataset.path: no such file: {missing}\n"
         assert not out.exists()
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
-        cfg = minimal_config(tmp_path / "out")
+        cfg = minimal_config()
         cfg["train"]["T"] = 0
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["run", "--config", str(cfg_path)]) == 2
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
         assert "train.T" in capsys.readouterr().err
 
     def test_rerun_byte_identical(self, tmp_path):
-        cfg = minimal_config(tmp_path / "out-a")
-        path_a = write_config(tmp_path, cfg, "a.json")
-        assert main(["run", "--config", str(path_a)]) == 0
-        cfg["output_dir"] = str(tmp_path / "out-b")
-        path_b = write_config(tmp_path, cfg, "b.json")
-        assert main(["run", "--config", str(path_b)]) == 0
-
+        cfg_path = write_config(tmp_path, minimal_config())
+        for out in ("out-a", "out-b"):
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / out)]) == 0
         tree_a = read_tree(tmp_path / "out-a")
-        tree_b = read_tree(tmp_path / "out-b")
-        assert set(tree_a) == set(tree_b)
-        for name in tree_a:
-            if name == "manifest.json":
-                continue  # embeds output_dir, everything else must agree
-            assert tree_a[name] == tree_b[name], name
-        man_a = json.loads(tree_a["manifest.json"])
-        man_b = json.loads(tree_b["manifest.json"])
-        assert man_a["results_sha256"] == man_b["results_sha256"]
+        assert "manifest.json" in tree_a
+        assert tree_a == read_tree(tmp_path / "out-b")
 
     def test_threads_other_than_one_refused_before_writing(self, tmp_path):
         out = tmp_path / "out"
-        config = parse_config(minimal_config(out))
+        config = parse_config(minimal_config())
         with pytest.raises(ConfigurationError, match="^threads: "):
             execute_run(config, out, 2)
         assert not out.exists()
@@ -377,14 +369,14 @@ class TestRunCommand:
     @pytest.mark.parametrize("subcommand", ["run", "replay"])
     def test_used_out_refused_before_any_job(self, tmp_path, monkeypatch, capsys, subcommand):
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, minimal_config(out))
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        cfg_path = write_config(tmp_path, minimal_config())
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         before = read_tree(out)
         monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(evaluate, "_run_job", lambda job: pytest.fail("a job ran"))
         capsys.readouterr()
         if subcommand == "run":
-            args = ["run", "--config", str(cfg_path)]
+            args = ["run", "--config", str(cfg_path), "--out", str(out)]
         else:
             args = ["replay", "--manifest", str(out / "manifest.json"), "--out", str(out)]
         assert main(args) == 2
@@ -392,23 +384,23 @@ class TestRunCommand:
         assert read_tree(out) == before
 
     def test_missing_output_dir_refused_before_writing(self, tmp_path, monkeypatch, capsys):
-        cfg = minimal_config(tmp_path / "unused")
-        del cfg["output_dir"]
-        cfg_path = write_config(tmp_path, cfg)
+        cfg_path = write_config(tmp_path, minimal_config())
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(evaluate, "_run_job", lambda job: pytest.fail("a job ran"))
-        assert main(["run", "--config", str(cfg_path)]) == 2
-        assert (capsys.readouterr().err
-                == "config error: output_dir: set it in the config or pass --out\n")
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--config", str(cfg_path)])
+        assert exit_.value.code == 2
+        assert "the following arguments are required: --out" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     def test_empty_out_accepted(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
-        assert main(["run", "--config", str(write_config(tmp_path, minimal_config(out)))]) == 0
+        assert main(["run", "--config", str(write_config(tmp_path, minimal_config())),
+                     "--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("args", [["run", "--config", "config.json"],
+    @pytest.mark.parametrize("args", [["run", "--config", "config.json", "--out", "o"],
                                       ["replay", "--manifest", "manifest.json", "--out", "o"]],
                              ids=["run", "replay"])
     def test_threads_flag_is_gone(self, args, capsys):
@@ -418,9 +410,9 @@ class TestRunCommand:
         assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
     def test_seed_override_changes_results(self, tmp_path):
-        cfg = minimal_config(tmp_path / "o1")
+        cfg = minimal_config()
         p = write_config(tmp_path, cfg)
-        assert main(["run", "--config", str(p)]) == 0
+        assert main(["run", "--config", str(p), "--out", str(tmp_path / "o1")]) == 0
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o2"),
                      "--seed", "99"]) == 0
         a = (tmp_path / "o1" / "results.json").read_bytes()
@@ -453,7 +445,7 @@ class TestWorkers:
     @pytest.mark.parametrize("serial", ["one-cpu", "no-fork", "other-thread"])
     @pytest.mark.parametrize("sweep", [False, True], ids=["run", "sweep"])
     def test_artifacts_equal_the_in_process_run(self, tmp_path, monkeypatch, serial, sweep):
-        cfg = minimal_config(tmp_path / "out", seeds=(0, 1),
+        cfg = minimal_config(seeds=(0, 1),
                              variants=("AHL", "Homogeneous", "RamFULL"), epochs=2)
         if sweep:
             cfg["variants"] = ["AHL"]
@@ -486,13 +478,13 @@ class TestWorkers:
     def test_ctrl_c_ends_the_run_and_its_workers(self, tmp_path):
         # two jobs of about 45 s each; SIGINT goes to the whole process
         # group, as a terminal's Ctrl-C sends it
-        cfg = minimal_config(tmp_path / "out", seeds=(0, 1), epochs=10_000)
+        cfg = minimal_config(seeds=(0, 1), epochs=10_000)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.Popen(
             [sys.executable, "-m", "hetanom.cli", "run", "--config",
-             str(write_config(tmp_path, cfg))],
+             str(write_config(tmp_path, cfg)), "--out", str(tmp_path / "out")],
             env=env, start_new_session=True, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
             text=True)
         try:
@@ -515,8 +507,8 @@ class TestWorkers:
 class TestReplay:
     def test_replay_reproduces(self, tmp_path):
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, minimal_config(out))
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        cfg_path = write_config(tmp_path, minimal_config())
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         assert main(["replay", "--manifest", str(out / "manifest.json"),
                      "--out", str(tmp_path / "replayed")]) == 0
         assert (tmp_path / "replayed" / "results.json").read_bytes() == \
@@ -526,8 +518,8 @@ class TestReplay:
 
     def test_missing_csv_dataset_refused_before_any_work(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
-        cfg = minimal_config("out")
-        cfg["dataset"] = {"kind": "csv", "path": str(missing)}
+        cfg = minimal_config()
+        cfg["dataset"] = {"path": str(missing)}
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"format_version": MANIFEST_VERSION, "config": cfg,
                                     "dataset_sha256": "x", "results_sha256": "x"}))
@@ -538,8 +530,8 @@ class TestReplay:
 
     def test_tampered_seed_detected(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg_path = write_config(tmp_path, minimal_config(out))
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        cfg_path = write_config(tmp_path, minimal_config())
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         manifest["config"]["seed"] = 123456
         tampered = tmp_path / "tampered.json"
@@ -567,11 +559,13 @@ class TestReplay:
         (5, {"train": dict(lr_base=2e-4, lr_unified=5e-3, lr_seq=2e-2, seq_batch_size=256,
                            c_unseen=1.0, c_other=0.5, margin=5.0)}),
         (6, {"protocol": dict(train_fraction=0.75)}),
-    ], ids=["1", "2", "3", "4", "5", "6"])
+        (7, {"": dict(output_dir="out"), "protocol": dict(kind="general"),
+             "dataset": dict(kind="synthetic")}),
+    ], ids=["1", "2", "3", "4", "5", "6", "7"])
     def test_old_manifest_version_refused(self, tmp_path, version, gone):
-        cfg = minimal_config(tmp_path / "out")
-        for section, values in gone.items():
-            cfg[section].update(values)
+        cfg = minimal_config()
+        for section, values in gone.items():  # "" is the top level
+            (cfg[section] if section else cfg).update(values)
         old = tmp_path / f"v{version}.json"
         old.write_text(json.dumps({"format_version": version, "command": "run", "config": cfg,
                                    "dataset_sha256": None, "results_sha256": "x"}))
@@ -582,9 +576,9 @@ class TestReplay:
     @pytest.mark.parametrize("manifest, message", [
         ([], "manifest: must be a JSON object"),
         ({"format_version": MANIFEST_VERSION}, "manifest: missing field 'config'"),
-        ({"format_version": MANIFEST_VERSION, "config": minimal_config("out")},
+        ({"format_version": MANIFEST_VERSION, "config": minimal_config()},
          "manifest: missing field 'results_sha256'"),
-        ({"format_version": MANIFEST_VERSION, "config": minimal_config("out"),
+        ({"format_version": MANIFEST_VERSION, "config": minimal_config(),
           "results_sha256": "x"},
          "manifest: missing field 'dataset_sha256'"),
     ], ids=["not-an-object", "no-config", "no-checksum", "no-dataset-checksum"])
@@ -615,10 +609,10 @@ class TestSweepCommand:
 
     def test_sweep_csv_written(self, tmp_path):
         out = tmp_path / "out"
-        cfg = minimal_config(out, epochs=2)
+        cfg = minimal_config(epochs=2)
         cfg["sweep"] = {"param": "C", "values": [2, 3]}
         cfg_path = write_config(tmp_path, cfg)
-        assert main(["run", "--config", str(cfg_path)]) == 0
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "results.json",
@@ -630,12 +624,12 @@ class TestSweepCommand:
 
     def test_more_than_one_variant_refused_before_writing(self, tmp_path, capsys):
         out = tmp_path / "out"
-        cfg = minimal_config(out, variants=("AHL", "Homogeneous"))
+        cfg = minimal_config(variants=("AHL", "Homogeneous"))
         cfg["sweep"] = {"param": "C", "values": [2]}
         with pytest.raises(ConfigurationError,
                            match="^variants: a sweep runs one variant, got 2$"):
             parse_config(cfg)
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: variants: ")
         assert not out.exists()
 
@@ -648,7 +642,7 @@ class TestGenData:
         assert ds.n_normal == 1200 and ds.n_anomaly == 240
 
     def test_custom_spec_and_seed(self, tmp_path):
-        spec = minimal_config(tmp_path)["dataset"]["spec"]
+        spec = minimal_config()["dataset"]["spec"]
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(spec))
         out = tmp_path / "data.csv"
@@ -677,14 +671,14 @@ class TestRelativeCsvPath:
         csv_dir = tmp_path / "csvt"
         csv_dir.mkdir()
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(minimal_config("out")["dataset"]["spec"]))
+        spec_path.write_text(json.dumps(minimal_config()["dataset"]["spec"]))
         assert main(["gen-data", "--out", str(csv_dir / "data.csv"),
                      "--spec", str(spec_path)]) == 0
-        cfg = minimal_config("r1")
-        cfg["dataset"] = {"kind": "csv", "path": "data.csv"}
+        cfg = minimal_config()
+        cfg["dataset"] = {"path": "data.csv"}
         write_config(csv_dir, cfg)
         monkeypatch.chdir(csv_dir)
-        assert main(["run", "--config", "config.json"]) == 0
+        assert main(["run", "--config", "config.json", "--out", "r1"]) == 0
         manifest = json.loads((csv_dir / "r1" / "manifest.json").read_text())
         assert manifest["config"]["dataset"]["path"] == str((csv_dir / "data.csv").resolve())
         monkeypatch.chdir(tmp_path)
@@ -701,11 +695,12 @@ class TestCsvReadOnce:
     @pytest.mark.parametrize("change", ["overwrite", "remove"])
     def test_dataset_checksum_is_of_the_bytes_read(self, tmp_path, monkeypatch, change):
         csv_path = tmp_path / "data.csv"
-        write_csv(generate(MixtureSpec.from_dict(minimal_config("out")["dataset"]["spec"])),
+        write_csv(generate(MixtureSpec.from_dict(minimal_config()["dataset"]["spec"])),
                   csv_path)
         original = csv_path.read_bytes()
-        cfg = minimal_config(tmp_path / "out")
-        cfg["dataset"] = {"kind": "csv", "path": str(csv_path)}
+        out = tmp_path / "out"
+        cfg = minimal_config()
+        cfg["dataset"] = {"path": str(csv_path)}
         inner = cli.run_protocols
 
         def changing_run_protocols(*args, **kwargs):
@@ -716,8 +711,8 @@ class TestCsvReadOnce:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(cli, "run_protocols", changing_run_protocols)
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
-        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dataset_sha256"] == hashlib.sha256(original).hexdigest()
 
 
@@ -726,13 +721,14 @@ class TestReplayCsv:
     manifest's checksum before writing anything, and runs on them."""
 
     def run_on_csv(self, tmp_path):
-        spec = MixtureSpec.from_dict(minimal_config("out")["dataset"]["spec"])
+        spec = MixtureSpec.from_dict(minimal_config()["dataset"]["spec"])
         csv_path = tmp_path / "data.csv"
         write_csv(generate(spec), csv_path)
-        cfg = minimal_config(tmp_path / "out", epochs=1)
-        cfg["dataset"] = {"kind": "csv", "path": str(csv_path)}
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
-        return spec, csv_path, tmp_path / "out" / "manifest.json"
+        out = tmp_path / "out"
+        cfg = minimal_config(epochs=1)
+        cfg["dataset"] = {"path": str(csv_path)}
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+        return spec, csv_path, out / "manifest.json"
 
     @pytest.mark.parametrize("change", ["edited", "unrecorded"])
     def test_unmatched_dataset_refused_before_writing(self, tmp_path, change):
@@ -764,27 +760,29 @@ class TestReplayCsv:
 
 class TestSweepChecksHaveOneOwner:
     def test_bad_param_same_message_from_config_and_library(self, tmp_path, capsys):
-        cfg = minimal_config(tmp_path / "out")
+        out = tmp_path / "out"
+        cfg = minimal_config()
         cfg["sweep"] = {"param": "T", "values": [2]}
         message = "sweep.param: must be 'C' or 'K', got 'T'"
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
             parse_config(cfg)
-        assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
         ds = generate(MixtureSpec.from_dict(cfg["dataset"]["spec"]))
         with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
-            sweep("T", [2], ds, ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,)),
+            sweep("T", [2], ds, ProtocolSpec(m_anomalies=6, seeds=(0,)),
                   TrainConfig(T=3, C=2, epochs=1, hidden=8))
 
-    def test_empty_values_refused(self, tmp_path):
-        cfg = minimal_config(tmp_path / "out")
+    def test_empty_values_refused(self):
+        cfg = minimal_config()
         cfg["sweep"] = {"param": "C", "values": []}
         with pytest.raises(ConfigurationError, match="^sweep.values: must be a non-empty list$"):
             parse_config(cfg)
 
     def test_python_built_sweep_with_two_variants_refused_before_writing(self, tmp_path):
         out = tmp_path / "out"
-        cfg = minimal_config(out)
+        cfg = minimal_config()
         cfg["sweep"] = {"param": "C", "values": [2]}
         config = parse_config(cfg)
         with pytest.raises(ConfigurationError, match="^variants: a sweep runs one variant, got 2$"):

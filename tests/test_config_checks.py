@@ -21,8 +21,8 @@ NONFINITE = (math.nan, math.inf, -math.inf)
 COMPONENT = {"mean": (0.0, 0.0), "std": (1.0, 1.0), "count": 3}
 SPEC = {"dim": 2, "normal_components": (Component(**COMPONENT),), "seed": 0,
         "anomaly_components": (Component((5.0, 5.0), (1.0, 1.0), 2, "far"),)}
-RUN = {"dataset": DatasetSource(kind="synthetic"), "protocol": ProtocolSpec(kind="general")}
-HARD = {"kind": "hard", "seen_class": "spike"}
+RUN = {"dataset": DatasetSource(), "protocol": ProtocolSpec()}
+HARD = {"seen_class": "spike"}
 
 
 def cases():
@@ -33,22 +33,15 @@ def cases():
     yield TrainConfig, {"T": 2}, "C", 1
     yield TrainConfig, {"warmup_epochs": 5}, "K", 6
 
-    yield ProtocolSpec, HARD, "kind", "cross_domain"
     yield ProtocolSpec, HARD, "m_anomalies", 0
-    yield ProtocolSpec, HARD, "seen_class", None
-    yield ProtocolSpec, HARD, "seen_class", ""
     yield ProtocolSpec, HARD, "seeds", ()
     yield ProtocolSpec, HARD, "seeds", (1, 1)
 
-    csv = {"kind": "csv", "path": "data.csv"}
-    yield DatasetSource, {"kind": "synthetic"}, "kind", "parquet"
-    yield DatasetSource, csv, "path", None
-    yield DatasetSource, csv, "path", ""
-    yield DatasetSource, {"kind": "synthetic"}, "path", "data.csv"
-    yield DatasetSource, csv, "spec", default_benchmark()
+    yield DatasetSource, {"path": "data.csv"}, "spec", default_benchmark()
 
     yield RunConfig, RUN, "variants", ()
     yield RunConfig, RUN, "variants", ("AHL", "Wrong")
+    yield RunConfig, RUN, "variants", ("AHL", "ahl")
     yield RunConfig, RUN, "sweep", SweepSpec("C", (2, 0))
     yield RunConfig, {**RUN, "sweep": SweepSpec("C", (2,))}, "variants", ("AHL", "RamFULL")
 
@@ -92,11 +85,11 @@ def test_build_puts_the_path_in_front():
         build("spec", MixtureSpec, {**SPEC, "normal_components": [{**COMPONENT, "count": 0}],
                                     "anomaly_components": []})
     with pytest.raises(ConfigurationError, match=r"^variants\[0\]: unknown variant"):
-        build("", RunConfig, {**minimal_config("out"), "variants": ["Wrong"]})
+        build("", RunConfig, {**minimal_config(), "variants": ["Wrong"]})
 
 
 def test_python_built_config_refused_as_the_parsed_one():
-    raw = minimal_config("out")
+    raw = minimal_config()
     raw["variants"] = ["AHL", "Wrong"]
     with pytest.raises(ConfigurationError) as parsed:
         parse_config(raw)
@@ -107,3 +100,8 @@ def test_python_built_config_refused_as_the_parsed_one():
 
 def test_variants_canonicalised_on_construction():
     assert RunConfig(**RUN, variants=["ahl", "hadg-only"]).variants == ("AHL", "HADG_only")
+
+
+def test_kind_follows_from_seen_class():
+    assert ProtocolSpec().kind == "general"
+    assert ProtocolSpec(seen_class="spike").kind == "hard"

@@ -175,7 +175,7 @@ FAST = TrainConfig(T=3, C=2, epochs=6, warmup_epochs=5, K=5, hidden=16)
 class TestRunProtocol:
     def test_general_protocol_runs(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(0, 1))
         res = run_protocol(ds, spec, FAST, "AHL")
         assert len(res.per_seed) == 2
         for r in res.per_seed:
@@ -183,7 +183,7 @@ class TestRunProtocol:
 
     def test_deterministic(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(3, 4))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(3, 4))
         a = run_protocol(ds, spec, FAST, "AHL")
         b = run_protocol(ds, spec, FAST, "AHL")
         assert a == b
@@ -197,14 +197,14 @@ class TestRunProtocol:
             anomaly_components=(Component((6.0,) * d, (0.5,) * d, 20, "only"),),
             seed=1,
         ))
-        spec = ProtocolSpec(kind="hard", seen_class="only", m_anomalies=5, seeds=(0,))
+        spec = ProtocolSpec(seen_class="only", m_anomalies=5, seeds=(0,))
         res = run_protocol(ds, spec, TrainConfig(T=2, C=2, epochs=2, hidden=8), "AHL")
         assert res.per_seed[0].auc_unseen is None
         assert res.per_seed[0].auc_seen is not None
 
     def test_unknown_seen_class(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="hard", seen_class="nope", m_anomalies=4, seeds=(0,))
+        spec = ProtocolSpec(seen_class="nope", m_anomalies=4, seeds=(0,))
         with pytest.raises(ConfigurationError, match="seen_class"):
             run_protocol(ds, spec, FAST, "AHL")
 
@@ -212,7 +212,7 @@ class TestRunProtocol:
         ds = tiny_benchmark()
         from hetanom.evaluate import _protocol_split
         from hetanom.seeding import derive_seed
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(5,))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(5,))
         root = derive_seed(FAST.seed, "protocol", 5)
         train_ds, test_ds, _ = _protocol_split(ds, spec, root)
         from dataclasses import replace
@@ -222,10 +222,10 @@ class TestRunProtocol:
     def test_seeds_run_and_aggregate_in_ascending_order(self):
         ds = tiny_benchmark()
         sunk = []
-        shuffled = run_protocol(ds, ProtocolSpec(kind="general", m_anomalies=6, seeds=(2, 0, 1)),
+        shuffled = run_protocol(ds, ProtocolSpec(m_anomalies=6, seeds=(2, 0, 1)),
                                 FAST, "Homogeneous",
                                 model_sink=lambda seed, model: sunk.append(seed))
-        ordered = run_protocol(ds, ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1, 2)),
+        ordered = run_protocol(ds, ProtocolSpec(m_anomalies=6, seeds=(0, 1, 2)),
                                FAST, "Homogeneous")
         assert sunk == [0, 1, 2]
         assert [r.seed for r in shuffled.per_seed] == [0, 1, 2]
@@ -237,7 +237,7 @@ class TestWorkerPool:
     workers. ``_usable_cpus`` reports 2 here, so the pool runs on any
     machine."""
 
-    SPEC = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1, 2))
+    SPEC = ProtocolSpec(m_anomalies=6, seeds=(0, 1, 2))
     RUNS = [("Homogeneous", FAST), ("RamFULL", FAST)]
 
     @pytest.fixture(autouse=True)
@@ -330,8 +330,8 @@ class TestWorkerPool:
         # while both threads live, this process runs other threads, so both
         # calls take the in-process path
         runs = [("Homogeneous", FAST)]
-        specs = [ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1, 2)),
-                 ProtocolSpec(kind="general", m_anomalies=6, seeds=(3, 4, 5, 6))]
+        specs = [ProtocolSpec(m_anomalies=6, seeds=(0, 1, 2)),
+                 ProtocolSpec(m_anomalies=6, seeds=(3, 4, 5, 6))]
         got = [None, None]
 
         def call(i):
@@ -383,10 +383,10 @@ class TestWorkerPool:
     def test_killed_worker_fails_the_run_with_exit_code_1(self, tmp_path, monkeypatch, capsys):
         self.kill_worker_of(monkeypatch, ("Homogeneous", 0))
         out = tmp_path / "out"
-        cfg = minimal_config(out, seeds=(0, 1), variants=("Homogeneous",), epochs=2)
+        cfg = minimal_config(seeds=(0, 1), variants=("Homogeneous",), epochs=2)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(path)]) == 1
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
             "error: HetanomError: protocol job (Homogeneous, seed 0) did not finish: "
             "a worker died\n")
@@ -397,7 +397,7 @@ class TestWorkerPool:
         # seed 0's job finishes before seed 1's fails
         self.fail_jobs(monkeypatch, {("Homogeneous", 1): (0.0, "job failed")})
         out = tmp_path / "out"
-        config = parse_config(minimal_config(out, seeds=(0, 1), variants=("Homogeneous",),
+        config = parse_config(minimal_config(seeds=(0, 1), variants=("Homogeneous",),
                                              epochs=2))
         with pytest.raises(NumericError, match="^job failed$"):
             execute_run(config, out)
@@ -419,13 +419,13 @@ class TestRefusedBeforeAnyJob:
 
     def test_no_anomaly_left_to_test(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="general", m_anomalies=ds.n_anomaly, seeds=(0, 1))
+        spec = ProtocolSpec(m_anomalies=ds.n_anomaly, seeds=(0, 1))
         with pytest.raises(ConfigurationError, match=r"^protocol.m_anomalies: 48 leaves none "
                                                      r"of the 48 anomalies to test$"):
             run_protocol(ds, spec, FAST, "AHL")
 
     def test_every_swept_C_checked(self):
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(0, 1))
         with pytest.raises(ConfigurationError, match=r"^train.C: 10000 exceeds the 90 normals "
                                                      r"a seed trains on$"):
             sweep("C", [2, 10_000], tiny_benchmark(), spec, FAST, "AHL")
@@ -495,7 +495,7 @@ class TestVariants:
 class TestSweep:
     def test_c_sweep_rows(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(0,))
         entries = sweep("C", [2, 3], ds, spec, FAST)
         text = sweep_csv("C", entries)
         lines = text.strip().splitlines()
@@ -504,14 +504,14 @@ class TestSweep:
 
     def test_k_sweep_raises_warmup(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(0,))
         entries = sweep("K", [7], ds, spec,
                         TrainConfig(T=2, C=2, epochs=8, warmup_epochs=5, hidden=8))
         assert entries[0][1].per_seed[0].auc_overall is not None
 
     def test_sweep_deterministic_bytes(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(0,))
         a = sweep_csv("C", sweep("C", [2], ds, spec, FAST))
         b = sweep_csv("C", sweep("C", [2], ds, spec, FAST))
         assert a == b
@@ -535,7 +535,7 @@ class TestSweep:
 
     def test_bad_param(self):
         ds = tiny_benchmark()
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0,))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(0,))
         with pytest.raises(ConfigurationError):
             sweep("T", [1], ds, spec, FAST)
 

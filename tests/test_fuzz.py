@@ -46,7 +46,7 @@ json_values = st.recursive(
 def config_paths():
     """Every key path of a valid config, down to each mixture component's
     fields and each list element (a list index is a path step)."""
-    cfg = minimal_config("out")
+    cfg = minimal_config()
     cfg["sweep"] = {"param": "K", "values": [5]}
     paths = []
 
@@ -197,14 +197,13 @@ def small_run_configs(draw):
 
     normals = components(st.integers(1, 30), [""] * draw(st.integers(1, 3)))
     tags = ["a", "b", "c"][:draw(st.integers(1, 3))]
-    kind = draw(st.sampled_from(["general", "hard"]))
-    protocol = {"kind": kind, "m_anomalies": draw(st.integers(1, 8)),
+    protocol = {"m_anomalies": draw(st.integers(1, 8)),
                 "seeds": draw(st.sampled_from([[0], [0, 1]]))}
-    if kind == "hard":
+    if draw(st.booleans()):  # the hard protocol
         protocol["seen_class"] = draw(st.sampled_from(tags))
     return {
         "seed": draw(st.integers(0, 3)),
-        "dataset": {"kind": "synthetic", "spec": {
+        "dataset": {"spec": {
             "dim": dim, "seed": draw(st.integers(0, 3)), "normal_components": normals,
             "anomaly_components": components(st.integers(1, 12), tags)}},
         "train": {"T": draw(st.integers(1, 4)), "C": draw(st.integers(1, 4)),

@@ -563,7 +563,7 @@ class TestOneBlasThread:
 
     def test_run_protocol_restores(self):
         seen = []
-        spec = ProtocolSpec(kind="general", m_anomalies=6, seeds=(0, 1))
+        spec = ProtocolSpec(m_anomalies=6, seeds=(0, 1))
         run_protocol(tiny_benchmark(), spec, FAST, "AHL",
                      model_sink=lambda seed, model: seen.append(blas_threads()))
         assert seen == [1, 1]
