@@ -147,9 +147,12 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match=rf"^{re.escape(field)}(\[0\])?: "):
             parse_config(cfg)
 
-    def test_path_with_spec_refused(self):
+    @pytest.mark.parametrize("first", ["path", "spec"], ids=["csv-spec", "synthetic-path"])
+    def test_field_of_the_other_dataset_kind_refused(self, first):
+        # a path makes the dataset a csv, which takes no spec, whichever is written first
         cfg = minimal_config()
-        cfg["dataset"]["path"] = "bench.csv"
+        fields = {"path": "bench.csv", "spec": cfg["dataset"]["spec"]}
+        cfg["dataset"] = {first: fields.pop(first), **fields}
         with pytest.raises(ConfigurationError, match="^dataset.spec: "):
             parse_config(cfg)
 
@@ -342,6 +345,14 @@ class TestRunCommand:
         cfg["dataset"] = {"path": str(missing)}
         assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"config error: dataset.path: no such file: {missing}\n"
+        assert not out.exists()
+
+    def test_empty_csv_path_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = minimal_config()
+        cfg["dataset"] = {"path": ""}
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: dataset.path: no such file: \n"
         assert not out.exists()
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
