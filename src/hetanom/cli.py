@@ -107,13 +107,17 @@ def load_config(path) -> RunConfig:
 
 
 def _read_json(path, what: str):
-    """The JSON value in ``path``; a missing or malformed file is a
-    :class:`ConfigurationError` that starts with ``what``."""
+    """The JSON value in ``path``; a file that cannot be read, is not UTF-8
+    or is not JSON is a :class:`ConfigurationError` that starts with ``what``."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigurationError(f"{what}: file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigurationError(f"{what}: cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{what}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{what}: invalid JSON: {exc}") from None
 
@@ -147,8 +151,11 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
     goes into the manifest. The models wait in memory for the write phase.
     A replay passes the recorded ``expected_sha256``: results that do not
     reproduce it raise :class:`ReplayError` before anything is written."""
-    if out_dir.exists() and (not out_dir.is_dir() or any(out_dir.iterdir())):
-        raise ConfigurationError(f"output_dir: {out_dir} is not empty")
+    existing = next(p for p in (out_dir, *out_dir.absolute().parents) if p.exists())
+    if existing == out_dir and (not out_dir.is_dir() or any(out_dir.iterdir())):
+        raise ConfigurationError(f"--out: {out_dir} is not empty")
+    if not existing.is_dir():
+        raise ConfigurationError(f"--out: cannot create {out_dir}: {existing} is not a directory")
     cfg = replace(config.train, seed=config.seed)
     models = []
     if config.sweep is not None:
@@ -202,14 +209,14 @@ def execute_replay(manifest_path: Path, out_dir: Path) -> str:
     dataset bytes that were checked."""
     manifest = _read_json(manifest_path, "manifest")
     if not isinstance(manifest, dict):
-        raise ReplayError("manifest: must be a JSON object")
+        raise ConfigurationError("manifest: must be a JSON object")
     if manifest.get("format_version") != MANIFEST_VERSION:
-        raise ReplayError(
+        raise ConfigurationError(
             f"manifest format_version {manifest.get('format_version')!r} "
             f"is not {MANIFEST_VERSION}")
     for key in ("config", "results_sha256", "dataset_sha256"):
         if key not in manifest:
-            raise ReplayError(f"manifest: missing field {key!r}")
+            raise ConfigurationError(f"manifest: missing field {key!r}")
     config = parse_config(manifest["config"])
     ds, dataset_sha256 = config.dataset.load()
     if dataset_sha256 != manifest["dataset_sha256"]:
@@ -249,6 +256,11 @@ def main(argv=None) -> int:
             checksum = execute_replay(Path(args.manifest), Path(args.out))
             print(f"replay ok results_sha256={checksum}")
         else:  # gen-data
+            out = Path(args.out)
+            if not out.parent.is_dir():
+                raise ConfigurationError(f"--out: no such directory: {out.parent}")
+            if out.is_dir():
+                raise ConfigurationError(f"--out: {out} is a directory")
             if args.spec is not None:
                 spec = MixtureSpec.from_dict(_read_json(args.spec, "spec"))
             else:

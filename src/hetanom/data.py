@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ParseError,
-    SchemaError,
-    SplitError,
-    ValidationError,
-)
+from .errors import ConfigurationError, HetanomError
 from .seeding import rng_for
 
 NORMAL = 0
@@ -54,22 +49,22 @@ class FeatureDataset:
         feats = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.int64)
         if feats.ndim != 2:
-            raise ValidationError("features must be a 2-D array")
+            raise ConfigurationError("features must be a 2-D array")
         n = feats.shape[0]
         if not (len(ids) == n == labels.shape[0] == len(class_tags)):
-            raise ValidationError("ids, features, labels, class_tags lengths differ")
+            raise ConfigurationError("ids, features, labels, class_tags lengths differ")
         if n == 0:
-            raise ValidationError("dataset is empty")
+            raise ConfigurationError("dataset is empty")
         if not np.isfinite(feats).all():
             bad = int(np.argwhere(~np.isfinite(feats))[0][0])
-            raise ValidationError(f"non-finite feature value in sample {ids[bad]!r}")
+            raise ConfigurationError(f"non-finite feature value in sample {ids[bad]!r}")
         if not np.isin(labels, (NORMAL, ANOMALY)).all():
             bad = int(np.argwhere(~np.isin(labels, (NORMAL, ANOMALY)))[0][0])
-            raise ValidationError(f"label of sample {ids[bad]!r} is not in {{0, 1}}")
+            raise ConfigurationError(f"label of sample {ids[bad]!r} is not in {{0, 1}}")
         if not ids_distinct and len(set(ids)) != n:
             _raise_duplicate(ids)
         if not (labels == NORMAL).any():
-            raise ValidationError("dataset has no normal samples")
+            raise ConfigurationError("dataset has no normal samples")
         feats.setflags(write=False)
         labels.setflags(write=False)
         object.__setattr__(self, "features", feats)
@@ -112,7 +107,7 @@ class FeatureDataset:
 
         Distinct rows of this dataset have distinct ids, so the rows are
         checked instead of the ids: a repeated row raises
-        :class:`ValidationError` naming the first id that repeats, and a row
+        :class:`ConfigurationError` naming the first id that repeats, and a row
         out of range raises ``IndexError``."""
         rows = np.asarray(rows, dtype=np.int64)
         n = len(self.ids)
@@ -131,7 +126,7 @@ class FeatureDataset:
 def _raise_duplicate(ids) -> None:
     seen = set()
     dup = next(i for i in ids if i in seen or seen.add(i))
-    raise ValidationError(f"duplicate sample id {dup!r}")
+    raise ConfigurationError(f"duplicate sample id {dup!r}")
 
 
 def _pick(values: tuple, rows: list[int]) -> tuple:
@@ -159,7 +154,7 @@ def stratified_split(ds: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDatase
 
     Deterministic given ``spec.seed``; parts are disjoint, their union is
     the input, and per-class counts differ from the exact proportions by
-    at most one sample. Raises :class:`SplitError` if a present class
+    at most one sample. Raises :class:`HetanomError` if a present class
     would end up empty in either part.
     """
     first, second = split_rows(ds.labels, spec)
@@ -174,7 +169,7 @@ def split_rows(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndar
         rows = np.flatnonzero(labels == label)
         counts = part_sizes(len(rows))
         if min(counts) == 0:
-            raise SplitError(
+            raise HetanomError(
                 f"class {label}: fraction {_PARTS} empties one part "
                 f"({len(rows)} samples available)"
             )
@@ -211,34 +206,34 @@ def ingest_csv(path, data: bytes | None = None) -> FeatureDataset:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError(f"{path}: empty file") from None
+        raise ConfigurationError(f"{path}: empty file") from None
     dim = _check_header(header, path)
     ids, feats, labels, tags = [], [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3 + dim:
-            raise ParseError(
+            raise ConfigurationError(
                 f"{path}: line {lineno}: expected {3 + dim} columns, got {len(row)}"
             )
         sid, label_text, tag = row[0], row[1], row[2]
         if label_text not in ("0", "1"):
-            raise ParseError(f"{path}: line {lineno}: label must be 0 or 1")
+            raise ConfigurationError(f"{path}: line {lineno}: label must be 0 or 1")
         try:
             values = [float(v) for v in row[3:]]
         except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}") from None
+            raise ConfigurationError(f"{path}: line {lineno}: {exc}") from None
         ids.append(sid)
         labels.append(int(label_text))
         tags.append(tag)
         feats.append(values)
     if not ids:
-        raise SchemaError(f"{path}: no data rows")
+        raise ConfigurationError(f"{path}: no data rows")
     try:
         return FeatureDataset(
             ids=tuple(ids),
@@ -246,19 +241,19 @@ def ingest_csv(path, data: bytes | None = None) -> FeatureDataset:
             labels=np.array(labels, dtype=np.int64),
             class_tags=tuple(tags),
         )
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _check_header(header, path) -> int:
     if tuple(header[:3]) != CSV_HEAD:
-        raise SchemaError(f"{path}: header must start with {','.join(CSV_HEAD)}")
+        raise ConfigurationError(f"{path}: header must start with {','.join(CSV_HEAD)}")
     feature_cols = header[3:]
     if not feature_cols:
-        raise SchemaError(f"{path}: no feature columns")
+        raise ConfigurationError(f"{path}: no feature columns")
     for i, name in enumerate(feature_cols):
         if name != f"f{i}":
-            raise SchemaError(f"{path}: feature column {i} is {name!r}, expected f{i}")
+            raise ConfigurationError(f"{path}: feature column {i} is {name!r}, expected f{i}")
     return len(feature_cols)
 
 

@@ -1,53 +1,21 @@
-"""Exception types shared across the package."""
+"""The package's three exception types, one per thing a caller does about it.
+
+Every error is a :class:`HetanomError`. Raised as itself it means the run
+failed: a non-finite value, a dead worker, or a broken precondition or
+invariant of a library call. The CLI exits 1 for it and for a
+:class:`ReplayError`, and 2 for a :class:`ConfigurationError`."""
 
 
 class HetanomError(Exception):
-    """Base class for all package errors."""
-
-
-class ParseError(HetanomError, ValueError):
-    """A file could not be parsed (carries the offending line in the message)."""
-
-
-class SchemaError(HetanomError, ValueError):
-    """A file header or column layout does not match the declared schema."""
-
-
-class ValidationError(HetanomError, ValueError):
-    """Data violates a dataset invariant (duplicate ids, bad labels, ...)."""
-
-
-class SplitError(HetanomError, ValueError):
-    """A requested split would leave a present label class empty in one part."""
-
-
-class CapacityError(HetanomError, ValueError):
-    """Not enough samples for the requested operation (e.g. k > |normals|)."""
-
-
-class ShapeError(HetanomError, ValueError):
-    """Dimension mismatch between feature vectors or network inputs."""
+    """The run failed; the message names the stage and the value at fault."""
 
 
 class ConfigurationError(HetanomError, ValueError):
-    """Invalid configuration value; message names the offending field."""
+    """Input the user must fix: a config field, or a config, spec, manifest,
+    csv or checkpoint file the package refuses. The message starts with the
+    field's path, the file's role or the file's path."""
 
 
-class ContractError(HetanomError, ValueError):
-    """A caller violated an operation precondition."""
-
-
-class NumericError(HetanomError, ArithmeticError):
-    """A computation produced a non-finite value."""
-
-
-class UndefinedMetricError(HetanomError, ValueError):
-    """A metric is undefined for the given input (e.g. single-class AUC)."""
-
-
-class CheckpointError(HetanomError, ValueError):
-    """A checkpoint file is malformed or from an unknown format version."""
-
-
-class ReplayError(HetanomError, RuntimeError):
-    """A replayed run did not reproduce the recorded artifacts."""
+class ReplayError(HetanomError):
+    """A replay did not reproduce its record: the results checksum or the
+    dataset bytes differ from the manifest's."""

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .data import ANOMALY, TRAIN_FRACTION, FeatureDataset, SplitSpec, part_sizes, split_rows
-from .errors import ConfigurationError, ContractError, HetanomError, UndefinedMetricError
+from .errors import ConfigurationError, HetanomError
 from .nets import ScorerNet, one_blas_thread
 from .seeding import derive_seed, rng_for
 from .train import TrainConfig, fit, simulate, train_scorer, train_scorers
@@ -51,7 +51,7 @@ def auc(scores, labels) -> float:
     m = int(pos.sum())
     n_neg = int(len(labels) - m)
     if m == 0 or n_neg == 0:
-        raise UndefinedMetricError("AUC needs at least one positive and one negative")
+        raise HetanomError("AUC needs at least one positive and one negative")
     # the order inside a run of equal scores leaves its midranks as they
     # are, so any sort will do; NaNs sort last, each its own run, and are
     # put back in row order, as a stable sort leaves them
@@ -241,7 +241,7 @@ def _score_test(model: VariantModel, test_ds: FeatureDataset, seed: int,
     test_ids = set(test_ds.ids)
     leaked = test_ids & model.exposure_ids
     if leaked:
-        raise ContractError(f"test samples leaked into training: {sorted(leaked)[:5]}")
+        raise HetanomError(f"test samples leaked into training: {sorted(leaked)[:5]}")
     scores = model.scores(test_ds.features)
     labels = test_ds.labels
     overall = auc(scores, labels)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import HetanomError
 from .nets import ScorerNet
 
 #: the paper's confidence margin: an anomaly's score is pushed past it
@@ -41,7 +41,7 @@ def _mean(values: np.ndarray):
 def base_loss(net: ScorerNet, X: np.ndarray, y: np.ndarray) -> float:
     """Mean deviation loss of one scorer over a sample set."""
     if len(np.atleast_1d(y)) == 0:
-        raise ContractError("base_loss over an empty sample set")
+        raise HetanomError("base_loss over an empty sample set")
     return score_loss(net.forward(X), y)
 
 
@@ -57,13 +57,13 @@ def base_loss_grad(net: ScorerNet, X: np.ndarray, y: np.ndarray):
     (G,) and the gradients (G, P) are then per scorer.
     """
     if np.size(y) == 0:
-        raise ContractError("base_loss_grad over an empty sample set")
+        raise HetanomError("base_loss_grad over an empty sample set")
     scores, cache = net.forward_with_cache(np.asarray(X, dtype=np.float64))
     per_sample = deviation_loss(scores, y)
     if not np.isfinite(per_sample).all():
         *scorer, bad = np.argwhere(~np.isfinite(per_sample))[0].tolist()
         where = f" of scorer {scorer[0]}" if scorer else ""
-        raise NumericError(f"non-finite loss at sample index {bad}{where}")
+        raise HetanomError(f"non-finite loss at sample index {bad}{where}")
     dscores = deviation_loss_dscore(scores, y) / per_sample.shape[-1]
     return _mean(per_sample), net.backward(cache, dscores)
 
@@ -78,13 +78,13 @@ def cdl_loss(bases, weights):
     n = len(bases)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
-        raise ContractError(f"weights length {w.shape} != number of bases {n}")
+        raise HetanomError(f"weights length {w.shape} != number of bases {n}")
     if not np.isfinite(w).all():
-        raise NumericError(f"cdl aggregation: non-finite weights {w.tolist()}")
+        raise HetanomError(f"cdl aggregation: non-finite weights {w.tolist()}")
     if (w < 0).any():
-        raise ContractError("weights must be non-negative")
+        raise HetanomError("weights must be non-negative")
     if abs(w.sum() - 1.0) > 1e-9:
-        raise ContractError(f"weights must sum to 1, got {w.sum()!r}")
+        raise HetanomError(f"weights must sum to 1, got {w.sum()!r}")
     total = 0.0
     grads = []
     losses = []

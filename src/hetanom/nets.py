@@ -52,7 +52,7 @@ import threading
 
 import numpy as np
 
-from .errors import CheckpointError, ShapeError
+from .errors import ConfigurationError, HetanomError
 
 CHECKPOINT_MAGIC = b"AHL1"
 
@@ -157,7 +157,7 @@ class ScorerNet:
         expected = self.param_count(dim, hidden)
         theta = np.asarray(theta, dtype=np.float64)
         if theta.ndim not in (1, 2) or theta.shape[-1] != expected:
-            raise ShapeError(f"scorer wants {expected} parameters, got {theta.shape}")
+            raise HetanomError(f"scorer wants {expected} parameters, got {theta.shape}")
         self.theta = theta
 
     @staticmethod
@@ -189,7 +189,7 @@ class ScorerNet:
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim < 2 or X.shape[-1] != self.dim:
-            raise ShapeError(f"input must be a batch (n, {self.dim}), got {X.shape}")
+            raise HetanomError(f"input must be a batch (n, {self.dim}), got {X.shape}")
         with one_blas_thread():
             return np.concatenate([self.forward_with_cache(X[..., rows, :])[0]
                                    for rows in _aligned_blocks(X.shape[-2], self.SCORE_ROWS)],
@@ -249,7 +249,7 @@ class SequencePredictor:
             pos += size
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (pos,):
-            raise ShapeError(f"sequence net wants {pos} parameters, got {theta.shape}")
+            raise HetanomError(f"sequence net wants {pos} parameters, got {theta.shape}")
         self.theta = theta
         # flat positions of each layer's (2, 4H, ...) W, U and b stacks
         # (forward, backward), gate rows in the parameters' order i, f, g, o;
@@ -319,7 +319,7 @@ class SequencePredictor:
     def _checked(self, history):
         S = np.asarray(history, dtype=np.float64)
         if S.ndim != 3 or S.shape[2] != self.t_dim:
-            raise ShapeError(f"history must be (n, K, {self.t_dim}), got {S.shape}")
+            raise HetanomError(f"history must be (n, K, {self.t_dim}), got {S.shape}")
         return S
 
     def _forward(self, S, keep):
@@ -472,7 +472,7 @@ class AdamState:
 
     def __init__(self, lr: float):
         if lr <= 0:
-            raise ValueError("learning rate must be > 0")
+            raise HetanomError("learning rate must be > 0")
         self.lr = lr
         self.t = 0
         self.m = None
@@ -483,10 +483,10 @@ class AdamState:
         left as they are. With ``rows`` (indices into the stack), ``theta``
         and ``grad`` hold only those rows."""
         if grad.shape != theta.shape:
-            raise ShapeError("gradient/parameter shape mismatch")
+            raise HetanomError("gradient/parameter shape mismatch")
         if self.m is None:
             if rows is not None:
-                raise ShapeError("the first Adam step must take every row")
+                raise HetanomError("the first Adam step must take every row")
             self.m = np.zeros_like(theta)
             self.v = np.zeros_like(theta)
             self.t = np.zeros(theta.shape[:-1], dtype=np.int64)
@@ -494,7 +494,7 @@ class AdamState:
         # ``rows`` step updates gathered copies and scatters them back
         m, v = (self.m, self.v) if rows is None else (self.m[rows], self.v[rows])
         if m.shape != theta.shape:
-            raise ShapeError("parameter shape differs from the Adam moments")
+            raise HetanomError("parameter shape differs from the Adam moments")
         m *= self.beta1
         m += (1 - self.beta1) * grad
         v *= self.beta2
@@ -528,20 +528,20 @@ def save_checkpoint(path, net) -> None:
 
 def load_checkpoint(path):
     """Rebuild a net from ``save_checkpoint`` output; any malformed file
-    raises CheckpointError naming the path."""
+    raises ConfigurationError naming the path."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic {raw[:4]!r}")
+        raise ConfigurationError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 8:
-        raise CheckpointError(f"{path}: truncated header ({len(raw)} bytes)")
+        raise ConfigurationError(f"{path}: truncated header ({len(raw)} bytes)")
     (desc_len,) = struct.unpack("<I", raw[4:8])
     body = raw[8 + desc_len :]
     if len(raw) < 8 + desc_len:
-        raise CheckpointError(f"{path}: truncated header ({len(raw)} bytes, "
-                              f"descriptor wants {8 + desc_len})")
+        raise ConfigurationError(f"{path}: truncated header ({len(raw)} bytes, "
+                                 f"descriptor wants {8 + desc_len})")
     if len(body) % 8:
-        raise CheckpointError(f"{path}: parameter bytes ({len(body)}) are not whole float64s")
+        raise ConfigurationError(f"{path}: parameter bytes ({len(body)}) are not whole float64s")
     try:
         desc = json.loads(raw[8 : 8 + desc_len].decode("utf-8"))
         kind = desc.get("kind")
@@ -550,6 +550,6 @@ def load_checkpoint(path):
             return ScorerNet(int(desc["dim"]), int(desc["hidden"]), theta)
         if kind == "sequence":
             return SequencePredictor(int(desc["t_dim"]), theta)
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-        raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
-    raise CheckpointError(f"{path}: unknown architecture {kind!r}")
+    except (HetanomError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}: malformed checkpoint: {exc}") from exc
+    raise ConfigurationError(f"{path}: unknown architecture {kind!r}")

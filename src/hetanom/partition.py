@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import ANOMALY, NORMAL, FeatureDataset
-from .errors import CapacityError, ConfigurationError, ContractError, ValidationError
+from .errors import ConfigurationError, HetanomError
 from .seeding import derive_seed, rng_for
 from .synth import ALL_KINDS, PseudoKind, synthesize_pseudo
 
@@ -68,7 +68,7 @@ def kmeans(ds: FeatureDataset, k: int, seed: int) -> ClusterAssignment:
     X = ds.features[rows]
     n = X.shape[0]
     if n < k:
-        raise CapacityError(f"k-means needs >= {k} normal samples, got {n}")
+        raise HetanomError(f"k-means needs >= {k} normal samples, got {n}")
     rng = rng_for(seed, "kmeans")
 
     # dist[c]: each row's squared distance to centroids[c], from the seeding on
@@ -171,26 +171,26 @@ class DistributionDataset:
     virtual_unseen = _id_view("unseen_rows", frozenset)
 
     def validate(self, is_anomaly: np.ndarray, strict_openness: bool = False) -> None:
-        """Raise :class:`ValidationError` on any violated invariant;
+        """Raise :class:`HetanomError` on any violated invariant;
         ``is_anomaly`` flags the anomalous rows of the training table."""
         if (
             self.support_normal_cluster == self.query_normal_cluster
             and self.support_normal_cluster != ALL_NORMALS
         ):
-            raise ValidationError(f"subset {self.index}: support and query share a cluster")
+            raise HetanomError(f"subset {self.index}: support and query share a cluster")
         if self.support_pseudo_kind == self.query_pseudo_kind:
-            raise ValidationError(f"subset {self.index}: pseudo kinds must differ")
+            raise HetanomError(f"subset {self.index}: pseudo kinds must differ")
         n = len(is_anomaly)
         if _mask(n, self.seen_rows)[self.unseen_rows].any():
-            raise ValidationError(f"subset {self.index}: virtual seen/unseen overlap")
+            raise HetanomError(f"subset {self.index}: virtual seen/unseen overlap")
         support = _mask(n, self.support_rows)
         query_anoms = _mask(n, self.query_rows) & is_anomaly
         if not query_anoms[self.unseen_rows].all():
-            raise ValidationError(f"subset {self.index}: virtual unseen not confined to query")
+            raise HetanomError(f"subset {self.index}: virtual unseen not confined to query")
         if support[self.unseen_rows].any():
-            raise ValidationError(f"subset {self.index}: virtual unseen leaked into support")
+            raise HetanomError(f"subset {self.index}: virtual unseen leaked into support")
         if strict_openness and (support & query_anoms).any():
-            raise ValidationError(f"subset {self.index}: support/query anomalies overlap")
+            raise HetanomError(f"subset {self.index}: support/query anomalies overlap")
 
 
 def _mask(n: int, rows: np.ndarray) -> np.ndarray:
@@ -226,7 +226,7 @@ class DistributionCollection:
             covered[dd.support_rows] = True
             covered[dd.query_rows] = True
         if not covered[self.ds.normal_rows()].all():
-            raise ValidationError("some normal samples appear in no subset")
+            raise HetanomError("some normal samples appear in no subset")
 
     def training_table(self) -> "TrainingTable":
         ids = self.ds.ids + self.pseudo_ids
@@ -310,12 +310,12 @@ def build_distributions(
     if T > 1 and clusters.k < 2:
         raise ConfigurationError("need >= 2 normal clusters to build two-cluster subsets")
     if ds.n_anomaly < 1:
-        raise ContractError("dataset has no anomalies to distribute")
+        raise HetanomError("dataset has no anomalies to distribute")
     mode = ONE_SHOT if ds.n_anomaly == 1 else FEW_SHOT
 
     normal_rows = ds.normal_rows()
     if clusters.ids != ds.ids or not np.array_equal(clusters.rows, normal_rows):
-        raise ContractError("the clusters were computed on another dataset")
+        raise HetanomError("the clusters were computed on another dataset")
     anomaly_rows = ds.anomaly_rows()
     cluster_members = [clusters.members(c) for c in range(clusters.k)]
 
@@ -388,7 +388,7 @@ def _inject_pseudo(ds, source_rows, normal_rows, kind, count, seed, subset_idx, 
     anywhere in the normal pool (other clusters give off-manifold blends).
     Returns the new pseudo anomalies' rows in the training table."""
     if count > 0 and len(normal_rows) < 2:
-        raise CapacityError("pseudo anomalies need at least 2 normal samples")
+        raise HetanomError("pseudo anomalies need at least 2 normal samples")
     start = len(ds) + len(pseudo_ids)
     rng = rng_for(seed, "pseudo-pick", subset_idx, side)
     for j in range(count):

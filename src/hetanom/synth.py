@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureDataset
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, HetanomError
 from .schema import build
 from .seeding import rng_for
 
@@ -152,7 +152,7 @@ def synthesize_pseudo(normal: np.ndarray, donor: np.ndarray, kind: PseudoKind,
     normal = np.asarray(normal, dtype=np.float64)
     donor = np.asarray(donor, dtype=np.float64)
     if normal.shape != donor.shape or normal.ndim != 1:
-        raise ShapeError(f"normal shape {normal.shape} != donor shape {donor.shape}")
+        raise HetanomError(f"normal shape {normal.shape} != donor shape {donor.shape}")
     d = normal.shape[0]
     rng = rng_for(seed, "pseudo", kind.value)
     if kind is PseudoKind.MIX_BLEND:

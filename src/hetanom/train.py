@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import FeatureDataset
-from .errors import ConfigurationError, ContractError, NumericError
+from .errors import ConfigurationError, HetanomError
 from .losses import MARGIN, base_loss_grad, cdl_loss, score_loss
 from .nets import AdamState, ScorerNet, SequencePredictor, one_blas_thread
 from .partition import DistributionCollection, TrainingTable, build_distributions, kmeans
@@ -70,10 +70,10 @@ class ImportanceState:
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
         if not np.isfinite(w).all():
-            raise NumericError(f"importance estimation: non-finite weights at epoch "
+            raise HetanomError(f"importance estimation: non-finite weights at epoch "
                                f"{self.epoch}: {w.tolist()}")
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise ContractError("importance weights must be non-negative and sum to 1")
+            raise HetanomError("importance weights must be non-negative and sum to 1")
         object.__setattr__(self, "w", w)
 
 
@@ -283,7 +283,7 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
     ``accuracy_weights`` replaces the sequence predictor's importance
     weights with each base's detection accuracy (the CDL_minus variant)."""
     if ds.n_anomaly < 1:
-        raise ContractError("training data must contain at least one anomaly")
+        raise HetanomError("training data must contain at least one anomaly")
     _, collection, table = simulate(ds, cfg)
 
     g = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "init-unified"))
@@ -346,9 +346,9 @@ def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
     y = np.asarray(y)
     dim, hidden = nets[0].dim, nets[0].hidden
     if any((n.dim, n.hidden) != (dim, hidden) for n in nets):
-        raise ContractError("stacked training requires identical architectures")
+        raise HetanomError("stacked training requires identical architectures")
     if len(nets) > 1 and any(len(r) == 0 for r in rows):
-        raise ContractError("stacked training requires training rows for every scorer")
+        raise HetanomError("stacked training requires training rows for every scorer")
     stack = ScorerNet(dim, hidden, np.stack([n.theta for n in nets]))
     opt = AdamState(LR_BASE)
     for epoch in range(cfg.epochs):

@@ -17,7 +17,7 @@ import pytest
 from hetanom import cli, evaluate
 from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_run, main, parse_config
 from hetanom.data import ingest_csv, write_csv
-from hetanom.errors import ConfigurationError, ReplayError
+from hetanom.errors import ConfigurationError, HetanomError, ReplayError
 from hetanom.evaluate import METRICS, ProtocolSpec, check_clusters, sweep
 from hetanom.synth import MixtureSpec, generate
 from hetanom.train import TrainConfig
@@ -391,7 +391,7 @@ class TestRunCommand:
         else:
             args = ["replay", "--manifest", str(out / "manifest.json"), "--out", str(out)]
         assert main(args) == 2
-        assert capsys.readouterr().err == f"config error: output_dir: {out} is not empty\n"
+        assert capsys.readouterr().err == f"config error: --out: {out} is not empty\n"
         assert read_tree(out) == before
 
     def test_missing_output_dir_refused_before_writing(self, tmp_path, monkeypatch, capsys):
@@ -557,8 +557,9 @@ class TestReplay:
         bad.write_text(json.dumps({"format_version": 99, "config": {},
                                    "results_sha256": "x"}))
         assert main(["replay", "--manifest", str(bad),
-                     "--out", str(tmp_path / "r")]) == 1
-        assert "format_version" in capsys.readouterr().err
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: manifest format_version 99 is not {MANIFEST_VERSION}\n")
 
     # each older format lists config fields that are gone, by section
     @pytest.mark.parametrize("version, gone", [
@@ -580,7 +581,7 @@ class TestReplay:
         old = tmp_path / f"v{version}.json"
         old.write_text(json.dumps({"format_version": version, "command": "run", "config": cfg,
                                    "dataset_sha256": None, "results_sha256": "x"}))
-        with pytest.raises(ReplayError, match=f"format_version {version}"):
+        with pytest.raises(ConfigurationError, match=f"format_version {version}"):
             execute_replay(old, tmp_path / "replayed")
         assert not (tmp_path / "replayed").exists()
 
@@ -596,7 +597,7 @@ class TestReplay:
     def test_malformed_manifest_refused_before_any_work(self, tmp_path, manifest, message):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
-        with pytest.raises(ReplayError, match=re.escape(message)):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
             execute_replay(path, tmp_path / "replayed")
         assert not (tmp_path / "replayed").exists()
 
@@ -674,6 +675,96 @@ class TestGenData:
         assert main(["gen-data", "--out", str(out), "--spec", str(spec_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    def test_out_that_cannot_be_written_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "data.csv"
+        assert main(["gen-data", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out: no such directory: {out.parent}\n")
+        assert not out.parent.exists()
+        assert main(["gen-data", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: --out: {tmp_path} is a directory\n"
+
+
+def _csv_run(text: bytes):
+    """``run`` on a csv dataset holding ``text``."""
+    def argv(tmp_path):
+        (tmp_path / "data.csv").write_bytes(text)
+        cfg = minimal_config()
+        cfg["dataset"] = {"path": str(tmp_path / "data.csv")}
+        return ["run", "--config", str(write_config(tmp_path, cfg)),
+                "--out", str(tmp_path / "out")]
+    return argv
+
+
+def _replay(manifest):
+    """``replay`` of a manifest holding the JSON value ``manifest``."""
+    def argv(tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        return ["replay", "--manifest", str(tmp_path / "manifest.json"),
+                "--out", str(tmp_path / "out")]
+    return argv
+
+
+def _non_utf8_config(tmp_path):
+    (tmp_path / "config.json").write_bytes(b'{"seed": "\xff"}')
+    return ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+
+
+def _out_under_a_file(tmp_path):
+    (tmp_path / "file").write_text("")
+    return ["run", "--config", str(write_config(tmp_path, minimal_config())),
+            "--out", str(tmp_path / "file" / "out")]
+
+
+class TestExitCodes:
+    """Input the user must fix exits 2 as ``config error: ``, before any
+    output; a replay that does not reproduce and a failed run exit 1."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (_csv_run(b"id,label,class,f0\na,2,,1.0\n"), "line 2: label must be 0 or 1"),
+        (_csv_run(b"id,label,class,f0\na,0,,1.0\na,1,x,2.0\n"), "duplicate sample id 'a'"),
+        (_csv_run(b"id,label,klass,f0\na,0,,1.0\n"), "header must start with id,label,class"),
+        (_csv_run(b"id,label,class,f0\na,0,\xff,1.0\n"), "not UTF-8 text"),
+        (_replay([]), "manifest: must be a JSON object"),
+        (_replay({"format_version": MANIFEST_VERSION}), "manifest: missing field 'config'"),
+        (_replay({"format_version": 7, "config": minimal_config(), "dataset_sha256": None,
+                  "results_sha256": "x"}), f"manifest format_version 7 is not {MANIFEST_VERSION}"),
+        (lambda tmp_path: ["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")],
+         "config: cannot read"),
+        (_non_utf8_config, "config: not UTF-8 text"),
+        (_out_under_a_file, "--out: cannot create"),
+    ], ids=["csv-label", "csv-duplicate-id", "csv-header", "csv-not-utf8", "manifest-list",
+            "manifest-no-config", "manifest-version-7", "config-directory", "config-not-utf8",
+            "out-under-a-file"])
+    def test_input_to_fix_exits_2(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.setattr(evaluate, "_run_job", lambda job: pytest.fail("a job ran"))
+        args = argv(tmp_path)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert err.count("\n") == 1  # one line, no traceback
+        assert not Path(args[-1]).exists()
+
+    def test_replay_that_does_not_reproduce_exits_1(self, tmp_path, capsys):
+        args = _replay({"format_version": MANIFEST_VERSION, "config": minimal_config(),
+                        "dataset_sha256": None, "results_sha256": "0" * 64})(tmp_path)
+        assert main(args) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: ReplayError: replay produced checksum ")
+        assert not (tmp_path / "out").exists()
+
+    def test_failed_job_exits_1(self, tmp_path, monkeypatch, capsys):
+        def fail(model, test_ds, seed, seen_classes):
+            raise HetanomError("job failed")
+
+        monkeypatch.setattr(evaluate, "_score_test", fail)
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 1)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, minimal_config())),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: HetanomError: job failed\n"
         assert not out.exists()
 
 

@@ -8,7 +8,7 @@ from hetanom.data import (
     stratified_split,
     write_csv,
 )
-from hetanom.errors import ParseError, SchemaError, SplitError, ValidationError
+from hetanom.errors import ConfigurationError, HetanomError
 
 from conftest import make_dataset
 
@@ -32,25 +32,25 @@ class TestIngest:
     def test_missing_feature_column_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,label,class,f0,f1\na,0,,1.0,2.0\nb,0,,3.0\n")
-        with pytest.raises(ParseError, match="line 3"):
+        with pytest.raises(ConfigurationError, match="line 3"):
             ingest_csv(path)
 
     def test_bad_label_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,label,class,f0\na,2,,1.0\n")
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ConfigurationError, match="line 2"):
             ingest_csv(path)
 
     def test_header_schema_enforced(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,label,class,x0\na,0,,1.0\n")
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigurationError, match="feature column 0 is .x0., expected f0"):
             ingest_csv(path)
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("id,label,class,f0\na,0,,1.0\na,1,x,2.0\n")
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ConfigurationError, match="duplicate"):
             ingest_csv(path)
 
     @pytest.mark.parametrize("rows, message", [
@@ -61,7 +61,7 @@ class TestIngest:
     def test_dataset_errors_name_the_file(self, tmp_path, rows, message):
         path = tmp_path / "bad.csv"
         path.write_text("id,label,class,f0\n" + rows)
-        with pytest.raises(ValidationError) as info:
+        with pytest.raises(ConfigurationError) as info:
             ingest_csv(path)
         assert str(info.value) == f"{path}: {message}"
 
@@ -78,20 +78,20 @@ class TestIngest:
 
 class TestDatasetInvariants:
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError, match="non-finite"):
+        with pytest.raises(ConfigurationError, match="non-finite"):
             FeatureDataset(("a", "b"), np.array([[1.0], [np.nan]]),
                            np.array([0, 1]), ("", "x"))
 
     def test_rejects_bad_label(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ConfigurationError):
             FeatureDataset(("a", "b"), np.ones((2, 1)), np.array([0, 2]), ("", ""))
 
     def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(ConfigurationError, match="duplicate"):
             FeatureDataset(("a", "a"), np.ones((2, 1)), np.array([0, 0]), ("", ""))
 
     def test_requires_a_normal(self):
-        with pytest.raises(ValidationError, match="no normal"):
+        with pytest.raises(ConfigurationError, match="no normal"):
             FeatureDataset(("a",), np.ones((1, 1)), np.array([1]), ("x",))
 
     def test_partition_views_cover(self):
@@ -106,7 +106,7 @@ class TestDatasetInvariants:
 
     def test_take_repeated_row_names_the_duplicate(self):
         ds = make_dataset(4, 2)
-        with pytest.raises(ValidationError, match="duplicate sample id 's1'"):
+        with pytest.raises(ConfigurationError, match="duplicate sample id 's1'"):
             ds.take([0, 1, 1])
 
     def test_take_arrays_read_only_and_unshared(self):
@@ -146,7 +146,7 @@ class TestStratifiedSplit:
 
     def test_emptying_a_class_raises(self):
         ds = make_dataset(8, 1)
-        with pytest.raises(SplitError):
+        with pytest.raises(HetanomError, match="^class 1: fraction .* empties one part"):
             stratified_split(ds, SplitSpec(seed=0))
 
 
@@ -195,9 +195,9 @@ class TestTakeMatchesConstructor:
 
     def test_repeat_names_the_first_repeat_in_take_order(self):
         ds = make_dataset(4, 2)
-        with pytest.raises(ValidationError, match=r"^duplicate sample id 's2'$"):
+        with pytest.raises(ConfigurationError, match=r"^duplicate sample id 's2'$"):
             ds.take([2, 0, 2, 0])
-        with pytest.raises(ValidationError, match=r"^duplicate sample id 's3'$"):
+        with pytest.raises(ConfigurationError, match=r"^duplicate sample id 's3'$"):
             ds.take([3, 1, -3])
 
     def test_out_of_range_refused(self):
@@ -211,7 +211,7 @@ class TestTakeMatchesConstructor:
         ([4, 5], "dataset has no normal samples"),
     ])
     def test_constructor_checks_still_run(self, rows, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
             make_dataset(4, 2).take(rows)
 
     def test_row_of_on_constructed_and_taken(self):

@@ -15,7 +15,7 @@ import pytest
 
 from hetanom import evaluate
 from hetanom.cli import execute_run, main, parse_config
-from hetanom.errors import ConfigurationError, HetanomError, NumericError, UndefinedMetricError
+from hetanom.errors import ConfigurationError, HetanomError
 from hetanom.evaluate import (
     METRICS,
     EvalResult,
@@ -99,7 +99,7 @@ class TestAuc:
         assert auc([0.1, 0.4, 0.3, 0.9], [0, 0, 1, 1]) == 0.75
 
     def test_single_class_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(HetanomError, match="^AUC needs at least one positive and one negative$"):
             auc([0.1, 0.2], [1, 1])
 
     def test_matches_bruteforce_with_ties(self):
@@ -247,7 +247,7 @@ class TestWorkerPool:
     @staticmethod
     def fail_jobs(monkeypatch, failures):
         """Make each job ``(variant, seed)`` of ``failures`` raise
-        ``NumericError(message)`` in scoring, after ``delay`` seconds, where
+        ``HetanomError(message)`` in scoring, after ``delay`` seconds, where
         ``failures[(variant, seed)] == (delay, message)``."""
         inner = evaluate._score_test
 
@@ -255,7 +255,7 @@ class TestWorkerPool:
             if (model.name, seed) in failures:
                 delay, message = failures[(model.name, seed)]
                 time.sleep(delay)
-                raise NumericError(message)
+                raise HetanomError(message)
             return inner(model, test_ds, seed, seen_classes)
 
         monkeypatch.setattr(evaluate, "_score_test", score)
@@ -277,11 +277,11 @@ class TestWorkerPool:
     def test_failing_job_raises_in_the_parent_and_stops_the_sinks(self, monkeypatch):
         self.fail_jobs(monkeypatch, {("RamFULL", 1): (0.0, "job failed")})
         sunk = []
-        with pytest.raises(NumericError) as info:
+        with pytest.raises(HetanomError) as info:
             self.run(sunk)
-        assert type(info.value) is NumericError and str(info.value) == "job failed"
+        assert type(info.value) is HetanomError and str(info.value) == "job failed"
         # raised in a worker: the cause holds the worker's traceback
-        assert "raise NumericError(message)" in str(info.value.__cause__)
+        assert "raise HetanomError(message)" in str(info.value.__cause__)
         assert sunk == [("Homogeneous", 0), ("Homogeneous", 1), ("Homogeneous", 2), ("RamFULL", 0)]
         assert multiprocessing.active_children() == []
         assert evaluate._JOBS == ()
@@ -291,7 +291,7 @@ class TestWorkerPool:
         self.fail_jobs(monkeypatch, {("Homogeneous", 1): (0.5, "earlier job"),
                                      ("Homogeneous", 2): (0.0, "later job")})
         sunk = []
-        with pytest.raises(NumericError, match="^earlier job$"):
+        with pytest.raises(HetanomError, match="^earlier job$"):
             self.run(sunk)
         assert sunk == [("Homogeneous", 0)]
         assert multiprocessing.active_children() == []
@@ -320,7 +320,7 @@ class TestWorkerPool:
             if failure != "job":
                 raise error(f"{failure} failed")
 
-        with pytest.raises((NumericError, error), match=f"^{failure} failed$"):
+        with pytest.raises((HetanomError, error), match=f"^{failure} failed$"):
             run_protocols(tiny_benchmark(), self.SPEC, self.RUNS, model_sink=sink)
         assert multiprocessing.active_children() == []
         assert len(workers) == 2 and [worker.exitcode for worker in workers] == [0, 0]
@@ -399,7 +399,7 @@ class TestWorkerPool:
         out = tmp_path / "out"
         config = parse_config(minimal_config(seeds=(0, 1), variants=("Homogeneous",),
                                              epochs=2))
-        with pytest.raises(NumericError, match="^job failed$"):
+        with pytest.raises(HetanomError, match="^job failed$"):
             execute_run(config, out)
         assert not out.exists()
         assert multiprocessing.active_children() == []

@@ -1,8 +1,8 @@
 """Property tests on the three readers of outside input: run configs, feature
-CSVs and checkpoints. Each must return a valid object or raise its own
-error type, whatever the input. A whole run on a small drawn config must
-finish with valid results or be refused, naming the field, before it
-writes anything."""
+CSVs and checkpoints. Each must return a valid object or raise a
+ConfigurationError, whatever the input. A whole run on a small drawn
+config must finish with valid results or be refused, naming the field,
+before it writes anything."""
 
 import copy
 import json
@@ -18,13 +18,7 @@ from hypothesis import strategies as st
 
 from hetanom.cli import RunConfig, execute_run, parse_config
 from hetanom.data import ingest_csv
-from hetanom.errors import (
-    CheckpointError,
-    ConfigurationError,
-    ParseError,
-    SchemaError,
-    ValidationError,
-)
+from hetanom.errors import ConfigurationError
 from hetanom.evaluate import METRICS, VARIANTS
 from hetanom.nets import ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
 from hetanom.synth import MixtureSpec
@@ -116,7 +110,7 @@ def ingests_or_refuses(data: bytes):
         path.write_bytes(data)
         try:
             ds = ingest_csv(path)
-        except (SchemaError, ParseError, ValidationError) as exc:
+        except ConfigurationError as exc:
             assert str(path) in str(exc)
             return
     assert np.isfinite(ds.features).all() and ds.n_normal >= 1
@@ -153,7 +147,7 @@ def loads_or_refuses(data: bytes):
         path.write_bytes(data)
         try:
             net = load_checkpoint(path)
-        except CheckpointError as exc:
+        except ConfigurationError as exc:
             assert str(path) in str(exc)
             return
     assert isinstance(net, (ScorerNet, SequencePredictor))

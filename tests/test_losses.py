@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hetanom.errors import ContractError, NumericError
+from hetanom.errors import HetanomError
 from hetanom.losses import (MARGIN, base_loss, base_loss_grad, cdl_loss, deviation_loss,
                             deviation_loss_dscore)
 from hetanom.nets import ScorerNet
@@ -41,7 +41,7 @@ class TestBaseLoss:
 
     def test_empty_set_rejected(self):
         net = ScorerNet.init(2, 2, np.random.default_rng(0))
-        with pytest.raises(ContractError):
+        with pytest.raises(HetanomError, match="^base_loss over an empty sample set$"):
             base_loss(net, np.empty((0, 2)), np.empty(0))
 
     def test_matches_scalar_resummation_oracle(self):
@@ -58,7 +58,7 @@ class TestBaseLoss:
     def test_nonfinite_loss_names_sample(self):
         net = ScorerNet(1, 1, np.array([1e308, 1e308, 1e308, 0.0]))
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="index 0"):
+            with pytest.raises(HetanomError, match="index 0"):
                 base_loss_grad(net, np.array([[1e308]]), np.array([0]))
 
 
@@ -142,7 +142,7 @@ class TestBaseLossGradBits:
             message = "^non-finite loss at sample index 4 of scorer 2$"
         else:
             X, y, message = X[2], y[2], "^non-finite loss at sample index 4$"
-        with pytest.raises(NumericError, match=message):
+        with pytest.raises(HetanomError, match=message):
             base_loss_grad(net, X, y)
 
 
@@ -187,18 +187,18 @@ class TestCdlLoss:
 
     def test_weight_validation(self):
         bases = [(self._net(0), *self._batch(1))]
-        with pytest.raises(ContractError):
-            cdl_loss(bases, np.array([0.5]))         # sum != 1
-        with pytest.raises(ContractError):
-            cdl_loss(bases, np.array([-1.0]))        # negative
-        with pytest.raises(ContractError):
-            cdl_loss(bases, np.array([0.5, 0.5]))    # wrong length
+        with pytest.raises(HetanomError, match="^weights must sum to 1"):
+            cdl_loss(bases, np.array([0.5]))
+        with pytest.raises(HetanomError, match="^weights must be non-negative$"):
+            cdl_loss(bases, np.array([-1.0]))
+        with pytest.raises(HetanomError, match=r"^weights length \(2,\) != number of bases 1$"):
+            cdl_loss(bases, np.array([0.5, 0.5]))
 
     def test_nan_weights_rejected(self):
         bases = [(self._net(s), *self._batch(40 + s)) for s in range(2)]
-        with pytest.raises(NumericError, match="cdl aggregation"):
+        with pytest.raises(HetanomError, match="cdl aggregation"):
             cdl_loss(bases, np.array([np.nan, np.nan]))
-        with pytest.raises(NumericError, match="cdl aggregation"):
+        with pytest.raises(HetanomError, match="cdl aggregation"):
             cdl_loss(bases, np.array([np.inf, 1.0]))
 
     def test_linear_in_weights(self):

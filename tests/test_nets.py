@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from hetanom.errors import CheckpointError, ContractError, ShapeError
+from hetanom.errors import ConfigurationError, HetanomError
 from hetanom.evaluate import ProtocolSpec, run_protocol
 from hetanom.losses import base_loss, base_loss_grad
 from hetanom.nets import (
@@ -63,9 +63,9 @@ class TestScorerForward:
 
     def test_dim_mismatch(self):
         net = ScorerNet.init(3, 4, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
+        with pytest.raises(HetanomError, match=r"^input must be a batch \(n, 3\), got \(2, 5\)$"):
             net.forward(np.zeros((2, 5)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(HetanomError, match=r"^input must be a batch \(n, 3\), got \(3,\)$"):
             net.forward(np.zeros(3))  # a single row is not a batch
 
     def test_batch_matches_single(self):
@@ -369,9 +369,9 @@ class TestSequencePredictor:
 
     def test_shape_errors(self):
         net = SequencePredictor.init(3, np.random.default_rng(0))
-        with pytest.raises(ShapeError):
+        with pytest.raises(HetanomError, match=r"^history must be \(n, K, 3\), got \(2, 4, 5\)$"):
             net.forward(np.zeros((2, 4, 5)))
-        with pytest.raises(ShapeError):
+        with pytest.raises(HetanomError, match=r"^history must be \(n, K, 3\), got \(4, 3\)$"):
             net.forward(np.zeros((4, 3)))  # a single history is not a batch
 
     def test_init_deterministic(self):
@@ -401,7 +401,7 @@ class TestCheckpoints:
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(CheckpointError, match="magic"):
+        with pytest.raises(ConfigurationError, match="magic"):
             load_checkpoint(path)
 
     def _saved(self, tmp_path):
@@ -413,28 +413,28 @@ class TestCheckpoints:
         path, raw = self._saved(tmp_path)
         for cut in (6, 20):
             path.write_bytes(raw[:cut])
-            with pytest.raises(CheckpointError, match="truncated header") as info:
+            with pytest.raises(ConfigurationError, match="truncated header") as info:
                 load_checkpoint(path)
             assert str(path) in str(info.value)
 
     def test_partial_float_tail(self, tmp_path):
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:-3])
-        with pytest.raises(CheckpointError, match="not whole float64s") as info:
+        with pytest.raises(ConfigurationError, match="not whole float64s") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
     def test_wrong_parameter_count(self, tmp_path):
         path, raw = self._saved(tmp_path)
         path.write_bytes(raw[:-8])
-        with pytest.raises(CheckpointError, match="parameters") as info:
+        with pytest.raises(ConfigurationError, match="parameters") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
     def test_malformed_descriptor(self, tmp_path):
         path = tmp_path / "net.ckpt"
         path.write_bytes(b"AHL1" + (3).to_bytes(4, "little") + b"{x}")
-        with pytest.raises(CheckpointError, match="malformed") as info:
+        with pytest.raises(ConfigurationError, match="malformed") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
@@ -443,7 +443,7 @@ class TestCheckpoints:
         desc = b'{"dim": 1e999, "hidden": 2, "kind": "scorer"}'
         path = tmp_path / "net.ckpt"
         path.write_bytes(b"AHL1" + len(desc).to_bytes(4, "little") + desc)
-        with pytest.raises(CheckpointError, match="malformed") as info:
+        with pytest.raises(ConfigurationError, match="malformed") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
 
@@ -494,7 +494,7 @@ class TestOneBlasThread:
 
     def test_restored_when_fit_raises(self):
         ds = make_dataset(n_normal=10, n_anomaly=1, dim=2, seed=0)
-        with pytest.raises(ContractError):
+        with pytest.raises(HetanomError, match="^training data must contain at least one anomaly$"):
             fit(ds.take(ds.normal_rows()), TrainConfig(epochs=1))
         assert blas_threads() == 3
 

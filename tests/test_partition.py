@@ -6,7 +6,7 @@ import pytest
 
 from hetanom import partition
 from hetanom.data import FeatureDataset
-from hetanom.errors import CapacityError, ConfigurationError, ContractError, ValidationError
+from hetanom.errors import ConfigurationError, HetanomError
 from hetanom.partition import (
     ALL_NORMALS,
     ONE_SHOT,
@@ -77,7 +77,7 @@ class TestKmeans:
 
     def test_capacity_error(self):
         ds = normals_only(np.zeros((2, 2)))
-        with pytest.raises(CapacityError):
+        with pytest.raises(HetanomError, match="^k-means needs >= 5 normal samples, got 2$"):
             kmeans(ds, 5, seed=0)
 
     def test_deterministic(self):
@@ -223,7 +223,7 @@ class TestBuildDistributions:
     def test_clusters_of_another_dataset_refused(self):
         ds = make_dataset(n_normal=30, n_anomaly=6, dim=4, seed=9)
         other = make_dataset(n_normal=31, n_anomaly=5, dim=4, seed=9)
-        with pytest.raises(ContractError, match="another dataset"):
+        with pytest.raises(HetanomError, match="another dataset"):
             build_distributions(ds, kmeans(other, 3, seed=0), 4, seed=0)
 
     def test_training_table_masks(self):
@@ -308,7 +308,7 @@ class TestValidateRejects:
     def test_violation_raises(self, edit, strict, message):
         coll = self._collection(strict)
         coll = replace(coll, subsets=edit(coll.subsets))
-        with pytest.raises(ValidationError, match=re.escape(message)):
+        with pytest.raises(HetanomError, match=re.escape(message)):
             coll.validate()
 
 

@@ -131,9 +131,9 @@ class TestStackedAdam:
         np.testing.assert_array_equal(opt.t, [4, 4, 5])
 
     def test_first_step_takes_every_row(self):
-        from hetanom.errors import ShapeError
+        from hetanom.errors import HetanomError
 
-        with pytest.raises(ShapeError):
+        with pytest.raises(HetanomError, match="^the first Adam step must take every row$"):
             AdamState(lr=0.01).step(np.zeros((1, 2)), np.zeros((1, 2)), rows=[1])
 
 

@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from hetanom.errors import ConfigurationError, ShapeError
+from hetanom.errors import ConfigurationError, HetanomError
 from hetanom.synth import (
     SEGMENT_FRACTION,
     Component,
@@ -89,7 +89,7 @@ class TestGenerate:
 
 class TestSynthesizePseudo:
     def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(HetanomError, match=r"^normal shape \(3,\) != donor shape \(4,\)$"):
             synthesize_pseudo(np.zeros(3), np.zeros(4), PseudoKind.MIX_BLEND, seed=0)
 
     @pytest.mark.parametrize("kind", [PseudoKind.SEGMENT_SWAP, PseudoKind.NOISE_MASK])

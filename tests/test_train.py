@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from hetanom.errors import ConfigurationError, ContractError, NumericError
+from hetanom.errors import ConfigurationError, HetanomError
 from hetanom.losses import base_loss, base_loss_grad
 from hetanom.nets import AdamState, ScorerNet
 from hetanom.partition import build_distributions, kmeans
@@ -66,13 +66,13 @@ class TestImportanceWeights:
             assert abs(w.sum() - 1.0) < 1e-9
 
     def test_state_validation(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(HetanomError, match="^importance weights must be non-negative and sum to 1$"):
             ImportanceState(epoch=0, w=np.array([0.7, 0.7]))
 
     def test_nan_error_is_rejected_with_stage_and_epoch(self):
         w = importance_weights(np.array([np.nan, 1.0]))
         assert np.isnan(w).all()  # softmax spreads one NaN to every weight
-        with pytest.raises(NumericError, match="importance estimation.*epoch 7"):
+        with pytest.raises(HetanomError, match="importance estimation.*epoch 7"):
             ImportanceState(epoch=7, w=w)
 
 
@@ -192,7 +192,7 @@ class TestFit:
     def test_requires_anomaly(self):
         ds = make_dataset(n_normal=10, n_anomaly=1, dim=2, seed=0)
         only_normals = ds.take(ds.normal_rows())
-        with pytest.raises(ContractError):
+        with pytest.raises(HetanomError, match="^training data must contain at least one anomaly$"):
             fit(only_normals, TrainConfig(epochs=1))
 
     def test_one_shot_auto_mode(self):
