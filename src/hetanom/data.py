@@ -139,7 +139,6 @@ def _pick(values: tuple, rows: list[int]) -> tuple:
 #: the share of each label class the first part of a split takes, the rest
 #: going to the second; each protocol seed trains on the first part of its normals
 TRAIN_FRACTION = 0.75
-_PARTS = (TRAIN_FRACTION, 1.0 - TRAIN_FRACTION)
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ class SplitSpec:
 
 
 def stratified_split(ds: FeatureDataset, spec: SplitSpec) -> tuple[FeatureDataset, FeatureDataset]:
-    """Split per label class with largest-remainder rounding.
+    """Split per label class, the first part's share rounded half up.
 
     Deterministic given ``spec.seed``; parts are disjoint, their union is
     the input, and per-class counts differ from the exact proportions by
@@ -170,7 +169,7 @@ def split_rows(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndar
         counts = part_sizes(len(rows))
         if min(counts) == 0:
             raise HetanomError(
-                f"class {label}: fraction {_PARTS} empties one part "
+                f"class {label}: fraction ({TRAIN_FRACTION}, {1.0 - TRAIN_FRACTION}) empties one part "
                 f"({len(rows)} samples available)"
             )
         order = rng_for(spec.seed, "split", label).permutation(len(rows))
@@ -180,16 +179,10 @@ def split_rows(labels: np.ndarray, spec: SplitSpec) -> tuple[np.ndarray, np.ndar
 
 
 def part_sizes(n: int) -> list[int]:
-    """The sizes of the two parts of ``n`` samples of one label class, by
-    largest-remainder rounding of ``n * _PARTS``."""
-    ideal = [n * f for f in _PARTS]
-    counts = [math.floor(x) for x in ideal]
-    remainders = [x - c for x, c in zip(ideal, counts)]
-    leftover = n - sum(counts)
-    # ties broken toward the lower part index
-    for i in sorted(range(len(_PARTS)), key=lambda i: (-remainders[i], i))[:leftover]:
-        counts[i] += 1
-    return counts
+    """The sizes of the two parts of ``n`` samples of one label class: the
+    first ``n * TRAIN_FRACTION`` rounded half up, the second the rest."""
+    first = math.floor(n * TRAIN_FRACTION + 0.5)
+    return [first, n - first]
 
 
 #: a feature CSV's leading columns; feature column j is named f"f{j}"

@@ -14,8 +14,9 @@ stack axis: parameters (G, P) run G scorers in one call, which is how
 the T base scorers train. Adam is elementwise with a step count per
 stacked row, so rows may sit a step out. The sequence predictor keeps
 its recurrence rows-innermost, states (K, 2, H, n) and step products
-``U @ h``, and forms its weight gradients in the rows-major layout;
-every result is bit for bit that of the per-net, rows-major formulation.
+``U @ h``, with the gate rows in the order i, f, o, g; its backward pass
+runs in the same order and layout, and only the scatter of its weight
+gradients into the flat vector sees the parameters' order i, f, g, o.
 
 Every product in training is small (batch 32, hidden width 7 in the
 LSTM, a few thousand rows at most), too small for a second BLAS thread
@@ -252,15 +253,13 @@ class SequencePredictor:
             raise HetanomError(f"sequence net wants {pos} parameters, got {theta.shape}")
         self.theta = theta
         # flat positions of each layer's (2, 4H, ...) W, U and b stacks
-        # (forward, backward), gate rows in the parameters' order i, f, g, o;
-        # and the same reordered to i, f, o, g, so that the three sigmoid
-        # gates form one block
+        # (forward, backward), gate rows reordered from the parameters' i, f,
+        # g, o to i, f, o, g, so that the three sigmoid gates form one block
         flat = np.arange(pos)
-        self._index, self._ifog_index = {}, {}
+        self._ifog_index = {}
         for layer in ("l1", "l2"):
             for part in ("W", "U", "b"):
                 both = np.stack([self._view(flat, f"{layer}{d}.{part}") for d in "fb"])
-                self._index[layer, part] = both
                 self._ifog_index[layer, part] = (
                     both.reshape(2, 4, self.HIDDEN, -1)[:, [0, 1, 3, 2]].reshape(both.shape))
 
@@ -296,12 +295,9 @@ class SequencePredictor:
         start, stop, shape = self._offsets[name]
         return flat[start:stop].reshape(shape)
 
-    def _stacked(self, layer, part):
-        """(2, ...) stack of one block of a layer's forward and backward LSTM."""
-        return self.theta[self._index[layer, part]]
-
     def _ifog(self, layer, part):
-        """``_stacked`` with the gate rows in the order i, f, o, g."""
+        """(2, ...) stack of one block of a layer's forward and backward LSTM,
+        the gate rows in the order i, f, o, g."""
         return self.theta[self._ifog_index[layer, part]]
 
     def forward(self, history: np.ndarray) -> np.ndarray:
@@ -324,15 +320,9 @@ class SequencePredictor:
 
     def _forward(self, S, keep):
         H = self.HIDDEN
-        # with ``keep`` each layer also gets its inputs rows-major, (2, K, n, d),
-        # for the weight gradients; layer 1's keep each row's history
-        # contiguous, as S has it (at an input width of 1 BLAS takes a vector
-        # path whose rounding depends on the stride)
-        x = S.transpose(1, 0, 2)
-        h1, cache1 = self._lstm_forward(_both_directions(S.transpose(1, 2, 0)),
-                                        np.stack([x, x[::-1]]) if keep else None, "l1", keep)
+        h1, cache1 = self._lstm_forward(_both_directions(S.transpose(1, 2, 0)), "l1", keep)
         u = _both_directions(np.concatenate([h1[:, 0], h1[::-1, 1]], axis=1))
-        h2, cache2 = self._lstm_forward(u, u.transpose(1, 0, 3, 2), "l2", keep)
+        h2, cache2 = self._lstm_forward(u, "l2", keep)
         # the head runs rows-major: (n, 2H), each direction's final state
         head = np.ascontiguousarray(h2[-1].reshape(2 * H, -1).T)
         wf, bf = self.block("fc.W"), self.block("fc.b")
@@ -348,7 +338,7 @@ class SequencePredictor:
         dout = np.asarray(dout, dtype=np.float64)
         grad = np.zeros_like(self.theta)
         H = self.HIDDEN
-        n, K = head.shape[0], cache2[0].shape[1]
+        n, K = head.shape[0], cache2[0].shape[0]
 
         wf, wo = self.block("fc.W"), self.block("out.W")
         self._view(grad, "out.W")[...] = dout.T @ af
@@ -367,10 +357,9 @@ class SequencePredictor:
         self._lstm_backward(cache1, dh1, grad, "l1", need_dx=False)
         return grad
 
-    def _lstm_forward(self, xs, xr, layer, keep):
-        """Both directions over (K, 2, d, n) inputs -> (K, 2, H, n) states;
-        ``xr`` holds the same inputs rows-major, for the cache (unused
-        without ``keep``).
+    def _lstm_forward(self, xs, layer, keep):
+        """Both directions over (K, 2, d, n) inputs -> (K, 2, H, n) states,
+        and with ``keep`` the cache ``_lstm_backward`` reads.
 
         The gate rows run in the order i, f, o, g, so one sigmoid call
         covers the three sigmoid gates.
@@ -398,62 +387,46 @@ class SequencePredictor:
             np.multiply(o, tanh_c, out=hs[t + 1])
             if keep:
                 steps.append((c_prev, sig, g, tanh_c))
-        return hs[1:], ((xr, hs, steps) if keep else None)
+        return hs[1:], ((xs, hs, steps) if keep else None)
 
     def _lstm_backward(self, cache, dh_out, grad, layer, need_dx):
-        """Backpropagation through time for both directions. The loop keeps
-        only what the recurrence needs and builds each step's dz in the
-        parameters' gate order i, f, g, o. It also keeps every dz
-        rows-major, (2, K, n, 4H), so the weight gradients, formed after it
-        in one batched call and summed in the step order of the recurrence
-        (last step first), run the same (4H, n) @ (n, ·) products and
-        row-axis sums as a rows-major recurrence would."""
-        xr, hs, steps = cache
+        """Backpropagation through time for both directions, in the forward's
+        gate order i, f, o, g and layout (step, direction, unit, row). Each
+        step's dz goes into one (K, 2, 4H, n) buffer; the weight gradients
+        are then one batched product per block summed over the steps, and
+        scatter to the parameters' order through ``_ifog_index``."""
+        xs, hs, steps = cache
         H = self.HIDDEN
-        _, K, n, d = xr.shape
-        Ut = self._stacked(layer, "U").transpose(0, 2, 1)
-        dzs = np.empty((2, K, n, 4 * H))
-        dz = np.empty((2, 4 * H, n))
-        dsig = np.empty((2, 3 * H, n))  # the i, f, o gates, in forward order
+        K, _, _, n = xs.shape
+        Ut = self._ifog(layer, "U").swapaxes(-1, -2)
+        dzs = np.empty((K, 2, 4 * H, n))
         dh_next = np.zeros((2, H, n))
         dc_next = np.zeros((2, H, n))
         for t in reversed(range(K)):
             c_prev, sig, g, tanh_c = steps[t]
             i, f, o = sig[:, :H], sig[:, H : 2 * H], sig[:, 2 * H :]
+            dz = dzs[t]
             dh = dh_out[t] + dh_next
             dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
             # sigmoid gates: (upstream * s) * (1 - s)
+            dsig = dz[:, : 3 * H]
             np.multiply(dc, g, out=dsig[:, :H])
             np.multiply(dc, c_prev, out=dsig[:, H : 2 * H])
             np.multiply(dh, tanh_c, out=dsig[:, 2 * H :])
             dsig *= sig
             dsig *= 1.0 - sig
-            dc_next = dc * f
-            dz[:, : 2 * H] = dsig[:, : 2 * H]
-            dz[:, 3 * H :] = dsig[:, 2 * H :]
-            dg = dz[:, 2 * H : 3 * H]
+            dg = dz[:, 3 * H :]
             np.multiply(dc, i, out=dg)
             dg *= 1.0 - g ** 2
+            dc_next = dc * f
             dh_next = np.matmul(Ut, dz)
-            dzs[:, t] = dz.transpose(0, 2, 1)
-        dzsT = dzs.transpose(0, 1, 3, 2)
-        dW_steps = np.matmul(dzsT, xr)
-        dU_steps = np.matmul(dzsT, hs[:K].transpose(1, 0, 3, 2))
-        db_steps = dzs.sum(axis=2)
-        dW = np.zeros((2, 4 * H, d))
-        dU = np.zeros((2, 4 * H, H))
-        db = np.zeros((2, 4 * H))
-        for t in reversed(range(K)):
-            dW += dW_steps[:, t]
-            dU += dU_steps[:, t]
-            db += db_steps[:, t]
-        grad[self._index[layer, "W"]] = dW
-        grad[self._index[layer, "U"]] = dU
-        grad[self._index[layer, "b"]] = db
+        index = self._ifog_index
+        grad[index[layer, "W"]] = np.matmul(dzs, xs.swapaxes(-1, -2)).sum(axis=0)
+        grad[index[layer, "U"]] = np.matmul(dzs, hs[:K].swapaxes(-1, -2)).sum(axis=0)
+        grad[index[layer, "b"]] = dzs.sum(axis=(0, 3))
         if not need_dx:
             return None
-        dx = np.matmul(dzs, self._stacked(layer, "W")[:, None])
-        return dx.transpose(1, 0, 3, 2)
+        return np.matmul(self._ifog(layer, "W").swapaxes(-1, -2), dzs)
 
     def descriptor(self) -> dict:
         return {"kind": "sequence", "t_dim": self.t_dim}
@@ -527,10 +500,13 @@ def save_checkpoint(path, net) -> None:
 
 
 def load_checkpoint(path):
-    """Rebuild a net from ``save_checkpoint`` output; any malformed file
-    raises ConfigurationError naming the path."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Rebuild a net from ``save_checkpoint`` output; a file that cannot be
+    read or is malformed raises ConfigurationError naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot read checkpoint: {exc.strerror}") from None
     if raw[:4] != CHECKPOINT_MAGIC:
         raise ConfigurationError(f"{path}: bad magic {raw[:4]!r}")
     if len(raw) < 8:

@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from hetanom.data import (
+    TRAIN_FRACTION,
     FeatureDataset,
     SplitSpec,
     ingest_csv,
+    part_sizes,
     stratified_split,
     write_csv,
 )
@@ -146,8 +150,21 @@ class TestStratifiedSplit:
 
     def test_emptying_a_class_raises(self):
         ds = make_dataset(8, 1)
-        with pytest.raises(HetanomError, match="^class 1: fraction .* empties one part"):
+        with pytest.raises(HetanomError, match=r"^class 1: fraction \(0\.75, 0\.25\) empties "
+                                               r"one part \(1 samples available\)$"):
             stratified_split(ds, SplitSpec(seed=0))
+
+    def test_part_sizes_match_largest_remainder_rounding(self):
+        # the rounding the split used over a tuple of fractions, one per
+        # part, kept as the reference for its two parts
+        fractions = (TRAIN_FRACTION, 1.0 - TRAIN_FRACTION)
+        for n in range(20_000):
+            ideal = [n * f for f in fractions]
+            counts = [math.floor(x) for x in ideal]
+            remainders = [x - c for x, c in zip(ideal, counts)]
+            for i in sorted(range(2), key=lambda i: (-remainders[i], i))[: n - sum(counts)]:
+                counts[i] += 1
+            assert part_sizes(n) == counts, n
 
 
 class TestTakeMatchesConstructor:

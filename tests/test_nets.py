@@ -271,6 +271,85 @@ def seq_forward_oracle(net, history):
     return net.block("out.W") @ a + net.block("out.b")
 
 
+def rows_major_gradient(net, history, dout):
+    """Reference gradient of sum(dout . output): the earlier rows-major
+    backward pass, which kept every dz as (2, K, n, 4H) in the parameters'
+    gate order i, f, g, o, read each layer's inputs rows-major, (2, K, n, d),
+    and summed the per-step weight gradients last step first."""
+    H = net.HIDDEN
+    _, (cache1, cache2, head, zf, af) = net.forward_with_cache(history)
+    n, K = history.shape[:2]
+    grad = np.zeros_like(net.theta)
+    net._view(grad, "out.W")[...] = dout.T @ af
+    net._view(grad, "out.b")[...] = dout.sum(axis=0)
+    dzf = (dout @ net.block("out.W")) * (zf > 0)
+    net._view(grad, "fc.W")[...] = dzf.T @ head
+    net._view(grad, "fc.b")[...] = dzf.sum(axis=0)
+    dhead = dzf @ net.block("fc.W")
+
+    x = history.transpose(1, 0, 2)
+    xr1 = np.stack([x, x[::-1]])
+    xr2 = cache2[0].transpose(1, 0, 3, 2)
+    dh2 = np.zeros((K, 2, H, n))
+    dh2[-1] = dhead.T.reshape(2, H, n)
+    dx2 = _rows_major_lstm_backward(net, xr2, cache2, dh2, grad, "l2")
+    du = dx2[:, 0] + dx2[::-1, 1]
+    dh1 = np.stack([du[:, :H], du[::-1, H:]], axis=1)
+    _rows_major_lstm_backward(net, xr1, cache1, dh1, grad, "l1")
+    return grad
+
+
+def _rows_major_lstm_backward(net, xr, cache, dh_out, grad, layer):
+    _, hs, steps = cache
+    H = net.HIDDEN
+    _, K, n, d = xr.shape
+
+    def stacked(part):
+        return np.stack([net.block(f"{layer}{direction}.{part}") for direction in "fb"])
+
+    Ut = stacked("U").transpose(0, 2, 1)
+    dzs = np.empty((2, K, n, 4 * H))
+    dz = np.empty((2, 4 * H, n))
+    dsig = np.empty((2, 3 * H, n))  # the i, f, o gates, in forward order
+    dh_next = np.zeros((2, H, n))
+    dc_next = np.zeros((2, H, n))
+    for t in reversed(range(K)):
+        c_prev, sig, g, tanh_c = steps[t]
+        i, f, o = sig[:, :H], sig[:, H : 2 * H], sig[:, 2 * H :]
+        dh = dh_out[t] + dh_next
+        dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
+        np.multiply(dc, g, out=dsig[:, :H])
+        np.multiply(dc, c_prev, out=dsig[:, H : 2 * H])
+        np.multiply(dh, tanh_c, out=dsig[:, 2 * H :])
+        dsig *= sig
+        dsig *= 1.0 - sig
+        dc_next = dc * f
+        dz[:, : 2 * H] = dsig[:, : 2 * H]
+        dz[:, 3 * H :] = dsig[:, 2 * H :]
+        dg = dz[:, 2 * H : 3 * H]
+        np.multiply(dc, i, out=dg)
+        dg *= 1.0 - g ** 2
+        dh_next = np.matmul(Ut, dz)
+        dzs[:, t] = dz.transpose(0, 2, 1)
+    dzsT = dzs.transpose(0, 1, 3, 2)
+    dW_steps = np.matmul(dzsT, xr)
+    dU_steps = np.matmul(dzsT, hs[:K].transpose(1, 0, 3, 2))
+    db_steps = dzs.sum(axis=2)
+    dW = np.zeros((2, 4 * H, d))
+    dU = np.zeros((2, 4 * H, H))
+    db = np.zeros((2, 4 * H))
+    for t in reversed(range(K)):
+        dW += dW_steps[:, t]
+        dU += dU_steps[:, t]
+        db += db_steps[:, t]
+    for k, direction in enumerate("fb"):
+        net._view(grad, f"{layer}{direction}.W")[...] = dW[k]
+        net._view(grad, f"{layer}{direction}.U")[...] = dU[k]
+        net._view(grad, f"{layer}{direction}.b")[...] = db[k]
+    dx = np.matmul(dzs, stacked("W")[:, None])
+    return dx.transpose(1, 0, 3, 2)
+
+
 def piecewise_sigmoid(x):
     """Reference sigmoid: boolean masks pick 1/(1+exp(-x)) for x >= 0 and
     exp(x)/(1+exp(x)) below."""
@@ -367,6 +446,26 @@ class TestSequencePredictor:
         for j, g_fd in fd.items():
             assert grad_close(grad[j], g_fd)
 
+    @pytest.mark.parametrize("K", [1, 2, 5])
+    @pytest.mark.parametrize("t_dim", [1, 3, 7])
+    def test_gradient_matches_the_rows_major_reference(self, t_dim, K):
+        # finite differences are too loose to catch a dropped term; the
+        # reference sums the same terms in another order, so only the last
+        # bits may differ: within 1e-14 of the largest entry, and within
+        # 1e-13 of each block's largest entry (a block can cancel more)
+        rng = np.random.default_rng(100 * t_dim + K)
+        net = SequencePredictor.init(t_dim, rng)
+        for n in (1, 2, 48, 256, 700):
+            history = rng.normal(size=(n, K, t_dim))
+            dout = rng.normal(size=(n, t_dim))
+            out, cache = net.forward_with_cache(history)
+            got = net.backward(cache, dout)
+            want = rows_major_gradient(net, history, dout)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
+            for name, _, _ in net._block_table(t_dim):
+                g, w = net._view(got, name), net._view(want, name)
+                assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), (n, name)
+
     def test_shape_errors(self):
         net = SequencePredictor.init(3, np.random.default_rng(0))
         with pytest.raises(HetanomError, match=r"^history must be \(n, K, 3\), got \(2, 4, 5\)$"):
@@ -446,6 +545,17 @@ class TestCheckpoints:
         with pytest.raises(ConfigurationError, match="malformed") as info:
             load_checkpoint(path)
         assert str(path) in str(info.value)
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.ckpt"
+        with pytest.raises(ConfigurationError, match="cannot read checkpoint") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_directory(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read checkpoint") as info:
+            load_checkpoint(tmp_path)
+        assert str(tmp_path) in str(info.value)
 
     def test_header_starts_with_magic(self, tmp_path):
         net = ScorerNet.init(2, 2, np.random.default_rng(1))
