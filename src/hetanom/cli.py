@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -138,8 +139,10 @@ def execute_run(config: RunConfig, out_dir: Path, threads: int = 1) -> str:
     the one variant per swept value. Every (variant or swept value, seed) job
     runs in one pool of forked workers sized from the usable CPUs (see
     ``evaluate.run_protocols``). Nothing is written until every job has
-    finished, so a refused, failed or interrupted run leaves no output.
-    ``threads`` is no thread count and is accepted only as 1."""
+    finished, so a refused, failed or interrupted run leaves no output; a
+    failed write removes what it wrote (an ``OSError`` is raised as a
+    HetanomError naming the file). ``threads`` is no thread count and is
+    accepted only as 1."""
     if threads != 1:
         raise ConfigurationError(f"threads: must be 1, got {threads!r}")
     return _execute(config, *config.dataset.load(), out_dir)
@@ -173,21 +176,6 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
     if expected_sha256 is not None and checksum != expected_sha256:
         raise ReplayError(f"replay produced checksum {checksum}, "
                           f"manifest records {expected_sha256}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if config.sweep is None:
-        (out_dir / "logs").mkdir()
-        (out_dir / "checkpoints").mkdir()
-    for seed, model in models:
-        if model.log is not None:
-            log_path = out_dir / "logs" / f"{model.name}-seed{seed}.jsonl"
-            with open(log_path, "w", encoding="utf-8") as fh:
-                for record in model.log:
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-        for i, net in enumerate(model.nets):
-            suffix = "" if len(model.nets) == 1 else f"-net{i}"
-            save_checkpoint(out_dir / "checkpoints" / f"{model.name}-seed{seed}{suffix}.ckpt", net)
-    (out_dir / table).write_text(text, encoding="utf-8")
-    (out_dir / "results.json").write_bytes(results_bytes)
     recorded = asdict(config)
     del recorded["train"]["seed"]  # the top-level seed replaces it
     if config.dataset.path is not None:  # so the run replays from any directory
@@ -198,7 +186,35 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
         "dataset_sha256": dataset_sha256,
         "results_sha256": checksum,
     }
-    (out_dir / "manifest.json").write_bytes(_canonical_json(manifest))
+    # a failed write removes the topmost directory it made, or out_dir's entries
+    absolute = out_dir.absolute()
+    missing = [p for p in (absolute, *absolute.parents) if not p.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        if config.sweep is None:
+            (out_dir / "logs").mkdir()
+            (out_dir / "checkpoints").mkdir()
+        for seed, model in models:
+            stem = f"{model.name}-seed{seed}"
+            if model.log is not None:
+                with open(out_dir / "logs" / f"{stem}.jsonl", "w", encoding="utf-8") as fh:
+                    for record in model.log:
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+            for i, net in enumerate(model.nets):
+                suffix = "" if len(model.nets) == 1 else f"-net{i}"
+                save_checkpoint(out_dir / "checkpoints" / f"{stem}{suffix}.ckpt", net)
+        (out_dir / table).write_text(text, encoding="utf-8")
+        (out_dir / "results.json").write_bytes(results_bytes)
+        (out_dir / "manifest.json").write_bytes(_canonical_json(manifest))
+    except BaseException as exc:
+        for entry in missing[-1:] or list(out_dir.iterdir()):
+            if entry.is_dir():
+                shutil.rmtree(entry)
+            else:
+                entry.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise HetanomError(f"{exc.filename or out_dir}: cannot write: {exc.strerror or exc}") from exc
+        raise
     return checksum
 
 

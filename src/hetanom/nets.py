@@ -14,9 +14,10 @@ stack axis: parameters (G, P) run G scorers in one call, which is how
 the T base scorers train. Adam is elementwise with a step count per
 stacked row, so rows may sit a step out. The sequence predictor keeps
 its recurrence rows-innermost, states (K, 2, H, n) and step products
-``U @ h``, with the gate rows in the order i, f, o, g; its backward pass
-runs in the same order and layout, and only the scatter of its weight
-gradients into the flat vector sees the parameters' order i, f, g, o.
+``U @ h``, with the gate rows in the order i, f, o, g, all four from one
+tanh call per step; its backward pass runs in the same order and layout,
+and only the scatter of its weight gradients into the flat vector sees
+the parameters' order i, f, g, o.
 
 Every product in training is small (batch 32, hidden width 7 in the
 LSTM, a few thousand rows at most), too small for a second BLAS thread
@@ -101,20 +102,6 @@ def one_blas_thread():
             _blas_depth -= 1
             if _blas_depth == 0:
                 set_threads(_blas_saved)
-
-
-def _sigmoid(x):
-    # exp(-|x|) cannot overflow. The numerator is 1 where x >= 0 and e
-    # elsewhere (0 <= e <= 1, so a maximum picks it without a branch):
-    # bit for bit the piecewise 1/(1+exp(-x)) and exp(x)/(1+exp(x)).
-    # In-place steps keep it to one full-size temporary.
-    e = np.abs(x)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    out = np.maximum(e, x >= 0)
-    e += 1.0
-    out /= e
-    return out
 
 
 def _aligned_blocks(n, size):
@@ -361,15 +348,17 @@ class SequencePredictor:
         """Both directions over (K, 2, d, n) inputs -> (K, 2, H, n) states,
         and with ``keep`` the cache ``_lstm_backward`` reads.
 
-        The gate rows run in the order i, f, o, g, so one sigmoid call
-        covers the three sigmoid gates.
+        The gate rows run in the order i, f, o, g, so one tanh call covers
+        all four gates: the i, f, o rows take it at half their input and
+        become sigmoids as sigmoid(x) = (1 + tanh(x / 2)) / 2. tanh cannot
+        overflow, so a saturated gate is an exact 0 or 1.
         """
         H = self.HIDDEN
         K, _, _, n = xs.shape
         U = self._ifog(layer, "U")
-        b = self._ifog(layer, "b")[:, :, None]
-        # per-step products (4H, d) @ (d, n), as one call for all K steps
+        # per-step products (4H, d) @ (d, n) and the bias, for all K steps
         xw = np.matmul(self._ifog(layer, "W"), xs)
+        xw += self._ifog(layer, "b")[:, :, None]
         hs = np.zeros((K + 1, 2, H, n))  # hs[t] is the state entering step t
         z = np.empty((2, 4 * H, n))
         c = np.zeros((2, H, n))
@@ -377,9 +366,11 @@ class SequencePredictor:
         for t in range(K):
             np.matmul(U, hs[t], out=z)
             z += xw[t]
-            z += b
-            sig = _sigmoid(z[:, : 3 * H])
-            g = np.tanh(z[:, 3 * H :])
+            z[:, : 3 * H] *= 0.5
+            gates = np.tanh(z)
+            sig, g = gates[:, : 3 * H], gates[:, 3 * H :]
+            sig *= 0.5
+            sig += 0.5
             i, f, o = sig[:, :H], sig[:, H : 2 * H], sig[:, 2 * H :]
             c_prev, c = c, f * c
             c += i * g

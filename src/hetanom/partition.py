@@ -43,11 +43,6 @@ class ClusterAssignment:
     centroids: np.ndarray
     ids: tuple[str, ...] = field(repr=False)
 
-    @property
-    def assignments(self) -> dict[str, int]:
-        """The cluster of each normal sample, by id."""
-        return {self.ids[r]: c for r, c in zip(self.rows.tolist(), self.assign.tolist())}
-
     def members(self, cluster: int) -> np.ndarray:
         """Dataset rows assigned to ``cluster``, in ascending order."""
         return self.rows[self.assign == cluster]

@@ -277,8 +277,7 @@ def simulate(ds: FeatureDataset, cfg: TrainConfig):
 
 
 @one_blas_thread()
-def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
-        accuracy_weights: bool = False) -> FitResult:
+def fit(ds: FeatureDataset, cfg: TrainConfig, *, accuracy_weights: bool = False) -> FitResult:
     """Full training loop; a pure function of (dataset, config).
     ``accuracy_weights`` replaces the sequence predictor's importance
     weights with each base's detection accuracy (the CDL_minus variant)."""
@@ -322,8 +321,6 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, checkpoint_hook=None, *,
             "unified_loss": float(unified_loss),
             "seq_loss": None if seq_loss is None else float(seq_loss),
         })
-        if checkpoint_hook is not None:
-            checkpoint_hook(epoch, g)
 
     return FitResult(unified=g, seq_net=seq_net, collection=collection, table=table,
                      log=log, importance=importance_trace)

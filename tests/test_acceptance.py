@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import hetanom as ha
+from hetanom import train
 from hetanom.cli import main as cli_main
 from hetanom.data import ingest_csv, write_csv
 from hetanom.evaluate import _protocol_split, run_protocols, run_variant
@@ -130,12 +131,20 @@ def test_criterion_2_importance_weight_contract(benchmark_ds):
         assert time.time() - start < 60.0
 
 
-def test_criterion_3_degenerate_equivalence(small_ds):
+def test_criterion_3_degenerate_equivalence(small_ds, monkeypatch):
     with criterion(3, "T=1 fit trajectory equals a standalone trainer bitwise"):
         start = time.time()
         cfg = ha.TrainConfig(T=1, epochs=8, seed=31)
         trajectory = []
-        ha.fit(small_ds, cfg, checkpoint_hook=lambda e, g: trajectory.append(g.theta.copy()))
+        inner = train.unified_update
+
+        def recording(*args):
+            out = inner(*args)
+            trajectory.append(out[0].theta.copy())
+            return out
+
+        monkeypatch.setattr(train, "unified_update", recording)
+        ha.fit(small_ds, cfg)
 
         clusters = ha.kmeans(small_ds, cfg.C, seed=derive_seed(cfg.seed, "clusters"))
         coll = ha.build_distributions(small_ds, clusters, 1,

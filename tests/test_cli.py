@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -410,6 +411,41 @@ class TestRunCommand:
         assert main(["run", "--config", str(write_config(tmp_path, minimal_config())),
                      "--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("layout", ["absent", "nested", "empty"])
+    @pytest.mark.parametrize("failure", ["disk full", "interrupt"])
+    def test_failed_write_removes_what_it_wrote(self, tmp_path, monkeypatch, capsys,
+                                                layout, failure):
+        # the second checkpoint fails after the logs and the first are written
+        out = tmp_path / "new" / "out" if layout == "nested" else tmp_path / "out"
+        if layout == "empty":
+            out.mkdir()
+        written = []
+        inner = cli.save_checkpoint
+
+        def save_once(path, net):
+            if written:
+                if failure == "interrupt":
+                    raise KeyboardInterrupt
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            written.append(path)
+            inner(path, net)
+
+        monkeypatch.setattr(cli, "save_checkpoint", save_once)
+        cfg_path = write_config(tmp_path, minimal_config(seeds=(0, 1), epochs=2))
+        code = main(["run", "--config", str(cfg_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if failure == "interrupt":
+            assert (code, err) == (130, "interrupted\n")
+        else:
+            failed = out / "checkpoints" / "AHL-seed1.ckpt"
+            assert (code, err) == (1, f"error: HetanomError: {failed}: cannot write: "
+                                      f"{os.strerror(errno.ENOSPC)}\n")
+        assert written == [out / "checkpoints" / "AHL-seed0.ckpt"]
+        if layout == "empty":
+            assert list(out.iterdir()) == []
+        else:
+            assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @pytest.mark.parametrize("args", [["run", "--config", "config.json", "--out", "o"],
                                       ["replay", "--manifest", "manifest.json", "--out", "o"]],

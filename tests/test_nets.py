@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from hetanom import train
 from hetanom.errors import ConfigurationError, HetanomError
 from hetanom.evaluate import ProtocolSpec, run_protocol
 from hetanom.losses import base_loss, base_loss_grad
@@ -13,7 +14,6 @@ from hetanom.nets import (
     ScorerNet,
     SequencePredictor,
     _blas_set_threads,
-    _sigmoid,
     load_checkpoint,
     one_blas_thread,
     save_checkpoint,
@@ -350,39 +350,6 @@ def _rows_major_lstm_backward(net, xr, cache, dh_out, grad, layer):
     return dx.transpose(1, 0, 3, 2)
 
 
-def piecewise_sigmoid(x):
-    """Reference sigmoid: boolean masks pick 1/(1+exp(-x)) for x >= 0 and
-    exp(x)/(1+exp(x)) below."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-class TestSigmoid:
-    EDGES = [0.0, 1e-300, 30.0, 709.0, 745.0, 1e308, np.inf]
-
-    def test_bitwise_equal_to_piecewise_at_edges(self):
-        x = np.array(self.EDGES + [-v for v in self.EDGES] + [np.nan])
-        # underflow to a subnormal or zero is the correct result and numpy
-        # ignores it by default; every other floating-point event raises
-        with np.errstate(all="raise", under="ignore"):
-            got = _sigmoid(x)
-            want = piecewise_sigmoid(x)
-        finite = ~np.isnan(x)
-        np.testing.assert_array_equal(got[finite].view(np.uint64),
-                                      want[finite].view(np.uint64))
-        assert np.isnan(got[~finite]).all()
-
-    def test_bitwise_equal_to_piecewise_on_gate_blocks(self):
-        rng = np.random.default_rng(12)
-        z = rng.normal(scale=8.0, size=(4, 2, 33, 7))
-        np.testing.assert_array_equal(_sigmoid(z).view(np.uint64),
-                                      piecewise_sigmoid(z.ravel()).reshape(z.shape).view(np.uint64))
-
-
 class TestSequencePredictor:
     def test_forward_equals_forward_with_cache(self):
         rng = np.random.default_rng(13)
@@ -465,6 +432,24 @@ class TestSequencePredictor:
             for name, _, _ in net._block_table(t_dim):
                 g, w = net._view(got, name), net._view(want, name)
                 assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), (n, name)
+
+    def test_saturated_gates_are_exact_and_raise_nothing(self):
+        # at a thousand times their initial scale the parameters drive most
+        # gates into saturation; underflow to a subnormal or zero is a
+        # correct result, every other floating-point event raises
+        rng = np.random.default_rng(14)
+        net = SequencePredictor(7, 1e3 * SequencePredictor.init(7, rng).theta)
+        history = rng.normal(size=(300, 5, 7))
+        with np.errstate(all="raise", under="ignore"):
+            out = net.forward(history)
+            cached, cache = net.forward_with_cache(history)
+            grad = net.backward(cache, rng.normal(size=out.shape))
+        assert np.isfinite(out).all() and np.isfinite(grad).all()
+        np.testing.assert_array_equal(out.view(np.uint64), cached.view(np.uint64))
+        sig = np.stack([s for layer in cache[:2] for _, s, _, _ in layer[2]])
+        g = np.stack([g for layer in cache[:2] for _, _, g, _ in layer[2]])
+        assert (sig == 0.0).any() and (sig == 1.0).any()
+        assert (g == -1.0).any() and (g == 1.0).any()
 
     def test_shape_errors(self):
         net = SequencePredictor.init(3, np.random.default_rng(0))
@@ -584,11 +569,13 @@ class TestOneBlasThread:
         yield
         _blas_set_threads()(original)
 
-    def test_fit_trains_on_one_thread_and_restores(self):
+    def test_fit_trains_on_one_thread_and_restores(self, monkeypatch):
         seen = []
+        inner = train.unified_update
+        monkeypatch.setattr(train, "unified_update",
+                            lambda *args: seen.append(blas_threads()) or inner(*args))
         fit(make_dataset(n_normal=30, n_anomaly=4, seed=1),
-            TrainConfig(T=2, C=2, epochs=6, hidden=8, seed=0),
-            checkpoint_hook=lambda epoch, g: seen.append(blas_threads()))
+            TrainConfig(T=2, C=2, epochs=6, hidden=8, seed=0))
         assert seen == [1] * 6
         assert blas_threads() == 3
 

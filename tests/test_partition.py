@@ -41,20 +41,15 @@ class TestKmeans:
         ])
         ds = normals_only(pts)
         ca = kmeans(ds, 3, seed=1)
-        groups = [
-            {ca.assignments[f"p{i}"] for i in range(0, 8)},
-            {ca.assignments[f"p{i}"] for i in range(8, 16)},
-            {ca.assignments[f"p{i}"] for i in range(16, 24)},
-        ]
-        assert all(len(g) == 1 for g in groups)
-        assert len(set().union(*groups)) == 3
+        clusters = sorted(ca.members(c).tolist() for c in range(3))
+        assert clusters == [list(range(0, 8)), list(range(8, 16)), list(range(16, 24))]
 
     def test_k1_centroid_is_mean(self):
         pts = np.random.default_rng(1).normal(size=(10, 3))
         ds = normals_only(pts)
         ca = kmeans(ds, 1, seed=0)
         np.testing.assert_allclose(ca.centroids[0], pts.mean(axis=0), atol=1e-12)
-        assert set(ca.assignments.values()) == {0}
+        assert (ca.assign == 0).all()
 
     def test_sse_against_random_restart_oracle(self):
         rng = np.random.default_rng(42)
@@ -73,7 +68,7 @@ class TestKmeans:
         pts = np.zeros((5, 2))
         ds = normals_only(pts, n_anomaly=3)
         ca = kmeans(ds, 1, seed=0)
-        assert set(ca.assignments) == {f"p{i}" for i in range(5)}
+        np.testing.assert_array_equal(ca.rows, np.arange(5))
 
     def test_capacity_error(self):
         ds = normals_only(np.zeros((2, 2)))
@@ -85,7 +80,7 @@ class TestKmeans:
         ds = normals_only(pts)
         a = kmeans(ds, 3, seed=7)
         b = kmeans(ds, 3, seed=7)
-        assert a.assignments == b.assignments
+        assert (a.rows == b.rows).all() and (a.assign == b.assign).all()
         assert (a.centroids == b.centroids).all()
 
     def test_no_empty_clusters(self):
@@ -94,15 +89,14 @@ class TestKmeans:
         pts[5] = [1.0, 1.0]
         ds = normals_only(pts)
         ca = kmeans(ds, 3, seed=0)
-        counts = np.bincount(list(ca.assignments.values()), minlength=3)
+        counts = np.bincount(ca.assign, minlength=3)
         assert (counts > 0).all()
 
 
 def _sse(points, ca):
     total = 0.0
-    for i, point in enumerate(points):
-        c = ca.assignments[f"p{i}"]
-        total += float(((point - ca.centroids[c]) ** 2).sum())
+    for r, c in zip(ca.rows, ca.assign):
+        total += float(((points[r] - ca.centroids[c]) ** 2).sum())
     return total
 
 
