@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import ANOMALY, NORMAL, FeatureDataset
 from .errors import ConfigurationError, HetanomError
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 from .synth import ALL_KINDS, PseudoKind, synthesize_pseudo
 
 ALL_NORMALS = -1  # marks the subset built from every normal cluster
@@ -346,10 +346,12 @@ def build_distributions(
         sup_kind, qry_kind = ALL_KINDS[int(kind_idx[0])], ALL_KINDS[int(kind_idx[1])]
 
         n_pseudo = len(support_anoms)
-        sup_pseudo = _inject_pseudo(ds, support_normals, normal_rows, sup_kind, n_pseudo,
-                                    seed, i, "s", pseudo_ids, pseudo_feats)
-        qry_pseudo = _inject_pseudo(ds, query_normals, normal_rows, qry_kind, n_pseudo,
-                                    seed, i, "q", pseudo_ids, pseudo_feats)
+        sup_pseudo = np.arange(n_pseudo) + len(ds) + len(pseudo_ids)
+        qry_pseudo = sup_pseudo + n_pseudo
+        for side, source, kind in (("s", support_normals, sup_kind), ("q", query_normals, qry_kind)):
+            pseudo_ids += [f"pseudo:{i}:{side}:{j}" for j in range(n_pseudo)]
+            pseudo_feats.append(_inject_pseudo(ds, source, normal_rows, kind, n_pseudo,
+                                               rng_for(seed, "pseudo-pick", i, side)))
 
         built.append(dict(
             index=i,
@@ -368,8 +370,7 @@ def build_distributions(
         ds=ds,
         subsets=tuple(DistributionDataset(**fields, ids=ids) for fields in built),
         pseudo_ids=tuple(pseudo_ids),
-        pseudo_features=(np.vstack(pseudo_feats) if pseudo_feats
-                         else np.empty((0, ds.dim))),
+        pseudo_features=np.vstack(pseudo_feats),
         mode=mode,
         strict_openness=strict_openness,
     )
@@ -377,21 +378,18 @@ def build_distributions(
     return collection
 
 
-def _inject_pseudo(ds, source_rows, normal_rows, kind, count, seed, subset_idx, side,
-                   pseudo_ids, pseudo_feats) -> np.ndarray:
-    """Corrupt ``count`` normals from ``source_rows``; donors come from
-    anywhere in the normal pool (other clusters give off-manifold blends).
-    Returns the new pseudo anomalies' rows in the training table."""
+def _inject_pseudo(ds, source_rows, normal_rows, kind, count, rng) -> np.ndarray:
+    """The ``(count, ds.dim)`` block of pseudo anomalies made by corrupting
+    normals drawn from ``source_rows``; each donor comes from anywhere in
+    the normal pool (other clusters give off-manifold blends) and is never
+    its own source. Sources, donors, redrawn donors and the recipe's
+    parameters are drawn from ``rng`` in that order."""
     if count > 0 and len(normal_rows) < 2:
         raise HetanomError("pseudo anomalies need at least 2 normal samples")
-    start = len(ds) + len(pseudo_ids)
-    rng = rng_for(seed, "pseudo-pick", subset_idx, side)
-    for j in range(count):
-        src = source_rows[int(rng.integers(len(source_rows)))]
-        donor = src
-        while donor == src:
-            donor = normal_rows[int(rng.integers(len(normal_rows)))]
-        pseudo_feats.append(synthesize_pseudo(ds.features[src], ds.features[donor], kind,
-                                              derive_seed(seed, "pseudo", subset_idx, side, j)))
-        pseudo_ids.append(f"pseudo:{subset_idx}:{side}:{j}")
-    return np.arange(start, start + count)
+    src = source_rows[rng.integers(len(source_rows), size=count)]
+    donor = normal_rows[rng.integers(len(normal_rows), size=count)]
+    same = np.flatnonzero(donor == src)
+    while same.size:
+        donor[same] = normal_rows[rng.integers(len(normal_rows), size=same.size)]
+        same = same[donor[same] == src[same]]
+    return synthesize_pseudo(ds.features[src], ds.features[donor], kind, rng)

@@ -138,32 +138,30 @@ def default_benchmark(seed: int = 7) -> MixtureSpec:
     return MixtureSpec(dim=d, normal_components=normals, anomaly_components=anomalies, seed=seed)
 
 
-def synthesize_pseudo(normal: np.ndarray, donor: np.ndarray, kind: PseudoKind,
-                      seed: int) -> np.ndarray:
-    """Corrupt ``normal`` into a pseudo anomaly of recipe ``kind``.
+def synthesize_pseudo(normals: np.ndarray, donors: np.ndarray, kind: PseudoKind,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Corrupt each row of the (n, d) ``normals``, with the same row of
+    ``donors`` as its partner, into a pseudo anomaly of recipe ``kind``.
 
-    A recipe is a pure function of its seed: its free parameters (blend
-    weight, segment position, noise) are drawn from a generator seeded by
-    ``seed`` and ``kind`` on every call. MixBlend draws its weight from
-    [0.3, 0.7] and stays on the segment between the two inputs. The segment
-    recipes rewrite ``SEGMENT_FRACTION`` of the coordinates, rounded up, at
-    a random start, and never touch the coordinates outside it.
+    Each row draws its own parameters from ``rng``. MixBlend's weight lies
+    in [0.3, 0.7], so a row stays on the segment between its two inputs.
+    The segment recipes rewrite ``SEGMENT_FRACTION`` of the coordinates,
+    rounded up, from a random start, and no others: SegmentSwap copies the
+    donor's, NoiseMask adds ``NOISE_SCALE`` times standard-normal noise.
     """
-    normal = np.asarray(normal, dtype=np.float64)
-    donor = np.asarray(donor, dtype=np.float64)
-    if normal.shape != donor.shape or normal.ndim != 1:
-        raise HetanomError(f"normal shape {normal.shape} != donor shape {donor.shape}")
-    d = normal.shape[0]
-    rng = rng_for(seed, "pseudo", kind.value)
+    normals = np.asarray(normals, dtype=np.float64)
+    donors = np.asarray(donors, dtype=np.float64)
+    if normals.shape != donors.shape or normals.ndim != 2:
+        raise HetanomError(f"normal shape {normals.shape} != donor shape {donors.shape}")
+    n, d = normals.shape
     if kind is PseudoKind.MIX_BLEND:
-        lam = rng.uniform(0.3, 0.7)
-        return lam * normal + (1.0 - lam) * donor
+        lam = rng.uniform(0.3, 0.7, size=(n, 1))
+        return lam * normals + (1.0 - lam) * donors
     length = math.ceil(SEGMENT_FRACTION * d)
-    start = int(rng.integers(0, d - length + 1))
-    out = normal.copy()
+    offset = np.arange(d) - rng.integers(0, d - length + 1, size=(n, 1))
+    segment = (offset >= 0) & (offset < length)
     if kind is PseudoKind.SEGMENT_SWAP:
-        out[start : start + length] = donor[start : start + length]
-    else:  # NOISE_MASK
-        noise = rng.standard_normal(length)
-        out[start : start + length] = normal[start : start + length] + NOISE_SCALE * noise
+        return np.where(segment, donors, normals)
+    out = normals.copy()
+    out[segment] += NOISE_SCALE * rng.standard_normal(n * length)  # the mask selects row by row
     return out

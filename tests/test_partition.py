@@ -11,10 +11,12 @@ from hetanom.partition import (
     ALL_NORMALS,
     ONE_SHOT,
     _assign_with_repair,
+    _inject_pseudo,
     build_distributions,
     kmeans,
 )
 from hetanom.seeding import rng_for
+from hetanom.synth import PseudoKind, synthesize_pseudo
 from conftest import make_dataset, reference_assign_with_repair, reference_kmeans
 
 
@@ -233,6 +235,48 @@ class TestBuildDistributions:
                 in_support = sid in support
                 assert sup_norm[row] == (in_support and table.y[row] == 0)
                 assert sup_anom[row] == (in_support and table.y[row] == 1)
+
+
+class TestInjectPseudo:
+    @pytest.mark.parametrize("kind", list(PseudoKind))
+    def test_donor_is_never_the_source(self, monkeypatch, kind):
+        # one source row in a two-row pool: about half the first donors equal
+        # their source, so the redraw loop must run, and every donor ends as
+        # the other row
+        seen = []
+
+        def record(normals, donors, kind, rng):
+            seen.append((normals, donors))
+            return synthesize_pseudo(normals, donors, kind, rng)
+
+        monkeypatch.setattr(partition, "synthesize_pseudo", record)
+        ds = normals_only([[0.0, 1.0, 2.0, 3.0], [10.0, 11.0, 12.0, 13.0]])
+        pool = ds.normal_rows()
+        block = _inject_pseudo(ds, pool[:1], pool, kind, 60, np.random.default_rng(0))
+        assert block.shape == (60, 4)
+        (normals, donors), = seen
+        assert (normals == ds.features[0]).all() and (donors == ds.features[1]).all()
+
+    def test_zero_count_gives_an_empty_block(self):
+        ds = normals_only([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        pool = ds.normal_rows()
+        for kind in PseudoKind:
+            block = _inject_pseudo(ds, pool, pool, kind, 0, np.random.default_rng(0))
+            assert block.shape == (0, 3)
+
+    def test_one_generator_per_subset_side(self, benchmark_ds, monkeypatch):
+        # the subset's own stream, then one per side; no stream per pseudo anomaly
+        clusters = kmeans(benchmark_ds, 3, seed=0)
+        streams, made = [], []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: made.append(seed) or default_rng(seed))
+        monkeypatch.setattr(partition, "rng_for",
+                            lambda root, *tags: streams.append(tags) or rng_for(root, *tags))
+        build_distributions(benchmark_ds, clusters, 3, seed=0)
+        assert streams == [tags for i in range(3) for tags in
+                           (("subset", i), ("pseudo-pick", i, "s"), ("pseudo-pick", i, "q"))]
+        assert len(made) == len(streams)
 
 
 def _first(subsets, **change):

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -88,37 +90,49 @@ class TestGenerate:
 
 
 class TestSynthesizePseudo:
+    @staticmethod
+    def pairs(n, d, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, d)), rng.normal(size=(n, d))
+
     def test_dim_mismatch(self):
-        with pytest.raises(HetanomError, match=r"^normal shape \(3,\) != donor shape \(4,\)$"):
-            synthesize_pseudo(np.zeros(3), np.zeros(4), PseudoKind.MIX_BLEND, seed=0)
+        for a, b in [((5, 3), (5, 4)), ((5, 3), (4, 3)), ((3,), (3,)), ((2, 2, 3), (2, 2, 3))]:
+            with pytest.raises(HetanomError, match=rf"^normal shape {re.escape(str(a))} "
+                                                   rf"!= donor shape {re.escape(str(b))}$"):
+                synthesize_pseudo(np.zeros(a), np.zeros(b), PseudoKind.MIX_BLEND,
+                                  np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", [PseudoKind.SEGMENT_SWAP, PseudoKind.NOISE_MASK])
     def test_mask_locality(self, kind):
-        # untouched coordinates stay bitwise identical; the changed block is
-        # contiguous and has ceil(SEGMENT_FRACTION * d) coordinates at most
-        d = 16
-        for seed in range(60):
-            rng = np.random.default_rng(seed)
-            normal, donor = rng.normal(size=d), rng.normal(size=d)
-            out = synthesize_pseudo(normal, donor, kind, seed=seed)
-            changed = np.flatnonzero(out != normal)
-            block = int(np.ceil(SEGMENT_FRACTION * d))
-            assert len(changed) <= block
-            if len(changed) > 1:
-                assert changed[-1] - changed[0] <= block - 1
+        # each row changes one contiguous run of exactly ceil(d / 4)
+        # coordinates, and the others stay bitwise identical
+        for d in (1, 5, 16):
+            normal, donor = self.pairs(200, d)
+            out = synthesize_pseudo(normal, donor, kind, np.random.default_rng(3))
+            block = math.ceil(SEGMENT_FRACTION * d)
+            assert block == math.ceil(d / 4)
+            for row in range(len(out)):
+                changed = np.flatnonzero(out[row] != normal[row])
+                assert len(changed) == block
+                assert changed[-1] - changed[0] == block - 1
+                if kind is PseudoKind.SEGMENT_SWAP:
+                    np.testing.assert_array_equal(out[row, changed], donor[row, changed])
 
     def test_mixblend_between_inputs(self):
-        for seed in range(60):
-            rng = np.random.default_rng(seed)
-            normal, donor = rng.normal(size=10), rng.normal(size=10)
-            out = synthesize_pseudo(normal, donor, PseudoKind.MIX_BLEND, seed=seed)
-            lo = np.minimum(normal, donor) - 1e-12
-            hi = np.maximum(normal, donor) + 1e-12
-            assert ((out >= lo) & (out <= hi)).all()
+        normal, donor = self.pairs(500, 10)
+        out = synthesize_pseudo(normal, donor, PseudoKind.MIX_BLEND, np.random.default_rng(5))
+        lo = np.minimum(normal, donor) - 1e-12
+        hi = np.maximum(normal, donor) + 1e-12
+        assert ((out >= lo) & (out <= hi)).all()
+        # one weight per row, in [0.3, 0.7], read off the row's widest coordinate
+        rows, col = np.arange(len(out)), np.abs(normal - donor).argmax(axis=1)
+        lam = ((out - donor)[rows, col] / (normal - donor)[rows, col])[:, None]
+        assert ((lam >= 0.3 - 1e-12) & (lam <= 0.7 + 1e-12)).all()
+        np.testing.assert_allclose(out, lam * normal + (1.0 - lam) * donor, rtol=0, atol=1e-12)
 
     def test_same_recipe_same_output(self):
-        rng = np.random.default_rng(0)
-        normal, donor = rng.normal(size=6), rng.normal(size=6)
-        a = synthesize_pseudo(normal, donor, PseudoKind.NOISE_MASK, seed=11)
-        b = synthesize_pseudo(normal, donor, PseudoKind.NOISE_MASK, seed=11)
-        np.testing.assert_array_equal(a, b)
+        normal, donor = self.pairs(50, 6)
+        for kind in PseudoKind:
+            a = synthesize_pseudo(normal, donor, kind, np.random.default_rng(11))
+            b = synthesize_pseudo(normal, donor, kind, np.random.default_rng(11))
+            np.testing.assert_array_equal(a, b)
