@@ -30,7 +30,7 @@ from .evaluate import (
     sweep_csv,
     swept_config,
 )
-from .nets import save_checkpoint
+from .nets import float_platform, save_checkpoint
 from .schema import build
 from .synth import MixtureSpec, default_benchmark, generate
 from .train import TrainConfig
@@ -185,6 +185,7 @@ def _execute(config: RunConfig, ds: FeatureDataset, dataset_sha256: str | None,
         "config": recorded,
         "dataset_sha256": dataset_sha256,
         "results_sha256": checksum,
+        "platform": float_platform(),  # for the reader; replay ignores it
     }
     # a failed write removes the topmost directory it made, or out_dir's entries
     absolute = out_dir.absolute()

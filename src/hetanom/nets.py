@@ -15,9 +15,9 @@ the T base scorers train. Adam is elementwise with a step count per
 stacked row, so rows may sit a step out. The sequence predictor keeps
 its recurrence rows-innermost, states (K, 2, H, n) and step products
 ``U @ h``, with the gate rows in the order i, f, o, g, all four from one
-tanh call per step; its backward pass runs in the same order and layout,
-and only the scatter of its weight gradients into the flat vector sees
-the parameters' order i, f, g, o.
+tanh call per step; its backward pass runs in the same order and layout.
+Its flat parameters are laid out as the recurrence reads them, so every
+block it reads, and every weight gradient it writes, is a view.
 
 Every product in training is small (batch 32, hidden width 7 in the
 LSTM, a few thousand rows at most), too small for a second BLAS thread
@@ -60,18 +60,45 @@ CHECKPOINT_MAGIC = b"AHL1"
 
 
 @functools.cache
-def _blas_set_threads():
-    """OpenBLAS's ``openblas_set_num_threads_local`` (sets the count, returns
-    the previous one), resolved through numpy's own extension module, whose
-    dependencies ``dlsym`` searches; None where the BLAS lacks it."""
+def _numpy_core():
+    """numpy's own extension module, and the same opened as a library,
+    whose dependencies (the BLAS among them) ``dlsym`` searches."""
     try:
         from numpy._core import _multiarray_umath
     except ImportError:  # numpy 1.x
         from numpy.core import _multiarray_umath
-    fn = getattr(ctypes.CDLL(_multiarray_umath.__file__), "openblas_set_num_threads_local", None)
+    return _multiarray_umath, ctypes.CDLL(_multiarray_umath.__file__)
+
+
+@functools.cache
+def _blas_set_threads():
+    """OpenBLAS's ``openblas_set_num_threads_local`` (sets the count, returns
+    the previous one), resolved through numpy's extension module; None where
+    the BLAS lacks it."""
+    fn = getattr(_numpy_core()[1], "openblas_set_num_threads_local", None)
     if fn is not None:
         fn.argtypes, fn.restype = [ctypes.c_int], ctypes.c_int
     return fn
+
+
+def float_platform() -> dict:
+    """What decides a run's float bits besides the package and its inputs:
+    numpy's version, its baseline and active CPU-dispatch targets, and
+    OpenBLAS's config string and core name, resolved as
+    ``_blas_set_threads`` resolves its symbol (None where the BLAS has no
+    such symbol)."""
+    core, lib = _numpy_core()
+    record = {
+        "numpy": np.__version__,
+        "cpu_baseline": list(core.__cpu_baseline__),
+        "cpu_dispatch": [t for t in core.__cpu_dispatch__ if core.__cpu_features__.get(t)],
+    }
+    for key, name in (("openblas_config", "get_config"), ("openblas_corename", "get_corename")):
+        fn = getattr(lib, f"scipy_openblas_{name}64_", None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+        record[key] = fn().decode() if fn is not None else None
+    return record
 
 
 # The OpenBLAS count is process-wide, not per thread: scopes on any thread
@@ -215,8 +242,9 @@ class SequencePredictor:
     hidden size 7 per direction, the final states of the last layer's two
     directions feed a 14-unit rectifier layer and a linear map back to T.
 
-    Both directions of a layer run in one recurrence: their parameters are
-    stacked on a leading axis of size 2 (forward, backward) and every step
+    Both directions of a layer run in one recurrence: each of its blocks
+    ``W`` (2, 4H, d), ``U`` (2, 4H, H) and ``b`` (2, 4H) stacks them on a
+    leading axis (forward, backward), gate rows i, f, o, g, and every step
     is one batched matmul. Sequences are kept time-major with the rows
     innermost, (K, 2, ·, n), each direction's inputs in its own reading
     order, so a step's products are ``U @ h`` and its gate arithmetic runs
@@ -226,12 +254,21 @@ class SequencePredictor:
     HIDDEN = 7
     FC_HIDDEN = 2 * HIDDEN
     INFER_ROWS = 512
+    # the checkpoint's name for the parameter layout; a checkpoint without
+    # it kept each direction's blocks apart, gate rows i, f, g, o
+    LAYOUT = "stacked-ifog"
 
     def __init__(self, t_dim: int, theta: np.ndarray):
         self.t_dim = t_dim
+        H, F = self.HIDDEN, self.FC_HIDDEN
+        shapes = {}
+        for layer, in_dim in (("l1", t_dim), ("l2", 2 * H)):
+            shapes |= {f"{layer}.W": (2, 4 * H, in_dim), f"{layer}.U": (2, 4 * H, H),
+                       f"{layer}.b": (2, 4 * H)}
+        shapes |= {"fc.W": (F, 2 * H), "fc.b": (F,), "out.W": (t_dim, F), "out.b": (t_dim,)}
         self._offsets = {}
         pos = 0
-        for name, shape, _ in self._block_table(t_dim):
+        for name, shape in shapes.items():
             size = math.prod(shape)
             self._offsets[name] = (pos, pos + size, shape)
             pos += size
@@ -239,41 +276,26 @@ class SequencePredictor:
         if theta.shape != (pos,):
             raise HetanomError(f"sequence net wants {pos} parameters, got {theta.shape}")
         self.theta = theta
-        # flat positions of each layer's (2, 4H, ...) W, U and b stacks
-        # (forward, backward), gate rows reordered from the parameters' i, f,
-        # g, o to i, f, o, g, so that the three sigmoid gates form one block
-        flat = np.arange(pos)
-        self._ifog_index = {}
-        for layer in ("l1", "l2"):
-            for part in ("W", "U", "b"):
-                both = np.stack([self._view(flat, f"{layer}{d}.{part}") for d in "fb"])
-                self._ifog_index[layer, part] = (
-                    both.reshape(2, 4, self.HIDDEN, -1)[:, [0, 1, 3, 2]].reshape(both.shape))
-
-    @classmethod
-    def _block_table(cls, t_dim):
-        # (name, shape, fan_in); recurrent and bias blocks scale with the
-        # hidden width, input maps with their input width
-        H = cls.HIDDEN
-        table = []
-        for layer, in_dim in (("l1", t_dim), ("l2", 2 * H)):
-            for direction in ("f", "b"):
-                table.append((f"{layer}{direction}.W", (4 * H, in_dim), in_dim))
-                table.append((f"{layer}{direction}.U", (4 * H, H), H))
-                table.append((f"{layer}{direction}.b", (4 * H,), H))
-        table.append(("fc.W", (cls.FC_HIDDEN, 2 * H), 2 * H))
-        table.append(("fc.b", (cls.FC_HIDDEN,), 2 * H))
-        table.append(("out.W", (t_dim, cls.FC_HIDDEN), cls.FC_HIDDEN))
-        table.append(("out.b", (t_dim,), cls.FC_HIDDEN))
-        return table
 
     @classmethod
     def init(cls, t_dim: int, rng: np.random.Generator) -> "SequencePredictor":
-        parts = [
-            _uniform_block(rng, shape, fan).ravel()
-            for _, shape, fan in cls._block_table(t_dim)
-        ]
-        return cls(t_dim, np.concatenate(parts))
+        """Uniform draws in +-1/sqrt(fan-in): a weight map's fan-in is its
+        input width, an LSTM bias's the hidden width, a head bias's its
+        layer's input width. Each LSTM layer draws one direction after the
+        other, W, U and b in turn with the gate rows i, f, g, o, the order
+        the pinned fits were drawn in; the rows are then stacked in the
+        order i, f, o, g."""
+        H = cls.HIDDEN
+        blocks = []
+        for in_dim in (t_dim, 2 * H):
+            drawn = [(_uniform_block(rng, (4 * H, in_dim), in_dim),
+                      _uniform_block(rng, (4 * H, H), H),
+                      _uniform_block(rng, (4 * H,), H)) for _ in "fb"]
+            blocks += [np.stack(both).reshape(2, 4, H, -1)[:, [0, 1, 3, 2]]
+                       for both in zip(*drawn)]
+        for rows, cols in ((cls.FC_HIDDEN, 2 * H), (t_dim, cls.FC_HIDDEN)):
+            blocks += [_uniform_block(rng, (rows, cols), cols), _uniform_block(rng, (rows,), cols)]
+        return cls(t_dim, np.concatenate([block.ravel() for block in blocks]))
 
     def block(self, name: str) -> np.ndarray:
         return self._view(self.theta, name)
@@ -281,11 +303,6 @@ class SequencePredictor:
     def _view(self, flat, name):
         start, stop, shape = self._offsets[name]
         return flat[start:stop].reshape(shape)
-
-    def _ifog(self, layer, part):
-        """(2, ...) stack of one block of a layer's forward and backward LSTM,
-        the gate rows in the order i, f, o, g."""
-        return self.theta[self._ifog_index[layer, part]]
 
     def forward(self, history: np.ndarray) -> np.ndarray:
         """(n, K, T) history -> (n, T) prediction. Rows are independent:
@@ -355,10 +372,10 @@ class SequencePredictor:
         """
         H = self.HIDDEN
         K, _, _, n = xs.shape
-        U = self._ifog(layer, "U")
+        W, U, b = (self.block(f"{layer}.{part}") for part in "WUb")
         # per-step products (4H, d) @ (d, n) and the bias, for all K steps
-        xw = np.matmul(self._ifog(layer, "W"), xs)
-        xw += self._ifog(layer, "b")[:, :, None]
+        xw = np.matmul(W, xs)
+        xw += b[:, :, None]
         hs = np.zeros((K + 1, 2, H, n))  # hs[t] is the state entering step t
         z = np.empty((2, 4 * H, n))
         c = np.zeros((2, H, n))
@@ -384,12 +401,12 @@ class SequencePredictor:
         """Backpropagation through time for both directions, in the forward's
         gate order i, f, o, g and layout (step, direction, unit, row). Each
         step's dz goes into one (K, 2, 4H, n) buffer; the weight gradients
-        are then one batched product per block summed over the steps, and
-        scatter to the parameters' order through ``_ifog_index``."""
+        are then one batched product per block summed over the steps,
+        written through the block's view of ``grad``."""
         xs, hs, steps = cache
         H = self.HIDDEN
         K, _, _, n = xs.shape
-        Ut = self._ifog(layer, "U").swapaxes(-1, -2)
+        Ut = self.block(f"{layer}.U").swapaxes(-1, -2)
         dzs = np.empty((K, 2, 4 * H, n))
         dh_next = np.zeros((2, H, n))
         dc_next = np.zeros((2, H, n))
@@ -411,16 +428,15 @@ class SequencePredictor:
             dg *= 1.0 - g ** 2
             dc_next = dc * f
             dh_next = np.matmul(Ut, dz)
-        index = self._ifog_index
-        grad[index[layer, "W"]] = np.matmul(dzs, xs.swapaxes(-1, -2)).sum(axis=0)
-        grad[index[layer, "U"]] = np.matmul(dzs, hs[:K].swapaxes(-1, -2)).sum(axis=0)
-        grad[index[layer, "b"]] = dzs.sum(axis=(0, 3))
+        self._view(grad, f"{layer}.W")[...] = np.matmul(dzs, xs.swapaxes(-1, -2)).sum(axis=0)
+        self._view(grad, f"{layer}.U")[...] = np.matmul(dzs, hs[:K].swapaxes(-1, -2)).sum(axis=0)
+        self._view(grad, f"{layer}.b")[...] = dzs.sum(axis=(0, 3))
         if not need_dx:
             return None
-        return np.matmul(self._ifog(layer, "W").swapaxes(-1, -2), dzs)
+        return np.matmul(self.block(f"{layer}.W").swapaxes(-1, -2), dzs)
 
     def descriptor(self) -> dict:
-        return {"kind": "sequence", "t_dim": self.t_dim}
+        return {"kind": "sequence", "t_dim": self.t_dim, "layout": self.LAYOUT}
 
 
 class AdamState:
@@ -515,8 +531,11 @@ def load_checkpoint(path):
         theta = np.frombuffer(body, dtype="<f8").copy()
         if kind == "scorer":
             return ScorerNet(int(desc["dim"]), int(desc["hidden"]), theta)
-        if kind == "sequence":
+        if kind == "sequence" and desc.get("layout") == SequencePredictor.LAYOUT:
             return SequencePredictor(int(desc["t_dim"]), theta)
     except (HetanomError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ConfigurationError(f"{path}: malformed checkpoint: {exc}") from exc
+    if kind == "sequence":
+        raise ConfigurationError(f"{path}: sequence checkpoint in parameter layout "
+                                 f"{desc.get('layout')!r}, not {SequencePredictor.LAYOUT!r}")
     raise ConfigurationError(f"{path}: unknown architecture {kind!r}")

@@ -2,6 +2,7 @@
 its stated tolerance. Run with ``pytest tests/test_acceptance.py -v -s``."""
 
 import contextlib
+import hashlib
 import json
 import math
 import time
@@ -12,6 +13,7 @@ import pytest
 
 import hetanom as ha
 from hetanom import train
+from hetanom.cli import _canonical_json
 from hetanom.cli import main as cli_main
 from hetanom.data import ingest_csv, write_csv
 from hetanom.evaluate import _protocol_split, run_protocols, run_variant
@@ -244,6 +246,10 @@ def test_criterion_7_directional_heterogeneity(benchmark_ds):
         assert means == {"AHL": 0.7728370370370371,
                          "Homogeneous": 0.7221833333333334,
                          "HADG_only": 0.6116444444444443}
+        # the results checksum `hetanom run configs/default.json` prints
+        results_bytes = _canonical_json({"results": [r.to_dict() for r in results]})
+        assert hashlib.sha256(results_bytes).hexdigest() == \
+            "a46d1ce900c0671515eda917c4c26537cf48c004b343b735122cb16ff5cf7f36"
         assert time.time() - start < 600.0
 
 

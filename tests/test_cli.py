@@ -20,6 +20,7 @@ from hetanom.cli import MANIFEST_VERSION, execute_replay, execute_run, main, par
 from hetanom.data import ingest_csv, write_csv
 from hetanom.errors import ConfigurationError, HetanomError, ReplayError
 from hetanom.evaluate import METRICS, ProtocolSpec, check_clusters, sweep
+from hetanom.nets import float_platform
 from hetanom.synth import MixtureSpec, generate
 from hetanom.train import TrainConfig
 
@@ -566,6 +567,21 @@ class TestReplay:
             (out / "results.json").read_bytes()
         manifest = json.loads((out / "manifest.json").read_text())
         assert "command" not in manifest and "seed" not in manifest["config"]["train"]
+
+    def test_manifest_records_the_float_platform(self, tmp_path):
+        out = tmp_path / "out"
+        cfg_path = write_config(tmp_path, minimal_config())
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["platform"] == float_platform()
+        assert "platform" not in (out / "results.json").read_text()
+        # replay reads no platform: another one still reproduces
+        manifest["platform"] = {"numpy": "0.0", "openblas_corename": "elsewhere"}
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(manifest))
+        assert main(["replay", "--manifest", str(edited),
+                     "--out", str(tmp_path / "replayed")]) == 0
+        assert read_tree(tmp_path / "replayed") == read_tree(out)
 
     def test_missing_csv_dataset_refused_before_any_work(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"

@@ -20,7 +20,8 @@ from hetanom.cli import RunConfig, execute_run, parse_config
 from hetanom.data import ingest_csv
 from hetanom.errors import ConfigurationError
 from hetanom.evaluate import METRICS, VARIANTS
-from hetanom.nets import ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
+from hetanom.nets import (CHECKPOINT_MAGIC, ScorerNet, SequencePredictor, load_checkpoint,
+                          save_checkpoint)
 from hetanom.synth import MixtureSpec
 from hetanom.train import TrainConfig
 
@@ -141,6 +142,19 @@ CHECKPOINTS = [
 ]
 
 
+def old_layout_sequence_bytes(net) -> bytes:
+    """``net`` as saved before the "stacked-ifog" layout: no layout in the
+    descriptor, each LSTM direction's W, U and b apart, gate rows i, f, g, o."""
+    H = net.HIDDEN
+    desc = json.dumps({"kind": "sequence", "t_dim": net.t_dim}, sort_keys=True).encode()
+    blocks = [net.block(f"{layer}.{part}")[d].reshape(4, H, -1)[[0, 1, 3, 2]]
+              for layer in ("l1", "l2") for d in (0, 1) for part in "WUb"]
+    blocks += [net.block(name) for name in ("fc.W", "fc.b", "out.W", "out.b")]
+    theta = np.concatenate([block.ravel() for block in blocks])
+    return (CHECKPOINT_MAGIC + len(desc).to_bytes(4, "little") + desc
+            + theta.astype("<f8").tobytes())
+
+
 def loads_or_refuses(data: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.ckpt"
@@ -170,7 +184,9 @@ def test_load_checkpoint_bytes_flipped(raw, data):
     loads_or_refuses(bytes(flipped))
 
 
-@pytest.mark.parametrize("raw", CHECKPOINTS)
+# the old-layout checkpoint is refused, naming the path
+@pytest.mark.parametrize("raw", CHECKPOINTS + [
+    old_layout_sequence_bytes(SequencePredictor.init(2, np.random.default_rng(1)))])
 def test_untouched_checkpoints_load(raw):
     loads_or_refuses(raw)
 

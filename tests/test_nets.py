@@ -1,3 +1,6 @@
+import json
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -14,6 +17,7 @@ from hetanom.nets import (
     ScorerNet,
     SequencePredictor,
     _blas_set_threads,
+    float_platform,
     load_checkpoint,
     one_blas_thread,
     save_checkpoint,
@@ -247,35 +251,42 @@ def seq_forward_oracle(net, history):
     def sigmoid(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    def run_direction(seq, prefix):
-        W, U, b = net.block(f"{prefix}.W"), net.block(f"{prefix}.U"), net.block(f"{prefix}.b")
+    def run_direction(seq, layer, direction):
+        W, U, b = (net.block(f"{layer}.{part}")[direction] for part in "WUb")
         h = np.zeros(H)
         c = np.zeros(H)
         outs = []
         for x in seq:
             z = W @ x + U @ h + b
-            i, f, g, o = sigmoid(z[:H]), sigmoid(z[H:2*H]), np.tanh(z[2*H:3*H]), sigmoid(z[3*H:])
+            i, f, o, g = sigmoid(z[:H]), sigmoid(z[H:2*H]), sigmoid(z[2*H:3*H]), np.tanh(z[3*H:])
             c = f * c + i * g
             h = o * np.tanh(c)
             outs.append(h)
         return outs
 
     K = len(history)
-    h1f = run_direction(history, "l1f")
-    h1b = run_direction(history[::-1], "l1b")
+    h1f = run_direction(history, "l1", 0)
+    h1b = run_direction(history[::-1], "l1", 1)
     u = [np.concatenate([h1f[t], h1b[K - 1 - t]]) for t in range(K)]
-    h2f = run_direction(u, "l2f")
-    h2b = run_direction(u[::-1], "l2b")
+    h2f = run_direction(u, "l2", 0)
+    h2b = run_direction(u[::-1], "l2", 1)
     head = np.concatenate([h2f[-1], h2b[-1]])
     a = np.maximum(net.block("fc.W") @ head + net.block("fc.b"), 0.0)
     return net.block("out.W") @ a + net.block("out.b")
 
 
+def swap_g_o(block):
+    """A (2, 4H, ...) LSTM block with its g and o gate rows swapped: i, f,
+    o, g to i, f, g, o and back."""
+    H = SequencePredictor.HIDDEN
+    return block.reshape(2, 4, H, -1)[:, [0, 1, 3, 2]].reshape(block.shape)
+
+
 def rows_major_gradient(net, history, dout):
     """Reference gradient of sum(dout . output): the earlier rows-major
-    backward pass, which kept every dz as (2, K, n, 4H) in the parameters'
-    gate order i, f, g, o, read each layer's inputs rows-major, (2, K, n, d),
-    and summed the per-step weight gradients last step first."""
+    backward pass, which kept every dz as (2, K, n, 4H) in the gate order
+    i, f, g, o, read each layer's inputs rows-major, (2, K, n, d), and
+    summed the per-step weight gradients last step first."""
     H = net.HIDDEN
     _, (cache1, cache2, head, zf, af) = net.forward_with_cache(history)
     n, K = history.shape[:2]
@@ -305,7 +316,7 @@ def _rows_major_lstm_backward(net, xr, cache, dh_out, grad, layer):
     _, K, n, d = xr.shape
 
     def stacked(part):
-        return np.stack([net.block(f"{layer}{direction}.{part}") for direction in "fb"])
+        return swap_g_o(net.block(f"{layer}.{part}"))
 
     Ut = stacked("U").transpose(0, 2, 1)
     dzs = np.empty((2, K, n, 4 * H))
@@ -342,10 +353,8 @@ def _rows_major_lstm_backward(net, xr, cache, dh_out, grad, layer):
         dW += dW_steps[:, t]
         dU += dU_steps[:, t]
         db += db_steps[:, t]
-    for k, direction in enumerate("fb"):
-        net._view(grad, f"{layer}{direction}.W")[...] = dW[k]
-        net._view(grad, f"{layer}{direction}.U")[...] = dU[k]
-        net._view(grad, f"{layer}{direction}.b")[...] = db[k]
+    for part, block in zip("WUb", (dW, dU, db)):
+        net._view(grad, f"{layer}.{part}")[...] = swap_g_o(block)
     dx = np.matmul(dzs, stacked("W")[:, None])
     return dx.transpose(1, 0, 3, 2)
 
@@ -429,7 +438,7 @@ class TestSequencePredictor:
             got = net.backward(cache, dout)
             want = rows_major_gradient(net, history, dout)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), n
-            for name, _, _ in net._block_table(t_dim):
+            for name in net._offsets:
                 g, w = net._view(got, name), net._view(want, name)
                 assert np.abs(g - w).max() <= 1e-13 * np.abs(w).max(), (n, name)
 
@@ -481,6 +490,19 @@ class TestCheckpoints:
         back = load_checkpoint(path)
         assert isinstance(back, SequencePredictor)
         assert (back.theta == net.theta).all()
+
+    def test_old_layout_sequence_checkpoint_is_refused(self, tmp_path):
+        # the layout before "stacked-ifog": the same parameter count, each
+        # direction's blocks apart, and no layout in the descriptor
+        net = SequencePredictor.init(3, np.random.default_rng(5))
+        desc = json.dumps({"kind": "sequence", "t_dim": 3}, sort_keys=True).encode()
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"AHL1" + len(desc).to_bytes(4, "little") + desc
+                         + net.theta.astype("<f8").tobytes())
+        with pytest.raises(ConfigurationError, match="sequence checkpoint in parameter "
+                                                     "layout None, not 'stacked-ifog'") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -665,3 +687,25 @@ class TestOneBlasThread:
                      model_sink=lambda seed, model: seen.append(blas_threads()))
         assert seen == [1, 1]
         assert blas_threads() == 3
+
+
+class TestFloatPlatform:
+    def test_fields(self):
+        record = float_platform()
+        assert record["numpy"] == np.__version__
+        assert set(record) == {"numpy", "cpu_baseline", "cpu_dispatch",
+                               "openblas_config", "openblas_corename"}
+        assert all(isinstance(t, str) for t in record["cpu_baseline"] + record["cpu_dispatch"])
+
+    @pytest.mark.skipif(float_platform()["openblas_corename"] is None,
+                        reason="the BLAS does not name its core")
+    def test_names_the_kernel_in_use(self):
+        # a forced OpenBLAS core type is what the record names, not the build's
+        env = dict(os.environ, OPENBLAS_CORETYPE="HASWELL",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", "import json; from hetanom.nets import "
+                              "float_platform; print(json.dumps(float_platform()))"],
+                             env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+        record = json.loads(out)
+        assert record["openblas_corename"] == "Haswell"
+        assert "Haswell" in record["openblas_config"]
