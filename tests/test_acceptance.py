@@ -2,7 +2,6 @@
 its stated tolerance. Run with ``pytest tests/test_acceptance.py -v -s``."""
 
 import contextlib
-import hashlib
 import json
 import math
 import time
@@ -13,10 +12,9 @@ import pytest
 
 import hetanom as ha
 from hetanom import train
-from hetanom.cli import _canonical_json
 from hetanom.cli import main as cli_main
 from hetanom.data import ingest_csv, write_csv
-from hetanom.evaluate import _protocol_split, run_protocols, run_variant
+from hetanom.evaluate import _protocol_split, run_variant
 from hetanom.losses import (MARGIN, base_loss, base_loss_grad, cdl_loss, deviation_loss,
                             deviation_loss_dscore)
 from hetanom.nets import AdamState, ScorerNet, SequencePredictor, load_checkpoint, save_checkpoint
@@ -24,6 +22,7 @@ from hetanom.partition import ALL_NORMALS
 from hetanom.seeding import derive_seed, rng_for
 from hetanom.train import LR_BASE, LR_UNIFIED
 
+import pins
 from conftest import train_support_epoch
 from test_cli import read_tree
 
@@ -230,49 +229,24 @@ def test_criterion_7_directional_heterogeneity(benchmark_ds):
     with criterion(7, "hard-setting mean unseen AUC: AHL > Homogeneous, "
                       "AHL >= HADG_only - 0.005"):
         start = time.time()
-        spec = ha.ProtocolSpec(m_anomalies=10, seen_class="spike",
-                               seeds=ha.BENCHMARK_SEEDS)
-        cfg = ha.TrainConfig()
-        variants = ("AHL", "Homogeneous", "HADG_only")
-        results = run_protocols(benchmark_ds, spec, [(variant, cfg) for variant in variants])
-        means = {res.variant: res.mean_std("auc_unseen")[0] for res in results}
+        recorded = pins.criterion7(pins.criterion7_results(benchmark_ds))
+        means = recorded["means"]
         print(f"  recorded mean unseen AUC: "
               f"AHL={means['AHL']:.4f} "
               f"Homogeneous={means['Homogeneous']:.4f} "
               f"HADG_only={means['HADG_only']:.4f}")
         assert means["AHL"] > means["Homogeneous"]
         assert means["AHL"] >= means["HADG_only"] - 0.005
-        # exact pins: every variant's training path must keep its numbers
-        assert means == {"AHL": 0.7728370370370371,
-                         "Homogeneous": 0.7221833333333334,
-                         "HADG_only": 0.6116444444444443}
-        # the results checksum `hetanom run configs/default.json` prints
-        results_bytes = _canonical_json({"results": [r.to_dict() for r in results]})
-        assert hashlib.sha256(results_bytes).hexdigest() == \
-            "a46d1ce900c0671515eda917c4c26537cf48c004b343b735122cb16ff5cf7f36"
+        # exact pins: every variant's training path must keep its numbers, and
+        # the results checksum must be the one `hetanom run configs/default.json` prints
+        assert recorded == json.loads(pins.LEDGER_PATH.read_text())["criterion7"]
         assert time.time() - start < 600.0
 
 
 def test_criterion_8_determinism_and_replay(tmp_path):
     with criterion(8, "byte-identical reruns and exact replay"):
-        config = {
-            "seed": 3,
-            "dataset": {"spec": {
-                "dim": 5, "seed": 2,
-                "normal_components": [
-                    {"mean": [0.0] * 5, "std": [1.0] * 5, "count": 50},
-                    {"mean": [4.0] * 5, "std": [1.0] * 5, "count": 50},
-                ],
-                "anomaly_components": [
-                    {"mean": [7.0] * 5, "std": [0.5] * 5, "count": 16, "class_tag": "hot"},
-                ],
-            }},
-            "train": {"T": 3, "C": 2, "epochs": 6, "hidden": 16},
-            "protocol": {"m_anomalies": 4, "seeds": [0, 1]},
-            "variants": ["AHL", "Homogeneous"],
-        }
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(json.dumps(pins.CRITERION8_CONFIG))
         for d in ("r1", "r2"):
             assert cli_main(["run", "--config", str(cfg_path),
                              "--out", str(tmp_path / d)]) == 0
