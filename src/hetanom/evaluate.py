@@ -20,7 +20,7 @@ from .data import ANOMALY, TRAIN_FRACTION, FeatureDataset, SplitSpec, part_sizes
 from .errors import ConfigurationError, HetanomError
 from .nets import ScorerNet, one_blas_thread
 from .seeding import derive_seed, rng_for
-from .train import TrainConfig, fit, simulate, train_scorer, train_scorers
+from .train import TrainConfig, fit, simulate, train_scorers
 
 #: the repo's fixed evaluation seeds
 BENCHMARK_SEEDS = tuple(range(10))
@@ -138,44 +138,33 @@ class VariantModel:
 
 
 def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel:
-    """Train one variant on ``ds``; the returned model records every sample
-    id its training structures touched, for leakage audits."""
+    """Train one variant on ``ds``; the returned model's ``exposure_ids`` are
+    the ids of the table it trained from, for leakage audits."""
     name = canonical_variant(name)
     if name in ("AHL", "CDL_minus"):
         res = fit(ds, cfg, accuracy_weights=name == "CDL_minus")
-        return VariantModel(name, [res.unified], res.training_sample_ids(), res.log)
+        return VariantModel(name, [res.unified], frozenset(res.table.ids), res.log)
+    # the plain variants differ only in the rows each scorer trains on; they
+    # train as one stack, scorer i from its own init and batch stream, so
+    # Homogeneous's one scorer is scorer 0 of each of the others
+    X, y, ids = ds.features, ds.labels, ds.ids
     if name == "Homogeneous":
-        net = ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", 0))
-        net = train_scorer(net, ds.features, ds.labels, cfg,
-                           seed=derive_seed(cfg.seed, "plain", 0))
-        return VariantModel(name, [net], frozenset(ds.ids))
-    # the ensembles: T scorers, each with its own init and batch stream,
-    # trained as one stack
+        rows = [np.arange(len(ids))]
+    elif name == "RamFULL":
+        rows = [np.arange(len(ids))] * cfg.T
+    elif name == "RamHADG":  # scorer i: a random half of each label side, from its own draw
+        sides = (ds.normal_rows(), ds.anomaly_rows())
+        rngs = [rng_for(cfg.seed, "random-subset", i) for i in range(cfg.T)]
+        rows = [np.sort(np.concatenate([rng.permutation(s)[: max(1, len(s) // 2)] for s in sides]))
+                for rng in rngs]
+    else:  # HADG_only: the structured subsets' support sets, no unified model
+        _, _, table = simulate(ds, cfg)
+        X, y, ids, rows = table.X, table.y, table.ids, table.support_rows
     inits = [ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", i))
-             for i in range(cfg.T)]
-    seeds = [derive_seed(cfg.seed, "plain", i) for i in range(cfg.T)]
-    if name == "RamFULL":
-        rows = [np.arange(len(ds.ids))] * cfg.T
-        nets = train_scorers(inits, ds.features, ds.labels, rows, cfg, seeds)
-        return VariantModel(name, nets, frozenset(ds.ids))
-    if name == "RamHADG":
-        rows = []
-        exposed: set[str] = set()
-        normal_rows = ds.normal_rows()
-        anomaly_rows = ds.anomaly_rows()
-        for i in range(cfg.T):
-            rng = rng_for(cfg.seed, "random-subset", i)
-            n_sel = rng.permutation(normal_rows)[: max(1, len(normal_rows) // 2)]
-            a_sel = rng.permutation(anomaly_rows)[: max(1, len(anomaly_rows) // 2)]
-            rows.append(np.sort(np.concatenate([n_sel, a_sel])))
-            exposed.update(ds.ids[int(r)] for r in rows[-1])
-        nets = train_scorers(inits, ds.features, ds.labels, rows, cfg, seeds)
-        return VariantModel(name, nets, frozenset(exposed))
-    # HADG_only: the structured subsets, but each base trains independently
-    # and inference averages the base scores (no unified model)
-    _, _, table = simulate(ds, cfg)
-    nets = train_scorers(inits, table.X, table.y, table.support_rows, cfg, seeds)
-    return VariantModel(name, nets, frozenset(table.ids))
+             for i in range(len(rows))]
+    seeds = [derive_seed(cfg.seed, "plain", i) for i in range(len(rows))]
+    nets = train_scorers(inits, X, y, rows, cfg, seeds)
+    return VariantModel(name, nets, frozenset(ids))
 
 
 def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):

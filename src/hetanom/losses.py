@@ -78,13 +78,13 @@ def cdl_loss(bases, weights):
     n = len(bases)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
-        raise HetanomError(f"weights length {w.shape} != number of bases {n}")
+        raise HetanomError(f"cdl aggregation: weights length {w.shape} != number of bases {n}")
     if not np.isfinite(w).all():
         raise HetanomError(f"cdl aggregation: non-finite weights {w.tolist()}")
     if (w < 0).any():
-        raise HetanomError("weights must be non-negative")
+        raise HetanomError(f"cdl aggregation: weights must be non-negative, got {w.tolist()}")
     if abs(w.sum() - 1.0) > 1e-9:
-        raise HetanomError(f"weights must sum to 1, got {w.sum()!r}")
+        raise HetanomError(f"cdl aggregation: weights must sum to 1, got {w.sum()!r}")
     total = 0.0
     grads = []
     losses = []

@@ -73,7 +73,8 @@ class ImportanceState:
             raise HetanomError(f"importance estimation: non-finite weights at epoch "
                                f"{self.epoch}: {w.tolist()}")
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
-            raise HetanomError("importance weights must be non-negative and sum to 1")
+            raise HetanomError(f"importance estimation: weights at epoch {self.epoch} must be "
+                               f"non-negative and sum to 1: {w.tolist()}")
         object.__setattr__(self, "w", w)
 
 
@@ -255,10 +256,6 @@ class FitResult:
     log: list[dict]
     importance: list[ImportanceState]
 
-    def training_sample_ids(self) -> frozenset[str]:
-        """Every id that fed any training structure (real and pseudo)."""
-        return frozenset(self.table.ids)
-
 
 def _support_losses(scores, table: TrainingTable) -> list[float]:
     """Each trained base's support loss, read off the epoch's (n, T) score
@@ -328,18 +325,18 @@ def fit(ds: FeatureDataset, cfg: TrainConfig, *, accuracy_weights: bool = False)
 
 def train_scorer(net: ScorerNet, X: np.ndarray, y: np.ndarray, cfg: TrainConfig,
                  seed: int) -> ScorerNet:
-    """Plain standalone training for ``cfg.epochs``: balanced minibatches,
-    one persistent Adam. Used by the Homogeneous baseline."""
+    """``train_scorers`` for one scorer. Nothing in the package calls it; it
+    stays as a name the benchmark's span list traces."""
     return train_scorers([net], X, y, [np.arange(len(y))], cfg, [seed])[0]
 
 
 @one_blas_thread()
 def train_scorers(nets, X: np.ndarray, y: np.ndarray, rows, cfg: TrainConfig,
                   seeds) -> list[ScorerNet]:
-    """``train_scorer`` for several scorers at once, as one stack: for
-    ``cfg.epochs``, scorer i trains on rows[i] of (X, y) with its own batch
-    stream (seeds[i]) and its own Adam moments and step count, exactly as
-    it would alone."""
+    """Plain standalone training of several scorers as one stack: for
+    ``cfg.epochs``, scorer i takes balanced minibatch steps on rows[i] of
+    (X, y) with its own batch stream (seeds[i]) and its own Adam moments and
+    step count, exactly as it would alone. Every plain baseline trains here."""
     y = np.asarray(y)
     dim, hidden = nets[0].dim, nets[0].hidden
     if any((n.dim, n.hidden) != (dim, hidden) for n in nets):

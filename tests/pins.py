@@ -139,10 +139,10 @@ def criterion7(results) -> dict:  # mean unseen AUCs; the checksum as `cli` comp
             "results_sha256": sha(_canonical_json({"results": [r.to_dict() for r in results]}))}
 
 
-def configs() -> dict:
+def configs() -> dict:  # every shipped config, by file stem
     with tempfile.TemporaryDirectory() as tmp:
-        return {name: execute_run(load_config(ROOT / "configs" / f"{name}.json"), Path(tmp) / name)
-                for name in ("default", "sweep")}
+        return {path.stem: execute_run(load_config(path), Path(tmp) / path.stem)
+                for path in sorted((ROOT / "configs").glob("*.json"))}
 
 
 GROUPS = {"criterion8": criterion8, "fit_default": fit_default, "cdl_minus": cdl_minus,

@@ -286,7 +286,7 @@ def test_criterion_10_no_leakage(benchmark_ds):
             fit_cfg = replace(cfg, seed=derive_seed(root, "fit"))
             model = run_variant("AHL", train_ds, fit_cfg)
             res = ha.fit(train_ds, fit_cfg)  # the training structures the model came from
-            assert model.exposure_ids == res.training_sample_ids()
+            assert model.exposure_ids == frozenset(res.table.ids)
             test_ids = set(test_ds.ids)
             # support, query, and history structures
             for dd in res.collection.subsets:

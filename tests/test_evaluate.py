@@ -28,7 +28,7 @@ from hetanom.evaluate import (
     sweep,
     sweep_csv,
 )
-from hetanom.synth import Component, MixtureSpec, generate
+from hetanom.synth import Component, MixtureSpec, default_benchmark, generate
 from hetanom.train import TrainConfig, fit
 
 from test_cli import minimal_config
@@ -216,8 +216,12 @@ class TestRunProtocol:
         root = derive_seed(FAST.seed, "protocol", 5)
         train_ds, test_ds, _ = _protocol_split(ds, spec, root)
         from dataclasses import replace
-        model = run_variant("AHL", train_ds, replace(FAST, seed=derive_seed(root, "fit")))
-        assert not set(test_ds.ids) & model.exposure_ids
+        cfg = replace(FAST, seed=derive_seed(root, "fit"))
+        for name in evaluate.VARIANTS:
+            model = run_variant(name, train_ds, cfg)
+            assert not set(test_ds.ids) & model.exposure_ids, name
+            if name in ("Homogeneous", "RamFULL", "RamHADG"):  # the split they draw rows from
+                assert model.exposure_ids == frozenset(train_ds.ids), name
 
     def test_seeds_run_and_aggregate_in_ascending_order(self):
         ds = tiny_benchmark()
@@ -459,6 +463,22 @@ class TestVariants:
         x = ds.features[:10]
         np.testing.assert_array_equal(ram.scores(x), homog.scores(x))
 
+    def test_homogeneous_is_scorer_0_of_ramfull(self):
+        # on a protocol split, Homogeneous's one scorer has scorer 0's init and
+        # batch stream: its net is RamFULL's first, bit for bit
+        from dataclasses import replace
+        from hetanom.evaluate import _protocol_split
+        from hetanom.seeding import derive_seed
+        spec = ProtocolSpec(m_anomalies=10, seen_class="spike", seeds=(0,))
+        root = derive_seed(0, "protocol", 0)
+        train_ds, _, _ = _protocol_split(generate(default_benchmark()), spec, root)
+        cfg = replace(TrainConfig(epochs=4), seed=derive_seed(root, "fit"))
+        homog = run_variant("Homogeneous", train_ds, cfg)
+        ram = run_variant("RamFULL", train_ds, cfg)
+        assert len(homog.nets) == 1 and len(ram.nets) == cfg.T
+        np.testing.assert_array_equal(homog.nets[0].theta, ram.nets[0].theta)
+        assert not np.array_equal(ram.nets[0].theta, ram.nets[1].theta)
+
     def test_cdl_minus_weights_valid_every_epoch(self):
         ds = tiny_benchmark()
         cfg = TrainConfig(T=3, C=2, epochs=4, hidden=8, seed=5)
@@ -489,7 +509,7 @@ class TestVariants:
         cfg = TrainConfig(T=3, C=2, epochs=1, hidden=8, seed=7)
         for data in (ds, one_shot):
             model = run_variant("HADG_only", data, cfg)
-            assert model.exposure_ids == fit(data, cfg).training_sample_ids()
+            assert model.exposure_ids == frozenset(fit(data, cfg).table.ids)
 
 
 class TestSweep:

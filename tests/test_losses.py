@@ -187,11 +187,13 @@ class TestCdlLoss:
 
     def test_weight_validation(self):
         bases = [(self._net(0), *self._batch(1))]
-        with pytest.raises(HetanomError, match="^weights must sum to 1"):
+        with pytest.raises(HetanomError, match="^cdl aggregation: weights must sum to 1"):
             cdl_loss(bases, np.array([0.5]))
-        with pytest.raises(HetanomError, match="^weights must be non-negative$"):
+        with pytest.raises(HetanomError,
+                           match=r"^cdl aggregation: weights must be non-negative, got \[-1\.0\]$"):
             cdl_loss(bases, np.array([-1.0]))
-        with pytest.raises(HetanomError, match=r"^weights length \(2,\) != number of bases 1$"):
+        with pytest.raises(HetanomError, match=r"^cdl aggregation: weights length \(2,\) "
+                                               r"!= number of bases 1$"):
             cdl_loss(bases, np.array([0.5, 0.5]))
 
     def test_nan_weights_rejected(self):

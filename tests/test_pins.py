@@ -26,6 +26,11 @@ def test_ledger_groups_are_the_modules():
     assert set(LEDGER) - set(pins.META) == set(pins.GROUPS)
 
 
+def test_ledger_pins_every_shipped_config():
+    # CI runs and replays each config the ledger's configs group names
+    assert set(LEDGER["configs"]) == {path.stem for path in (pins.ROOT / "configs").glob("*.json")}
+
+
 def test_table_names_nested_added_and_removed_pins():
     old = {"a": {"x": "1", "y": {"z": "2"}}, "gone": "3"}
     new = {"a": {"x": "1", "y": {"z": "4"}, "w": 0.5}}

@@ -66,8 +66,9 @@ class TestImportanceWeights:
             assert abs(w.sum() - 1.0) < 1e-9
 
     def test_state_validation(self):
-        with pytest.raises(HetanomError, match="^importance weights must be non-negative and sum to 1$"):
-            ImportanceState(epoch=0, w=np.array([0.7, 0.7]))
+        with pytest.raises(HetanomError, match=r"^importance estimation: weights at epoch 3 must be "
+                           r"non-negative and sum to 1: \[0\.7, 0\.7\]$"):
+            ImportanceState(epoch=3, w=np.array([0.7, 0.7]))
 
     def test_nan_error_is_rejected_with_stage_and_epoch(self):
         w = importance_weights(np.array([np.nan, 1.0]))
@@ -202,7 +203,7 @@ class TestFit:
 
     def test_training_ids_cover_table(self, small_ds):
         res = fit(small_ds, TrainConfig(epochs=1, seed=0))
-        ids = res.training_sample_ids()
+        ids = set(res.table.ids)
         assert set(small_ds.ids) <= ids
         assert any(s.startswith("pseudo:") for s in ids)
 
