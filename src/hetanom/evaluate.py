@@ -139,19 +139,21 @@ class VariantModel:
 
 def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel:
     """Train one variant on ``ds``; the returned model's ``exposure_ids`` are
-    the ids of the table it trained from, for leakage audits."""
+    the ids of ``ds``, the real samples it trained on, for leakage audits.
+    The ids of the pseudo anomalies it makes stay out: a csv sample may
+    carry the same id."""
     name = canonical_variant(name)
     if name in ("AHL", "CDL_minus"):
         res = fit(ds, cfg, accuracy_weights=name == "CDL_minus")
-        return VariantModel(name, [res.unified], frozenset(res.table.ids), res.log)
+        return VariantModel(name, [res.unified], frozenset(ds.ids), res.log)
     # the plain variants differ only in the rows each scorer trains on; they
     # train as one stack, scorer i from its own init and batch stream, so
     # Homogeneous's one scorer is scorer 0 of each of the others
-    X, y, ids = ds.features, ds.labels, ds.ids
+    X, y = ds.features, ds.labels
     if name == "Homogeneous":
-        rows = [np.arange(len(ids))]
+        rows = [np.arange(len(y))]
     elif name == "RamFULL":
-        rows = [np.arange(len(ids))] * cfg.T
+        rows = [np.arange(len(y))] * cfg.T
     elif name == "RamHADG":  # scorer i: a random half of each label side, from its own draw
         sides = (ds.normal_rows(), ds.anomaly_rows())
         rngs = [rng_for(cfg.seed, "random-subset", i) for i in range(cfg.T)]
@@ -159,12 +161,12 @@ def run_variant(name: str, ds: FeatureDataset, cfg: TrainConfig) -> VariantModel
                 for rng in rngs]
     else:  # HADG_only: the structured subsets' support sets, no unified model
         _, _, table = simulate(ds, cfg)
-        X, y, ids, rows = table.X, table.y, table.ids, table.support_rows
+        X, y, rows = table.X, table.y, table.support_rows
     inits = [ScorerNet.init(ds.dim, cfg.hidden, rng_for(cfg.seed, "plain-init", i))
              for i in range(len(rows))]
     seeds = [derive_seed(cfg.seed, "plain", i) for i in range(len(rows))]
     nets = train_scorers(inits, X, y, rows, cfg, seeds)
-    return VariantModel(name, nets, frozenset(ids))
+    return VariantModel(name, nets, frozenset(ds.ids))
 
 
 def _protocol_split(ds: FeatureDataset, spec: ProtocolSpec, seed: int):

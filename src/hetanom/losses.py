@@ -1,6 +1,6 @@
 """Deviation loss against the standard-normal score prior, plus the
-weighted aggregation of per-base query losses that drives the unified
-update.
+weighted aggregation of per-base query losses and gradients that drives
+the unified update.
 
 A score is read directly as its deviation from the prior, N(0, 1):
 normals are pulled toward 0, anomalies are pushed past the confidence
@@ -69,28 +69,21 @@ def base_loss_grad(net: ScorerNet, X: np.ndarray, y: np.ndarray):
 
 
 def cdl_loss(bases, weights):
-    """Weighted sum of per-base query losses, its per-base gradients, and
-    each base's unweighted loss.
+    """Weighted sum of per-base query losses, the weighted sum of their
+    gradients, and each base's unweighted loss.
 
-    ``bases`` is a sequence of (net, X, y); ``weights`` is a normalized
-    importance vector, one weight per base.
+    ``bases`` is a sequence of (net, X, y); ``weights`` holds one importance
+    weight per base (``train.ImportanceState`` checks their contract). The
+    gradient is ``sum(w[i] * grad_i)``, added in ascending base order.
     """
     n = len(bases)
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise HetanomError(f"cdl aggregation: weights length {w.shape} != number of bases {n}")
-    if not np.isfinite(w).all():
-        raise HetanomError(f"cdl aggregation: non-finite weights {w.tolist()}")
-    if (w < 0).any():
-        raise HetanomError(f"cdl aggregation: weights must be non-negative, got {w.tolist()}")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise HetanomError(f"cdl aggregation: weights must sum to 1, got {w.sum()!r}")
-    total = 0.0
-    grads = []
-    losses = []
+    total, gradient, losses = 0.0, 0.0, []
     for wi, (net, X, y) in zip(w, bases):
         loss_i, grad_i = base_loss_grad(net, X, y)
         total += wi * loss_i
-        grads.append(wi * grad_i)
+        gradient = gradient + wi * grad_i
         losses.append(loss_i)
-    return total, grads, losses
+    return total, gradient, losses

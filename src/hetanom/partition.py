@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import ANOMALY, NORMAL, FeatureDataset
+from .data import ANOMALY, FeatureDataset
 from .errors import ConfigurationError, HetanomError
 from .seeding import rng_for
 from .synth import ALL_KINDS, PseudoKind, synthesize_pseudo
@@ -270,15 +270,6 @@ class TrainingTable:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def support_normal_mask(self, i: int) -> np.ndarray:
-        """Boolean mask over the table: is this row a support normal of subset i."""
-        rows = self.support_rows[i]
-        return _mask(len(self.ids), rows[self.y[rows] == NORMAL])
-
-    def support_anomaly_mask(self, i: int) -> np.ndarray:
-        rows = self.support_rows[i]
-        return _mask(len(self.ids), rows[self.y[rows] == ANOMALY])
 
 
 def build_distributions(

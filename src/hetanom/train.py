@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureDataset
+from .data import ANOMALY, FeatureDataset
 from .errors import ConfigurationError, HetanomError
 from .losses import MARGIN, base_loss_grad, cdl_loss, score_loss
 from .nets import AdamState, ScorerNet, SequencePredictor, one_blas_thread
@@ -69,12 +69,10 @@ class ImportanceState:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
-        if not np.isfinite(w).all():
-            raise HetanomError(f"importance estimation: non-finite weights at epoch "
-                               f"{self.epoch}: {w.tolist()}")
-        if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
+        # NaN fails the sign test and an infinite weight the sum test
+        if not ((w >= 0).all() and abs(w.sum() - 1.0) <= 1e-9):
             raise HetanomError(f"importance estimation: weights at epoch {self.epoch} must be "
-                               f"non-negative and sum to 1: {w.tolist()}")
+                               f"finite, non-negative and sum to 1: {w.tolist()}")
         object.__setattr__(self, "w", w)
 
 
@@ -86,18 +84,21 @@ def importance_weights(r: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def generalization_errors(preds: np.ndarray, y: np.ndarray,
-                          support_normal_masks, support_anomaly_masks) -> np.ndarray:
-    """Per-base mean weighted squared error of the forecast scores against
-    the labels, over every sample except the base's own support normals.
-    Anomalies the base never saw in its support weigh ``C_UNSEEN``; its
-    seen anomalies and all other normals weigh ``C_OTHER``."""
-    n, t = preds.shape
-    r = np.empty(t)
-    for i in range(t):
-        keep = ~np.asarray(support_normal_masks[i])
-        unseen_anom = (y == 1) & ~np.asarray(support_anomaly_masks[i])
-        c = np.where(unseen_anom, C_UNSEEN, C_OTHER)
+def generalization_errors(preds: np.ndarray, table: TrainingTable) -> np.ndarray:
+    """Per-base mean weighted squared error of the (n, T) forecast scores
+    against the labels of ``table``, over every row except the base's own
+    support normals. Anomalies outside the base's support weigh
+    ``C_UNSEEN``; its support anomalies and all other normals weigh
+    ``C_OTHER``."""
+    y = table.y
+    label_c = np.where(y == ANOMALY, C_UNSEEN, C_OTHER)
+    r = np.empty(len(table.support_rows))
+    for i, rows in enumerate(table.support_rows):
+        is_anomaly = y[rows] == ANOMALY
+        c = label_c.copy()
+        c[rows[is_anomaly]] = C_OTHER
+        keep = np.ones(len(y), dtype=bool)
+        keep[rows[~is_anomaly]] = False
         r[i] = float((c[keep] * (preds[keep, i] - y[keep]) ** 2).mean())
     return r
 
@@ -206,10 +207,7 @@ def estimate_importance(windows: np.ndarray, seq_net: SequencePredictor,
         dout = (2.0 / diff.size) * diff
         grad = seq_net.backward(cache, dout)
         seq_net.theta = seq_opt.step(seq_net.theta, grad)
-    preds = seq_net.forward(windows)
-    sup_norm = [table.support_normal_mask(i) for i in range(cfg.T)]
-    sup_anom = [table.support_anomaly_mask(i) for i in range(cfg.T)]
-    r = generalization_errors(preds, table.y, sup_norm, sup_anom)
+    r = generalization_errors(seq_net.forward(windows), table)
     state = ImportanceState(epoch=epoch, w=importance_weights(r), r=r)
     return state, pass_loss / (n * cfg.T)
 
@@ -232,19 +230,17 @@ def accuracy_importance(scores: np.ndarray, table: TrainingTable,
 
 def unified_update(g: ScorerNet, g_opt: AdamState, stack: ScorerNet,
                    table: TrainingTable, w: np.ndarray):
-    """One unified step on the importance-weighted aggregate of the bases'
-    query-set gradients, taken at the trained base parameters (row i of
-    ``stack`` is base i). Returns the new unified scorer, the weighted loss
-    and each base's query loss."""
+    """One unified Adam step on ``cdl_loss``'s importance-weighted sum of
+    the bases' query-set gradients, taken at the trained base parameters
+    (row i of ``stack`` is base i; ``w`` comes from an ``ImportanceState``).
+    Returns the new unified scorer, the weighted loss and each base's query
+    loss."""
     batches = [
         (ScorerNet(g.dim, g.hidden, theta), table.X[rows], table.y[rows])
         for theta, rows in zip(stack.theta, table.query_rows)
     ]
-    total, grads, losses = cdl_loss(batches, w)
-    agg = np.zeros_like(g.theta)
-    for grad_i in grads:  # ascending base index, fixed summation order
-        agg += grad_i
-    return ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, agg)), total, losses
+    total, grad, losses = cdl_loss(batches, w)
+    return ScorerNet(g.dim, g.hidden, g_opt.step(g.theta, grad)), total, losses
 
 
 @dataclass

@@ -80,7 +80,8 @@ def test_criterion_1_gradient_correctness():
             hi = float(deviation_loss(score + h, yv))
             assert grad_close(analytic, (hi - lo) / (2 * h))
 
-        # weighted aggregation: per-base gradients
+        # weighted aggregation: the aggregated gradient is the weighted loss's
+        # derivative along a step every base takes together
         for _ in range(20):
             bases = []
             for _b in range(2):
@@ -89,13 +90,12 @@ def test_criterion_1_gradient_correctness():
                 y = rng.integers(0, 2, size=4)
                 bases.append((net, X, y))
             w = rng.dirichlet(np.ones(2))
-            _, grads, _ = cdl_loss(bases, w)
-            for b, (net, X, y) in enumerate(bases):
-                def loss_at(theta, b=b):
-                    trial = list(bases)
-                    trial[b] = (ScorerNet(2, 3, theta), bases[b][1], bases[b][2])
-                    return cdl_loss(trial, w)[0]
-                fd_check(loss_at, net.theta, grads[b], range(len(net.theta)))
+            _, grad, _ = cdl_loss(bases, w)
+
+            def loss_at(step):
+                return cdl_loss([(ScorerNet(2, 3, net.theta + step), X, y)
+                                 for net, X, y in bases], w)[0]
+            fd_check(loss_at, np.zeros_like(grad), grad, range(len(grad)))
 
         # sequence predictor under its squared-error objective
         for point in range(20):
@@ -286,7 +286,7 @@ def test_criterion_10_no_leakage(benchmark_ds):
             fit_cfg = replace(cfg, seed=derive_seed(root, "fit"))
             model = run_variant("AHL", train_ds, fit_cfg)
             res = ha.fit(train_ds, fit_cfg)  # the training structures the model came from
-            assert model.exposure_ids == frozenset(res.table.ids)
+            assert model.exposure_ids == frozenset(train_ds.ids)
             test_ids = set(test_ds.ids)
             # support, query, and history structures
             for dd in res.collection.subsets:

@@ -357,6 +357,25 @@ class TestRunCommand:
         assert capsys.readouterr().err == "config error: dataset.path: no such file: \n"
         assert not out.exists()
 
+    def test_sample_ids_shaped_like_pseudo_ids_are_no_leak(self, tmp_path):
+        # the variants that make pseudo anomalies name them pseudo:{i}:{s|q}:{j};
+        # a csv sample with such an id that lands in the test split is no leak
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", "--out", str(data)]) == 0
+        with open(data, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        names = [f"pseudo:{i}:{side}:{j}" for i in range(7) for side in "sq" for j in range(3)]
+        for row, name in zip((row for row in rows[1:] if row[1] == "0"), names):
+            row[0] = name
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        cfg = {"seed": 0, "dataset": {"path": str(data)},
+               "train": {"epochs": 2, "warmup_epochs": 1, "K": 1},
+               "protocol": {"m_anomalies": 10, "seen_class": "spike", "seeds": [0]},
+               "variants": ["AHL", "CDL_minus", "HADG_only"]}
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 0
+
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         cfg = minimal_config()
         cfg["train"]["T"] = 0

@@ -220,8 +220,7 @@ class TestRunProtocol:
         for name in evaluate.VARIANTS:
             model = run_variant(name, train_ds, cfg)
             assert not set(test_ds.ids) & model.exposure_ids, name
-            if name in ("Homogeneous", "RamFULL", "RamHADG"):  # the split they draw rows from
-                assert model.exposure_ids == frozenset(train_ds.ids), name
+            assert model.exposure_ids == frozenset(train_ds.ids), name  # the real samples
 
     def test_seeds_run_and_aggregate_in_ascending_order(self):
         ds = tiny_benchmark()
@@ -501,15 +500,27 @@ class TestVariants:
             manual = np.mean([net.forward(ds.features[:5]) for net in model.nets], axis=0)
             np.testing.assert_array_equal(scores, manual)
 
-    def test_hadg_only_simulates_the_subsets_fit_does(self):
+    def test_hadg_only_simulates_the_subsets_fit_does(self, monkeypatch):
         # one subset-simulation path: HADG_only trains on fit's training table,
         # in few-shot mode and in one-shot mode
         ds = tiny_benchmark()
         one_shot = ds.take(np.concatenate([ds.normal_rows(), ds.anomaly_rows()[:1]]))
         cfg = TrainConfig(T=3, C=2, epochs=1, hidden=8, seed=7)
+        tables = []
+        inner = evaluate.simulate
+
+        def recording(*args):
+            out = inner(*args)
+            tables.append(out[2])
+            return out
+
+        monkeypatch.setattr(evaluate, "simulate", recording)
         for data in (ds, one_shot):
-            model = run_variant("HADG_only", data, cfg)
-            assert model.exposure_ids == frozenset(fit(data, cfg).table.ids)
+            run_variant("HADG_only", data, cfg)
+            table, fitted = tables.pop(), fit(data, cfg).table
+            assert table.ids == fitted.ids and (table.X == fitted.X).all()
+            for mine, theirs in zip(table.support_rows, fitted.support_rows, strict=True):
+                np.testing.assert_array_equal(mine, theirs)
 
 
 class TestSweep:

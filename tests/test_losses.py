@@ -157,10 +157,10 @@ class TestCdlLoss:
     def test_single_base_degenerates_to_base_loss(self):
         net = self._net(1)
         X, y = self._batch(2)
-        total, grads, losses = cdl_loss([(net, X, y)], np.array([1.0]))
+        total, grad, losses = cdl_loss([(net, X, y)], np.array([1.0]))
         assert total == base_loss(net, X, y)
         assert losses == [total]
-        np.testing.assert_array_equal(grads[0], base_loss_grad(net, X, y)[1])
+        np.testing.assert_array_equal(grad, base_loss_grad(net, X, y)[1])
 
     def test_uniform_weights_average(self):
         # per-base losses 2 and 4 with weights (.5, .5) -> 3
@@ -177,31 +177,19 @@ class TestCdlLoss:
             X, y = self._batch(10 + s)
             bases.append((net, X, y))
         w = np.array([0.0, 1.0, 0.0])
-        total, grads, losses = cdl_loss(bases, w)
+        total, grad, losses = cdl_loss(bases, w)
         ref_loss, ref_grad = base_loss_grad(*bases[1])
         assert abs(total - ref_loss) < 1e-15
-        np.testing.assert_array_equal(grads[1], ref_grad)
-        assert (grads[0] == 0).all() and (grads[2] == 0).all()
+        np.testing.assert_array_equal(grad, ref_grad)
         # the per-base losses are unweighted, zero weights included
         assert losses == [base_loss(n, X, y) for n, X, y in bases]
 
     def test_weight_validation(self):
+        # only the length: train.ImportanceState checks the weights' values
         bases = [(self._net(0), *self._batch(1))]
-        with pytest.raises(HetanomError, match="^cdl aggregation: weights must sum to 1"):
-            cdl_loss(bases, np.array([0.5]))
-        with pytest.raises(HetanomError,
-                           match=r"^cdl aggregation: weights must be non-negative, got \[-1\.0\]$"):
-            cdl_loss(bases, np.array([-1.0]))
         with pytest.raises(HetanomError, match=r"^cdl aggregation: weights length \(2,\) "
                                                r"!= number of bases 1$"):
             cdl_loss(bases, np.array([0.5, 0.5]))
-
-    def test_nan_weights_rejected(self):
-        bases = [(self._net(s), *self._batch(40 + s)) for s in range(2)]
-        with pytest.raises(HetanomError, match="cdl aggregation"):
-            cdl_loss(bases, np.array([np.nan, np.nan]))
-        with pytest.raises(HetanomError, match="cdl aggregation"):
-            cdl_loss(bases, np.array([np.inf, 1.0]))
 
     def test_linear_in_weights(self):
         bases = [(self._net(s), *self._batch(30 + s)) for s in range(3)]
@@ -209,10 +197,11 @@ class TestCdlLoss:
         w1 = rng.dirichlet(np.ones(3))
         w2 = rng.dirichlet(np.ones(3))
         alpha = 0.3
-        mixed, _, _ = cdl_loss(bases, alpha * w1 + (1 - alpha) * w2)
-        t1, _, _ = cdl_loss(bases, w1)
-        t2, _, _ = cdl_loss(bases, w2)
+        mixed, g_mixed, _ = cdl_loss(bases, alpha * w1 + (1 - alpha) * w2)
+        t1, g1, _ = cdl_loss(bases, w1)
+        t2, g2, _ = cdl_loss(bases, w2)
         assert abs(mixed - (alpha * t1 + (1 - alpha) * t2)) < 1e-12
+        np.testing.assert_allclose(g_mixed, alpha * g1 + (1 - alpha) * g2, rtol=0, atol=1e-12)
 
 
 class TestContinuity:

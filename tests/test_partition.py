@@ -222,19 +222,18 @@ class TestBuildDistributions:
         with pytest.raises(HetanomError, match="another dataset"):
             build_distributions(ds, kmeans(other, 3, seed=0), 4, seed=0)
 
-    def test_training_table_masks(self):
+    def test_training_table_rows(self):
+        # the table's rows carry each subset's ids, and its labels mark the
+        # real anomalies and every pseudo anomaly
         ds = make_dataset(n_normal=30, n_anomaly=10, dim=4, seed=11)
         coll = self._build(ds, C=3, T=4)
         table = coll.training_table()
-        assert len(table.ids) == 40 + len(coll.pseudo_ids)
+        assert table.ids == ds.ids + coll.pseudo_ids
+        np.testing.assert_array_equal(table.y, np.concatenate([ds.labels,
+                                                               np.ones(len(coll.pseudo_ids))]))
         for i, dd in enumerate(coll.subsets):
-            sup_norm = table.support_normal_mask(i)
-            sup_anom = table.support_anomaly_mask(i)
-            support = set(dd.support_ids)
-            for row, sid in enumerate(table.ids):
-                in_support = sid in support
-                assert sup_norm[row] == (in_support and table.y[row] == 0)
-                assert sup_anom[row] == (in_support and table.y[row] == 1)
+            assert tuple(table.ids[r] for r in table.support_rows[i]) == dd.support_ids
+            assert tuple(table.ids[r] for r in table.query_rows[i]) == dd.query_ids
 
 
 class TestInjectPseudo:

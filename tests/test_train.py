@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hetanom.errors import ConfigurationError, HetanomError
-from hetanom.losses import base_loss, base_loss_grad
+from hetanom.losses import base_loss, base_loss_grad, cdl_loss
 from hetanom.nets import AdamState, ScorerNet
-from hetanom.partition import build_distributions, kmeans
+from hetanom.partition import TrainingTable, build_distributions, kmeans
 from hetanom.schema import build
 from hetanom.seeding import derive_seed, rng_for
 from hetanom.train import (
@@ -24,6 +24,7 @@ from hetanom.train import (
     generalization_errors,
     importance_weights,
     train_bases_epoch,
+    unified_update,
 )
 
 from conftest import make_dataset, train_support_epoch
@@ -65,10 +66,17 @@ class TestImportanceWeights:
             assert (w >= 0).all()
             assert abs(w.sum() - 1.0) < 1e-9
 
-    def test_state_validation(self):
+    @pytest.mark.parametrize("w, shown", [
+        ([1.5, -0.5], r"\[1\.5, -0\.5\]"),
+        ([0.7, 0.7], r"\[0\.7, 0\.7\]"),
+        ([np.nan, 1.0], r"\[nan, 1\.0\]"),
+        ([np.inf, 0.0], r"\[inf, 0\.0\]"),
+    ], ids=["negative", "sum", "nan", "inf"])
+    def test_state_validation(self, w, shown):
+        # the one check of the weights every unified step takes
         with pytest.raises(HetanomError, match=r"^importance estimation: weights at epoch 3 must be "
-                           r"non-negative and sum to 1: \[0\.7, 0\.7\]$"):
-            ImportanceState(epoch=3, w=np.array([0.7, 0.7]))
+                           r"finite, non-negative and sum to 1: " + shown + "$"):
+            ImportanceState(epoch=3, w=np.array(w))
 
     def test_nan_error_is_rejected_with_stage_and_epoch(self):
         w = importance_weights(np.array([np.nan, 1.0]))
@@ -77,39 +85,44 @@ class TestImportanceWeights:
             ImportanceState(epoch=7, w=w)
 
 
+def small_table(y, support_rows, query_rows=(), dim=2, seed=0) -> TrainingTable:
+    """A TrainingTable over labels ``y`` with random features."""
+    y = np.asarray(y, dtype=np.int64)
+    support_rows, query_rows = (tuple(np.asarray(r, dtype=np.int64) for r in sets)
+                                for sets in (support_rows, query_rows))
+    return TrainingTable(ids=tuple(f"s{j}" for j in range(len(y))),
+                         X=np.random.default_rng(seed).normal(size=(len(y), dim)), y=y,
+                         support_rows=support_rows, query_rows=query_rows)
+
+
 class TestGeneralizationErrors:
     def test_single_unseen_anomaly_contribution(self):
-        # one base; predicted 0 against label 1 with weight 1 contributes 1
-        preds = np.array([[0.0]])
-        y = np.array([1])
-        r = generalization_errors(preds, y,
-                                  support_normal_masks=[np.array([False])],
-                                  support_anomaly_masks=[np.array([False])])
+        # one base whose support is row 0, a normal: row 1, an anomaly
+        # outside the support predicted 0, contributes 1 with weight 1
+        preds = np.array([[0.3], [0.0]])
+        r = generalization_errors(preds, small_table([0, 1], [[0]]))
         assert r[0] == 1.0
 
     def test_seen_anomaly_downweighted(self):
-        preds = np.array([[0.0]])
-        y = np.array([1])
-        r = generalization_errors(preds, y,
-                                  support_normal_masks=[np.array([False])],
-                                  support_anomaly_masks=[np.array([True])])
+        preds = np.array([[0.3], [0.0]])
+        r = generalization_errors(preds, small_table([0, 1], [[0, 1]]))
         assert r[0] == 0.5
 
     def test_invariant_to_support_normals(self):
-        # dropping a base's own support normals from the pool must not move r_i
+        # dropping a base's own support normals from the table must not move r_i
         rng = np.random.default_rng(1)
         n = 20
+        y = np.zeros(n, dtype=np.int64)
+        y[rng.choice(n, size=6, replace=False)] = 1
+        sup_norm = np.flatnonzero((y == 0) & (rng.uniform(size=n) < 0.5))
+        sup_anom = np.flatnonzero(y == 1)[:3]
         preds = rng.normal(size=(n, 2))
-        y = (rng.uniform(size=n) < 0.3).astype(np.int64)
-        sup_norm = (y == 0) & (rng.uniform(size=n) < 0.5)
-        sup_anom = np.zeros(n, dtype=bool)
-        full = generalization_errors(preds, y, [sup_norm, np.zeros(n, bool)],
-                                     [sup_anom, sup_anom])
-        keep = ~sup_norm
-        reduced = generalization_errors(preds[keep], y[keep],
-                                        [np.zeros(keep.sum(), bool), np.zeros(keep.sum(), bool)],
-                                        [sup_anom[keep], sup_anom[keep]])
-        assert abs(full[0] - reduced[0]) < 1e-15
+        full = generalization_errors(preds, small_table(y, [np.concatenate([sup_norm, sup_anom]),
+                                                            np.arange(n)]))
+        keep = np.setdiff1d(np.arange(n), sup_norm)
+        reduced = generalization_errors(preds[keep], small_table(
+            y[keep], [np.searchsorted(keep, sup_anom), np.arange(len(keep))]))
+        assert full[0] == reduced[0]
 
 
 class TestTrainBasesEpoch:
@@ -264,19 +277,32 @@ class TestDegenerateEquivalence:
 
 
 class TestUnifiedUpdateLinearity:
+    def _bases(self, T=4):
+        # base s queries rows 3s to 3s + 5: two anomalies, four normals
+        table = small_table(np.tile([0, 0, 1], T + 1), [],
+                            [np.arange(3 * s, 3 * s + 6) for s in range(T)], dim=3, seed=2)
+        nets = [ScorerNet.init(3, 5, np.random.default_rng(s)) for s in range(T)]
+        return table, nets
+
     def test_uniform_weights_match_scaled_unweighted(self):
         # aggregated gradient with uniform weights == unweighted sum / T
-        from hetanom.losses import cdl_loss
-
-        rng = np.random.default_rng(2)
-        bases = []
-        for s in range(4):
-            net = ScorerNet.init(3, 5, np.random.default_rng(s))
-            X = rng.normal(size=(6, 3))
-            y = rng.integers(0, 2, size=6)
-            bases.append((net, X, y))
+        table, nets = self._bases()
+        bases = [(net, table.X[rows], table.y[rows]) for net, rows in zip(nets, table.query_rows)]
         _, weighted, _ = cdl_loss(bases, np.full(4, 0.25))
         unweighted = [base_loss_grad(net, X, y)[1] for net, X, y in bases]
-        agg_w = np.sum(weighted, axis=0)
-        agg_u = np.sum(unweighted, axis=0) / 4.0
-        np.testing.assert_allclose(agg_w, agg_u, atol=1e-12)
+        np.testing.assert_allclose(weighted, np.sum(unweighted, axis=0) / 4.0, atol=1e-12)
+
+    def test_step_on_the_weighted_gradient_sum(self):
+        # one Adam step on sum_i w_i * grad_i, added in ascending base order
+        table, nets = self._bases()
+        w = np.random.default_rng(3).dirichlet(np.ones(4))
+        g = ScorerNet.init(3, 5, np.random.default_rng(9))
+        stack = ScorerNet(3, 5, np.stack([net.theta for net in nets]))
+        new_g, total, losses = unified_update(g, AdamState(LR_UNIFIED), stack, table, w)
+        grad = np.zeros_like(g.theta)
+        for wi, net, rows in zip(w, nets, table.query_rows):
+            grad += wi * base_loss_grad(net, table.X[rows], table.y[rows])[1]
+        assert new_g.theta.tobytes() == AdamState(LR_UNIFIED).step(g.theta, grad).tobytes()
+        assert losses == [base_loss(net, table.X[rows], table.y[rows])
+                          for net, rows in zip(nets, table.query_rows)]
+        assert total == sum(wi * loss for wi, loss in zip(w, losses))
